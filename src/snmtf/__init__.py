@@ -21,7 +21,6 @@ from .model import (
     DimensionError,
     Factorization,
     LinePolynomial,
-    MemoryBudgetError,
     SolverConfig,
     SolverDivergedError,
     Transform,
@@ -39,7 +38,6 @@ __all__ = [
     "DimensionError",
     "Factorization",
     "LinePolynomial",
-    "MemoryBudgetError",
     "SolverConfig",
     "SolverDivergedError",
     "Transform",

@@ -20,8 +20,8 @@ so the per-step cost is dominated by the N products R_i @ [G, dG].
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from .gradients import _gram_step
 from .model import (
     DataBundle,
     Factorization,
@@ -97,73 +97,34 @@ def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> L
 def _minimize_quartic(poly: LinePolynomial, lo: float = SEARCH_INTERVAL[0], hi: float = SEARCH_INTERVAL[1]) -> float:
     """Global minimum of a quartic on [lo, hi].
 
-    Candidates: the interval endpoints, the real roots of the cubic p'
-    inside the interval, and a bounded golden-section/parabolic search; the
-    analytic roots guard the bracketed search against boundary minima and
-    vice versa.  Ties keep the earliest candidate, so a flat polynomial
-    returns ``hi`` (= 0 for the descent interval).
+    Candidates: the interval endpoints and the real parts of the roots of the
+    cubic p', clipped to [lo, hi].  The real stationary points are among them,
+    so this is the exact global minimum.  Ties keep the earliest candidate, so
+    a flat polynomial returns ``hi`` (= 0 for the descent interval).
     """
-    candidates = [hi, lo]
-    dc = poly.derivative_coeffs()
-    if np.any(dc != 0.0):
-        roots = np.roots(dc[::-1])
-        for root in roots:
-            if abs(root.imag) <= 1e-8 * (1.0 + abs(root.real)):
-                t = float(root.real)
-                if lo <= t <= hi:
-                    candidates.append(t)
-        bracketed = minimize_scalar(
-            poly, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
-        )
-        candidates.append(float(bracketed.x))
+    roots = np.roots(poly.derivative_coeffs()[::-1])
+    candidates = [hi, lo] + [float(t) for t in np.clip(roots.real, lo, hi)]
     values = [poly(t) for t in candidates]
     return candidates[int(np.argmin(values))]
 
 
 def _g_step(r_list, norms_sq, g, s_list, rng):
-    """One projected-gradient step on G with exact quartic line search.
-
-    Returns (new G, SE before the step).
-    """
-    gram = g.T @ g
-    h_list = [r @ g for r in r_list]
-    num = np.zeros_like(g)
-    sas_sum = np.zeros_like(gram)
-    for h, s in zip(h_list, s_list):
-        num += h @ s
-        sas_sum += s @ gram @ s
-    dg = 4.0 * (g @ sas_sum - num)
+    """One projected-gradient step on G with exact quartic line search."""
+    _, dg, _, h_list = _gram_step(r_list, norms_sq, g, s_list)
     coeffs = _quartic_coefficients(r_list, norms_sq, g, s_list, dg, h_list)
     poly = LinePolynomial(coeffs)
     t = _minimize_quartic(poly)
     g_new = g + t * dg
     if t == 0.0 or poly(t) - coeffs[0] > -MIN_DECREASE:
         g_new = g_new + PERTURBATION_SCALE * rng.random(g.shape)
-    return np.maximum(g_new, 0.0), coeffs[0]
+    return np.maximum(g_new, 0.0)
 
 
 def linesearch_g(bundle: DataBundle, fact: Factorization, rng: np.random.Generator) -> np.ndarray:
     """Projected exact-line-search update of G (gradient direction, [-1, 0])."""
     _require_native(fact, "linesearch_g")
     check_compatible(bundle, fact)
-    g_new, _ = _g_step(bundle.R, bundle.norms_sq, fact.G, fact.S, rng)
-    return g_new
-
-
-def _s_step(gram, mid, s):
-    """One projected exact-line-search step on one S block (k x k algebra).
-
-    Returns (new S, stepped) where stepped is False when the direction is
-    degenerate (||G dS G^T|| = 0) and the update is skipped.
-    """
-    asa = gram @ s @ gram
-    ds = 2.0 * (asa - mid)
-    adsa = gram @ ds @ gram
-    denom = _vdot(adsa, ds)
-    if not np.isfinite(denom) or denom <= 0.0:
-        return s, False
-    t = _vdot(mid - asa, ds) / denom
-    return np.maximum(s + t * ds, 0.0), True
+    return _g_step(bundle.R, bundle.norms_sq, fact.G, fact.S, rng)
 
 
 def linesearch_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
@@ -173,8 +134,7 @@ def linesearch_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
     g = fact.G
     gram = g.T @ g
     mid = g.T @ (bundle.R[i] @ g)
-    s_new, _ = _s_step(gram, mid, fact.S[i])
-    return s_new
+    return _s_inner_solve(gram, mid, fact.S[i], 1)
 
 
 def _s_inner_solve(gram, mid, s, iterations, norm_sq=None, substep_log=None):
@@ -256,7 +216,7 @@ def bcd_solve(
                 norm_sq=norms[i], substep_log=substep_log,
             )
         for _ in range(config.bcd_inner_iterations):
-            g, _ = _g_step(bundle.R, norms, g, s_list, rng)
+            g = _g_step(bundle.R, norms, g, s_list, rng)
         gram, mid = _g_products(bundle.R, g)
         stop = tracer.step(outer, se_from_gram(norms, gram, mid, s_list))
         if stop is not None:

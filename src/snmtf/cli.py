@@ -9,7 +9,7 @@ Subcommands::
     snmtf tune      --suite bundles --trials 100 --out tune.csv
 
 Exit codes: 0 normal stop, 2 usage error, 3 data validation error,
-4 memory-budget (OOM) guard.
+5 solver divergence (the objective or a gradient became non-finite).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -27,15 +26,15 @@ from . import adam as adam_mod
 from . import data, runner
 from .model import (
     DimensionError,
-    MemoryBudgetError,
     SolverConfig,
+    SolverDivergedError,
     ValidationError,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
-EXIT_OOM = 4
+EXIT_DIVERGED = 5
 
 DEFAULT_RATIOS = (20, 40, 60, 80, 100, 120)
 RESULT_COLUMNS = (
@@ -44,34 +43,27 @@ RESULT_COLUMNS = (
 )
 
 
-def _parse_bytes(text: str) -> int:
-    """Parse a byte count with an optional K/M/G suffix."""
-    text = text.strip()
-    scale = 1
-    if text and text[-1].upper() in "KMG":
-        scale = {"K": 2**10, "M": 2**20, "G": 2**30}[text[-1].upper()]
-        text = text[:-1]
-    return int(float(text) * scale)
-
-
 def _config_from_args(args, method: str, k: int) -> SolverConfig:
-    budget = _parse_bytes(args.memory_budget) if getattr(args, "memory_budget", None) else None
-    return SolverConfig(
-        method=method,
-        k=k,
-        max_iterations=args.max_iters,
-        mse_stop=args.mse_stop,
-        delta_stop=args.delta_stop,
-        seed=args.seed,
-        adam_alpha=args.adam_alpha,
-        adam_beta1=args.adam_beta1,
-        adam_beta2=args.adam_beta2,
-        adam_epsilon=args.adam_eps,
-        standard_bias_correction=getattr(args, "standard_bias_correction", False),
-        bcd_inner_iterations=args.bcd_inner,
-        trace_stride=args.trace_stride,
-        memory_budget_bytes=budget,
-    )
+    """SolverConfig from the solver flags; an out-of-range knob is a usage error."""
+    try:
+        return SolverConfig(
+            method=method,
+            k=k,
+            max_iterations=args.max_iters,
+            mse_stop=args.mse_stop,
+            delta_stop=args.delta_stop,
+            seed=args.seed,
+            adam_alpha=args.adam_alpha,
+            adam_beta1=args.adam_beta1,
+            adam_beta2=args.adam_beta2,
+            adam_epsilon=args.adam_eps,
+            standard_bias_correction=getattr(args, "standard_bias_correction", False),
+            bcd_inner_iterations=args.bcd_inner,
+            trace_stride=args.trace_stride,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from exc
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
@@ -89,8 +81,6 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--adam-eps", type=float, default=1e-8)
     p.add_argument("--standard-bias-correction", action="store_true",
                    help="use beta^i bias-correction factors in the adam schedule")
-    p.add_argument("--memory-budget", default=None,
-                   help="gmels working-set budget in bytes (K/M/G suffix allowed)")
 
 
 def cmd_generate(args) -> int:
@@ -107,22 +97,7 @@ def cmd_solve(args) -> int:
     config = _config_from_args(args, args.method, args.k)
     start = data.load_factors(args.start_from) if args.start_from else None
     out = Path(args.out)
-    try:
-        fact, trace = runner.run(bundle, config, init=args.init, start=start)
-    except MemoryBudgetError as exc:
-        out.mkdir(parents=True, exist_ok=True)
-        summary = {
-            "method": config.method,
-            "status": "OOM",
-            "stop_reason": "out_of_memory_guard",
-            "required_bytes": exc.required_bytes,
-            "budget_bytes": exc.budget_bytes,
-        }
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"OOM: {exc}", file=sys.stderr)
-        return EXIT_OOM
+    fact, trace = runner.run(bundle, config, init=args.init, start=start)
     data.save_factorization(fact, trace, out, config)
     final = trace.final
     print(
@@ -161,11 +136,8 @@ def _sweep_task(task: dict) -> dict:
                           max_iterations=task["max_iters"])
     try:
         fact, trace = runner.run(bundle, config, init=task["init"])
-    except MemoryBudgetError:
-        row["stop_reason"] = "out_of_memory_guard"
-        return row
     except Exception as exc:  # record and keep sweeping
-        row["stop_reason"] = f"error: {type(exc).__name__}"
+        row["stop_reason"] = f"error: {type(exc).__name__}: {exc}"
         return row
     final = trace.final
     row.update(
@@ -405,9 +377,9 @@ def main(argv=None) -> int:
     except (ValidationError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except MemoryBudgetError as exc:
-        print(f"OOM: {exc}", file=sys.stderr)
-        return EXIT_OOM
+    except SolverDivergedError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

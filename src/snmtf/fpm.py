@@ -27,19 +27,27 @@ from .model import (
 )
 
 
+def _update_g(g, gram, h_list, s_list) -> np.ndarray:
+    """Multiplicative G update from A = G^T G and the products H_i = R_i G."""
+    num = np.zeros_like(g)
+    sas = np.zeros_like(gram)
+    for h, s in zip(h_list, s_list):
+        num += h @ s
+        sas += s @ gram @ s
+    return g * np.sqrt(num / (g @ sas + MACHINE_EPS))
+
+
+def _update_s(gram, mid, s) -> np.ndarray:
+    """Multiplicative S_i update from A = G^T G and M_i = G^T R_i G."""
+    return s * np.sqrt(mid / (gram @ s @ gram + MACHINE_EPS))
+
+
 def fpm_step_g(bundle: DataBundle, fact: Factorization) -> np.ndarray:
     """One multiplicative update of G (S blocks held fixed)."""
     _require_native(fact, "fpm_step_g")
     check_compatible(bundle, fact)
     g = fact.G
-    gram = g.T @ g
-    num = np.zeros_like(g)
-    sas = np.zeros_like(gram)
-    for r, s in zip(bundle.R, fact.S):
-        num += (r @ g) @ s
-        sas += s @ gram @ s
-    den = g @ sas + MACHINE_EPS
-    return g * np.sqrt(num / den)
+    return _update_g(g, g.T @ g, [r @ g for r in bundle.R], fact.S)
 
 
 def fpm_step_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
@@ -47,19 +55,17 @@ def fpm_step_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
     _require_native(fact, "fpm_step_s")
     check_compatible(bundle, fact)
     g = fact.G
-    gram = g.T @ g
-    num = g.T @ (bundle.R[i] @ g)
-    den = gram @ fact.S[i] @ gram + MACHINE_EPS
-    return fact.S[i] * np.sqrt(num / den)
+    return _update_s(g.T @ g, g.T @ (bundle.R[i] @ g), fact.S[i])
 
 
 def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
     """Iterate the multiplicative updates from a native starting point.
 
-    Returns (native factorization, trace).  SE is evaluated once per
-    iteration after the S sweep, reusing the G^T G and G^T R_i G products of
-    the S updates.  A non-finite objective aborts with the partial trace
-    attached to the raised error.
+    Returns (native factorization, trace).  Per iteration the data is touched
+    once, by the N products H_i = R_i G of the new G: they give the S updates'
+    G^T R_i G, SE (through ``se_from_gram``) and the next G update's
+    numerator.  A non-finite objective aborts with the partial trace attached
+    to the raised error.
     """
     if config.method != "fpm":
         raise ValueError(f"config.method is {config.method!r}, expected 'fpm'")
@@ -71,24 +77,17 @@ def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
 
     tracer = TraceBuilder(bundle, config)
     gram = g.T @ g
-    mid = [g.T @ (r @ g) for r in bundle.R]
+    h_list = [r @ g for r in bundle.R]
+    mid = [g.T @ h for h in h_list]
     tracer.start(se_from_gram(norms, gram, mid, s_list))
 
     stop = None
     for it in range(1, config.max_iterations + 1):
-        num = np.zeros_like(g)
-        sas = np.zeros_like(gram)
-        for r, s in zip(bundle.R, s_list):
-            num += (r @ g) @ s
-            sas += s @ gram @ s
-        g = g * np.sqrt(num / (g @ sas + MACHINE_EPS))
-
+        g = _update_g(g, gram, h_list, s_list)
         gram = g.T @ g
-        mid = [g.T @ (r @ g) for r in bundle.R]
-        for i in range(bundle.N):
-            den = gram @ s_list[i] @ gram + MACHINE_EPS
-            s_list[i] = s_list[i] * np.sqrt(mid[i] / den)
-
+        h_list = [r @ g for r in bundle.R]
+        mid = [g.T @ h for h in h_list]
+        s_list = [_update_s(gram, m, s) for m, s in zip(mid, s_list)]
         stop = tracer.step(it, se_from_gram(norms, gram, mid, s_list))
         if stop is not None:
             break

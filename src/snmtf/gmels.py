@@ -6,90 +6,92 @@ In SQUARE coordinates the objective
 
 is a polynomial, so along the negative gradient it restricts to a degree-12
 univariate polynomial p(t) = SE(G' - t dG', S_i' - t dS_i') whose thirteen
-coefficients can be assembled exactly: the residual of the trial point
-expands as Z_i(t) = sum_{j=0..6} A_ij t^j, its element-wise square is the
-discrete convolution B_ij = sum_r A_ir * A_i,j-r, and c_j sums the entries of
-B_ij over i.  Every iteration steps all variables by the global minimizer of
-p, so SE never increases.
+coefficients can be assembled exactly.  Along the line the native factors are
+quadratic in t, G(t) = P0 + t P1 + t^2 P2 and S_i(t) = Q0 + t Q1 + t^2 Q2, and
 
-The seven A matrices per data matrix are n x n; the solver refuses to start
-when 7 N n^2 doubles exceed the memory budget (configurable; environment
-variable SNMTF_MEMORY_BUDGET, default 16 GiB).
+    p(t) = sum_i ||R_i||^2 - 2 <G(t)^T R_i G(t), S_i(t)> + <A S_i, (A S_i)^T>(t)
+
+with A(t) = G(t)^T G(t).  Given R_i P0 (the products the gradient already
+needs), only R_i P1 and R_i P2 touch the data; everything else is k x k
+polynomial algebra, so no n x n matrix is ever formed.  Every iteration steps
+all variables by the global minimizer of p, so SE never increases.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-
 import numpy as np
 
-from .gradients import grads_from_residuals
+from .gradients import _gram_step
 from .model import (
     DataBundle,
     Factorization,
     LinePolynomial,
-    MemoryBudgetError,
     SolverConfig,
     TraceBuilder,
     Transform,
     check_compatible,
-    residuals,
 )
-
-MEMORY_BUDGET_ENV = "SNMTF_MEMORY_BUDGET"
-DEFAULT_MEMORY_BUDGET = 16 * 2**30
 
 # Coefficient below 1e-14 of the largest are treated as zero when the
 # derivative's companion matrix is formed.
 LEADING_COEFF_RTOL = 1e-14
 REAL_ROOT_IMAG_RTOL = 1e-8
 
-# (X + t D)^2 = X^2 + 2t (X*D) + t^2 D^2: per-power factors and weights.
-_POWER_WEIGHTS = (1.0, 2.0, 1.0)
-
-
-def resolve_memory_budget(config: SolverConfig) -> int:
-    if config.memory_budget_bytes is not None:
-        return int(config.memory_budget_bytes)
-    env = os.environ.get(MEMORY_BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MEMORY_BUDGET
+SQUARE = Transform.SQUARE
 
 
 def _require_square_coords(fact: Factorization, what: str) -> None:
-    if fact.coords is not Transform.SQUARE:
+    if fact.coords is not SQUARE:
         raise ValueError(f"{what} expects square-transform coordinates, got {fact.coords.value}")
 
 
-def _line_poly_coefficients(r_list, g, s_list, step_g, step_s, residual_list) -> np.ndarray:
+def _square_line(x, d) -> np.ndarray:
+    """Stacked coefficients of (x + t d)^2 = x^2 + 2t x*d + t^2 d^2, element-wise."""
+    return np.stack((x * x, 2.0 * x * d, d * d))
+
+
+def _poly_matmul(x, y) -> np.ndarray:
+    """Stacked coefficients of the matrix polynomial product X(t) Y(t)."""
+    out = np.zeros((len(x) + len(y) - 1, x.shape[1], y.shape[2]))
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y):
+            out[a + b] += xa @ yb
+    return out
+
+
+def _poly_inner(x, y) -> np.ndarray:
+    """Ascending coefficients of the Frobenius product <X(t), Y(t)>."""
+    pairs = np.tensordot(x, y, axes=([1, 2], [1, 2]))
+    out = np.zeros(len(x) + len(y) - 1)
+    for a, row in enumerate(pairs):
+        out[a:a + len(y)] += row
+    return out
+
+
+def _line_poly_coefficients(r_list, norms_sq, g, s_list, step_g, step_s, h_list) -> np.ndarray:
     """Ascending coefficients of p(t) = SE(G + t step_G, S_i + t step_S_i).
 
-    ``residual_list`` must hold the residuals of the current point (they are
-    the constant terms A_i0).  All squares/products below are element-wise;
-    the matrix products assemble the 27 expansion terms of the trial-point
-    residual grouped by total power of t.
+    ``g`` / ``s_list`` are the SQUARE-coordinates variables and ``h_list``
+    holds R_i P0 = R_i (G * G), the native products at the current point.
     """
-    n = g.shape[0]
-    g_pow = (g * g, g * step_g, step_g * step_g)
+    p = _square_line(g, step_g)
+    pt = p.transpose(0, 2, 1)
+    gram = _poly_matmul(pt, p)
     coeffs = np.zeros(13)
-    a_stack = np.empty((7, n, n))
-    for r, s, ds, z in zip(r_list, s_list, step_s, residual_list):
-        s_pow = (s * s, s * ds, ds * ds)
-        left = [[g_pow[ai] @ s_pow[bi] for bi in range(3)] for ai in range(3)]
-        a_stack[0] = z
-        a_stack[1:] = 0.0
-        for ai, bi, ci in itertools.product(range(3), repeat=3):
-            if ai == bi == ci == 0:
-                continue
-            weight = _POWER_WEIGHTS[ai] * _POWER_WEIGHTS[bi] * _POWER_WEIGHTS[ci]
-            a_stack[ai + bi + ci] -= weight * (left[ai][bi] @ g_pow[ci].T)
-        gram = np.tensordot(a_stack, a_stack, axes=([1, 2], [1, 2]))
-        for j in range(13):
-            for rr in range(max(0, j - 6), min(j, 6) + 1):
-                coeffs[j] += gram[rr, j - rr]
+    for r, nrm, s, ds, h in zip(r_list, norms_sq, s_list, step_s, h_list):
+        q = _square_line(s, ds)
+        mid = _poly_matmul(pt, np.stack((h, r @ p[1], r @ p[2])))
+        asq = _poly_matmul(gram, q)
+        coeffs[0] += nrm
+        coeffs[:7] -= 2.0 * _poly_inner(mid, q)
+        coeffs += _poly_inner(asq, asq.transpose(0, 2, 1))
     return coeffs
+
+
+def _native_gram_step(bundle: DataBundle, fact: Factorization):
+    """SE, native gradient and R_i (G * G) at a SQUARE-coordinates point."""
+    return _gram_step(bundle.R, bundle.norms_sq, SQUARE.apply(fact.G),
+                      [SQUARE.apply(s) for s in fact.S])
 
 
 def line_poly_coeffs(bundle: DataBundle, fact: Factorization, grad_g, grad_s) -> LinePolynomial:
@@ -101,10 +103,11 @@ def line_poly_coeffs(bundle: DataBundle, fact: Factorization, grad_g, grad_s) ->
     """
     _require_square_coords(fact, "line_poly_coeffs")
     check_compatible(bundle, fact)
-    z = residuals(bundle, fact)
+    native_g = SQUARE.apply(fact.G)
+    h_list = [r @ native_g for r in bundle.R]
     step_g = -np.asarray(grad_g, dtype=float)
     step_s = [-np.asarray(d, dtype=float) for d in grad_s]
-    c = _line_poly_coefficients(bundle.R, fact.G, fact.S, step_g, step_s, z)
+    c = _line_poly_coefficients(bundle.R, bundle.norms_sq, fact.G, fact.S, step_g, step_s, h_list)
     return LinePolynomial(c)
 
 
@@ -135,48 +138,37 @@ def poly_minimize(poly: LinePolynomial) -> float:
     return float(candidates[order[0]])
 
 
-def working_set_bytes(bundle: DataBundle) -> int:
-    """Budgeted size of the per-iteration expansion matrices: 7 N n^2 doubles."""
-    return 7 * bundle.N * bundle.n * bundle.n * 8
-
-
 def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
     """Run the exact line search from a SQUARE-coordinates starting point.
 
     Returns (native factorization, trace); the native factors are the
-    element-wise squares of the final variables.  Raises MemoryBudgetError
-    before the first iteration when the coefficient working set would exceed
-    the configured budget.
+    element-wise squares of the final variables.  Per iteration the data is
+    touched by 3 N products R_i X with X of shape n x k.
     """
     if config.method != "gmels":
         raise ValueError(f"config.method is {config.method!r}, expected 'gmels'")
     _require_square_coords(start, "gmels_solve")
     check_compatible(bundle, start)
-    budget = resolve_memory_budget(config)
-    required = working_set_bytes(bundle)
-    if required > budget:
-        raise MemoryBudgetError(required, budget)
 
     fact = start.copy()
     tracer = TraceBuilder(bundle, config)
-    z = residuals(bundle, fact)
-    tracer.start(sum(float(zi.ravel() @ zi.ravel()) for zi in z))
+    se_value, dg, ds, h_list = _native_gram_step(bundle, fact)
+    tracer.start(se_value)
 
     stop = None
     for it in range(1, config.max_iterations + 1):
-        dg, ds = grads_from_residuals(fact, z)
-        step_g = -dg
-        step_s = [-d for d in ds]
-        poly = LinePolynomial(
-            _line_poly_coefficients(bundle.R, fact.G, fact.S, step_g, step_s, z)
-        )
+        step_g = -SQUARE.derivative(fact.G) * dg
+        step_s = [-SQUARE.derivative(s) * d for s, d in zip(fact.S, ds)]
+        poly = LinePolynomial(_line_poly_coefficients(
+            bundle.R, bundle.norms_sq, fact.G, fact.S, step_g, step_s, h_list
+        ))
         t = poly_minimize(poly)
         if t != 0.0:
             fact.G += t * step_g
             for s, d in zip(fact.S, step_s):
                 s += t * d
-        z = residuals(bundle, fact)
-        stop = tracer.step(it, sum(float(zi.ravel() @ zi.ravel()) for zi in z))
+        se_value, dg, ds, h_list = _native_gram_step(bundle, fact)
+        stop = tracer.step(it, se_value)
         if stop is not None:
             break
     return fact.to_native(), tracer.finish(stop)

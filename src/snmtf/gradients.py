@@ -13,6 +13,11 @@ Transformed coordinates X = f(X') with Z_i = R_i - f(G') f(S_i') f(G')^T:
 where * is the element-wise product and f' acts element-wise.  Only the i-th
 residual enters dS_i' (the cross terms vanish identically; a finite-difference
 oracle in the test suite pins this down).
+
+The native gradient needs no residual: with H_i = R_i G it is k x k algebra
+on A = G^T G and M_i = G^T H_i, and so is SE (``se_from_gram``).  Solvers in
+transformed coordinates get their gradient from it by the chain rule,
+dX' = f'(X') * dX.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .model import (
     _require_native,
     check_compatible,
     residuals,
+    se_from_gram,
 )
 
 __all__ = ["Transform", "grad_native", "grad_transformed"]
@@ -38,19 +44,28 @@ def grad_native(bundle: DataBundle, fact: Factorization):
     """
     _require_native(fact, "grad_native")
     check_compatible(bundle, fact)
-    g = fact.G
+    _, dg, ds, _ = _gram_step(bundle.R, bundle.norms_sq, fact.G, fact.S)
+    return dg, ds
+
+
+def _gram_step(r_list, norms_sq, g, s_list):
+    """SE and native gradient at (G, [S_i]) from the N products H_i = R_i G.
+
+    Returns (SE, dG, [dS_i], [H_i]); the products are handed back for callers
+    that reuse them.  No n x n matrix is formed.
+    """
     gram = g.T @ g
+    h_list = [r @ g for r in r_list]
+    mid = [g.T @ h for h in h_list]
     num = np.zeros_like(g)
     sas = np.zeros_like(gram)
     ds = []
-    for r, s in zip(bundle.R, fact.S):
-        h = r @ g
-        mid = g.T @ h
-        ds.append(2.0 * (gram @ s @ gram - mid))
+    for h, m, s in zip(h_list, mid, s_list):
+        ds.append(2.0 * (gram @ s @ gram - m))
         num += h @ s
         sas += s @ gram @ s
     dg = 4.0 * (g @ sas - num)
-    return dg, ds
+    return se_from_gram(norms_sq, gram, mid, s_list), dg, ds, h_list
 
 
 def grads_from_residuals(fact: Factorization, residual_list):
@@ -71,10 +86,10 @@ def grads_from_residuals(fact: Factorization, residual_list):
     return dg, ds
 
 
-def grad_transformed(bundle: DataBundle, fact: Factorization, transform: Transform | None = None):
+def grad_transformed(bundle: DataBundle, fact: Factorization):
     """Gradient of the transformed SE with respect to the raw variables.
 
-    With ``transform`` = IDENTITY this reduces to :func:`grad_native`.
+    In IDENTITY coordinates this reduces to :func:`grad_native`.
     """
-    z = residuals(bundle, fact, transform)
+    z = residuals(bundle, fact)
     return grads_from_residuals(fact, z)

@@ -30,8 +30,7 @@ DEFAULT_MAX_ITERATIONS = {"fpm": 4000, "bcd": 300, "gmels": 1000, "adam": 3000}
 MSE_THRESHOLD = "mse_threshold"
 DELTA_THRESHOLD = "delta_threshold"
 MAX_ITERATIONS = "max_iterations"
-OUT_OF_MEMORY_GUARD = "out_of_memory_guard"
-STOP_REASONS = (MSE_THRESHOLD, DELTA_THRESHOLD, MAX_ITERATIONS, OUT_OF_MEMORY_GUARD)
+STOP_REASONS = (MSE_THRESHOLD, DELTA_THRESHOLD, MAX_ITERATIONS)
 
 # Input matrices must be symmetric to this relative tolerance; iterates are
 # allowed to drift one hundred times further before anything is considered
@@ -46,18 +45,6 @@ class DimensionError(ValueError):
 
 class ValidationError(ValueError):
     """Input data violates the model invariants (symmetry, sign, format)."""
-
-
-class MemoryBudgetError(RuntimeError):
-    """A solver refused to start because its working set exceeds the budget."""
-
-    def __init__(self, required_bytes: int, budget_bytes: int):
-        self.required_bytes = int(required_bytes)
-        self.budget_bytes = int(budget_bytes)
-        super().__init__(
-            f"working set of {required_bytes} bytes exceeds the memory budget "
-            f"of {budget_bytes} bytes"
-        )
 
 
 class SolverDivergedError(RuntimeError):
@@ -108,6 +95,13 @@ def _check_square(r: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} is not square: shape {r.shape}")
 
 
+def _check_finite(r: np.ndarray, name: str) -> None:
+    bad = np.argwhere(~np.isfinite(r))
+    if bad.size:
+        i, j = bad[0]
+        raise ValidationError(f"{name} has non-finite entry {r[i, j]!r} at ({i}, {j})")
+
+
 def _check_symmetric(r: np.ndarray, name: str, rtol: float) -> None:
     scale = float(np.abs(r).max()) if r.size else 0.0
     asym = float(np.abs(r - r.T).max()) if r.size else 0.0
@@ -145,14 +139,15 @@ class DataBundle:
     def from_matrices(cls, matrices, label: str = "", symmetrize: bool = False) -> "DataBundle":
         """Validate and wrap raw matrices.
 
-        Raises ValidationError on non-square, asymmetric (beyond 1e-12
-        relative, unless ``symmetrize``) or negative input.
+        Raises ValidationError on non-square, non-finite, asymmetric (beyond
+        1e-12 relative, unless ``symmetrize``) or negative input.
         """
         mats = []
         for i, raw in enumerate(matrices):
             name = f"R_{i + 1}"
             r = np.array(raw, dtype=float)
             _check_square(r, name)
+            _check_finite(r, name)
             if symmetrize:
                 r = (r + r.T) / 2.0
             _check_symmetric(r, name, SYMMETRY_INPUT_RTOL)
@@ -253,17 +248,8 @@ def mse(bundle: DataBundle, fact: Factorization) -> float:
     return se(bundle, fact) / bundle.norm_sq_total
 
 
-def residuals(bundle: DataBundle, fact: Factorization, transform: Transform | None = None):
-    """Residual matrices Z_i = R_i - f(G) f(S_i) f(G)^T, f = fact.coords.
-
-    ``transform``, when given, must agree with the factorization coordinates;
-    it exists so call sites can state the space they believe they are in.
-    """
-    if transform is not None and transform is not fact.coords:
-        raise ValueError(
-            f"transform {transform.value} does not match factorization "
-            f"coordinates {fact.coords.value}"
-        )
+def residuals(bundle: DataBundle, fact: Factorization):
+    """Residual matrices Z_i = R_i - f(G) f(S_i) f(G)^T, f = fact.coords."""
     check_compatible(bundle, fact)
     f = fact.coords
     fg = f.apply(fact.G)
@@ -390,8 +376,11 @@ class SolverConfig:
     (gmels), 3000 (adam).  ``bcd_inner_iterations`` is the projected-gradient
     step count per block.  ``standard_bias_correction`` switches the adam
     step-size schedule from the default (1-beta)^i correction factors to the
-    conventional beta^i form.  ``memory_budget_bytes`` bounds the gmels
-    working set (None: environment variable SNMTF_MEMORY_BUDGET, else 16 GiB).
+    conventional beta^i form.
+
+    Raises ValueError on an unknown method, a non-positive integer knob,
+    a negative stopping threshold, ``adam_alpha <= 0`` or an adam beta
+    outside the open interval (0, 1).
     """
 
     method: str
@@ -407,7 +396,6 @@ class SolverConfig:
     standard_bias_correction: bool = False
     bcd_inner_iterations: int = 10
     trace_stride: int = 1
-    memory_budget_bytes: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -417,6 +405,14 @@ class SolverConfig:
         for name in ("k", "max_iterations", "bcd_inner_iterations", "trace_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        for name in ("mse_stop", "delta_stop"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative")
+        if not self.adam_alpha > 0.0:
+            raise ValueError("adam_alpha must be positive")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in the open interval (0, 1)")
 
 
 @dataclass

@@ -11,7 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import adam, bcd, fpm, gmels, initialization
-from .model import DataBundle, Factorization, SolverConfig, Transform, check_compatible
+from .model import (
+    DataBundle,
+    DimensionError,
+    Factorization,
+    SolverConfig,
+    Transform,
+    _check_nonnegative,
+    check_compatible,
+)
 
 INIT_KINDS = ("deterministic", "random")
 
@@ -41,7 +49,9 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     """Run the configured solver; returns (native factorization, trace).
 
     ``start`` overrides the built starting point; it must be in native
-    coordinates and is lifted as needed for the transformed-space methods.
+    coordinates, match ``config.k`` and be non-negative (DimensionError and
+    ValidationError otherwise), and is lifted as needed for the
+    transformed-space methods.
     """
     rng = np.random.default_rng(config.seed)
     if start is None:
@@ -49,6 +59,11 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     elif start.coords is not Transform.IDENTITY:
         raise ValueError("explicit start must be in native coordinates")
     check_compatible(bundle, start)
+    if start.k != config.k:
+        raise DimensionError(f"start has k = {start.k} columns, config.k = {config.k}")
+    _check_nonnegative(start.G, "start G")
+    for i, s in enumerate(start.S):
+        _check_nonnegative(s, f"start S_{i + 1}")
 
     if config.method == "fpm":
         return fpm.fpm_solve(bundle, config, start)

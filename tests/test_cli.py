@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from snmtf import cli, data
+from snmtf import cli, data, runner
+from snmtf.model import SolverDivergedError
 
 
 def run_cli(*argv):
@@ -72,22 +73,46 @@ class TestSolve:
         assert summary["stop_reason"] == "delta_threshold"
         assert summary["iterations"] <= 2
 
-    def test_gmels_memory_budget_exit(self, tmp_path):
-        bundle_dir = make_bundle_dir(tmp_path, "b", n=40, K=2)
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # A step size of 1e200 overflows the adam iterates within a few steps.
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
         out = tmp_path / "run"
         rc = run_cli(
-            "solve", "--bundle", bundle_dir, "--method", "gmels", "--k", 2,
-            "--memory-budget", "8K", "--out", out,
+            "solve", "--bundle", bundle_dir, "--method", "adam", "--k", 2,
+            "--adam-alpha", 1e200, "--out", out,
         )
-        assert rc == cli.EXIT_OOM
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"] == "OOM"
-        assert summary["stop_reason"] == "out_of_memory_guard"
+        assert rc == cli.EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: ") and "non-finite" in err
+        assert err.count("\n") == 1
+        assert not (out / "G.txt").exists()
+
+    def test_negative_start_is_validation_error(self, tmp_path):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        fact = data.load_factors(bundle_dir / "planted")
+        fact.G[0, 0] = -0.5
+        start = tmp_path / "start"
+        data.save_factors(fact, start)
+        rc = run_cli(
+            "solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 2,
+            "--start-from", start, "--out", tmp_path / "run",
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert not (tmp_path / "run" / "G.txt").exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             run_cli("solve", "--method", "warp")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--adam-beta1", 1.5), ("--k", 0), ("--mse-stop", -1)])
+    def test_out_of_range_knob_is_usage_error(self, tmp_path, flag, value):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        argv = ["solve", "--bundle", bundle_dir, "--method", "adam", "--k", 2,
+                "--out", tmp_path / "run", flag, value]
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == cli.EXIT_USAGE
 
     def test_missing_bundle_is_validation_error(self, tmp_path):
         rc = run_cli(
@@ -125,6 +150,26 @@ class TestBenchmark:
         assert len(agg) == 4
         for row in agg:
             assert int(row["runs"]) == 2
+
+    def test_failed_row_keeps_error_message(self, suite, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise SolverDivergedError("objective became non-finite (inf) at iteration 3")
+
+        monkeypatch.setattr(runner, "run", diverge)
+        out = tmp_path / "res"
+        rc = run_cli(
+            "benchmark", "--suite", suite, "--methods", "adam",
+            "--ratios", "100", "--out", out, "--no-save-runs",
+        )
+        assert rc == 0
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["final_mse"] == ""
+            assert row["stop_reason"] == (
+                "error: SolverDivergedError: objective became non-finite (inf) at iteration 3"
+            )
 
     def test_deterministic_modulo_timing(self, suite, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -98,7 +98,7 @@ class TestGradTransformed:
         bundle = random_bundle(rng, 6, 2)
         fact = random_native_fact(rng, 6, 3, 2)
         dg_n, ds_n = grad_native(bundle, fact)
-        dg_t, ds_t = grad_transformed(bundle, fact, Transform.IDENTITY)
+        dg_t, ds_t = grad_transformed(bundle, fact)
         np.testing.assert_allclose(dg_t, dg_n, rtol=1e-12, atol=1e-12)
         for a, b in zip(ds_t, ds_n):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)

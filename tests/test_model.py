@@ -117,7 +117,7 @@ class TestResiduals:
         s = np.array([[1.0, 2.0], [2.0, 0.5]])
         fact = Factorization(g, [s], Transform.SQUARE)
         expected = r - np.full((3, 3), float(np.sum(s * s)))
-        z = residuals(bundle, fact, Transform.SQUARE)[0]
+        z = residuals(bundle, fact)[0]
         np.testing.assert_allclose(z, expected, rtol=1e-14)
 
     def test_residuals_symmetric_for_symmetric_s(self, rng):
@@ -125,12 +125,6 @@ class TestResiduals:
         fact = random_native_fact(rng, 7, 2, 3)
         for z in residuals(bundle, fact):
             assert np.abs(z - z.T).max() <= 1e-12
-
-    def test_transform_argument_must_match_coords(self, rng):
-        bundle = random_bundle(rng, 4, 1)
-        fact = random_native_fact(rng, 4, 2, 1)
-        with pytest.raises(ValueError, match="does not match"):
-            residuals(bundle, fact, Transform.SQUARE)
 
 
 class TestDataBundle:
@@ -149,6 +143,22 @@ class TestDataBundle:
         r[2, 1] = r[1, 2] = -0.5
         with pytest.raises(ValidationError, match=r"R_1 has negative entry .* at \(1, 2\)"):
             DataBundle.from_matrices([r])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        data=st.data(),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_rejects_any_non_finite_entry(self, n, data, bad):
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        j = data.draw(st.integers(min_value=0, max_value=n - 1))
+        r = np.ones((n, n))
+        r[i, j] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            DataBundle.from_matrices([np.ones((n, n)), r])
+        with pytest.raises(ValidationError, match="non-finite"):
+            DataBundle.from_matrices([r], symmetrize=True)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError, match="not square"):
@@ -207,6 +217,19 @@ class TestSolverConfig:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError, match="k"):
             SolverConfig(method="fpm", k=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("adam_beta1", 1.5), ("adam_beta1", 1.0), ("adam_beta1", 0.0),
+            ("adam_beta2", -0.1), ("adam_beta2", 1.0),
+            ("mse_stop", -1e-3), ("delta_stop", -1e-12), ("mse_stop", float("nan")),
+            ("adam_alpha", 0.0), ("adam_alpha", -0.002),
+        ],
+    )
+    def test_rejects_out_of_range_knobs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(method="adam", k=2, **{field: value})
 
 
 class TestLinePolynomial:

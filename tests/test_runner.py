@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snmtf.data import generate_synthetic
-from snmtf.model import SolverConfig, Transform
+from snmtf.model import DimensionError, SolverConfig, Transform, ValidationError
 from snmtf.runner import build_start, run
 
 
@@ -72,6 +72,23 @@ class TestRunDispatch:
         bad = Factorization(rng.random((24, 2)), [np.eye(2)] * 3, Transform.ABS)
         with pytest.raises(ValueError, match="native"):
             run(planted_bundle, config, start=bad)
+
+    def test_explicit_start_must_match_config_k(self, planted_bundle):
+        _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
+        config = SolverConfig(method="fpm", k=4, seed=0)
+        with pytest.raises(DimensionError, match="k = 3"):
+            run(planted_bundle, config, start=planted)
+
+    @pytest.mark.parametrize("method", ["fpm", "bcd", "gmels", "adam"])
+    @pytest.mark.parametrize("block", ["G", "S_2"])
+    def test_explicit_negative_start_rejected(self, planted_bundle, method, block):
+        _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
+        start = planted.copy()
+        target = start.G if block == "G" else start.S[1]
+        target[1, 1] = -0.25
+        config = SolverConfig(method=method, k=3, seed=0)
+        with pytest.raises(ValidationError, match=f"start {block} has negative entry"):
+            run(planted_bundle, config, start=start)
 
     def test_explicit_start_used(self, planted_bundle):
         from snmtf.data import generate_synthetic
