@@ -11,6 +11,10 @@ the schedule eta = alpha * sqrt(1 - (1 - beta2)^i) / (1 - (1 - beta1)^i); a
 config switch selects the conventional beta^i correction factors instead.
 No descent guarantee holds, so no monotonicity is asserted anywhere.
 
+The objective and gradient come from the shared Gram step: per iteration the
+data is touched by N products R_i X with X of shape n x k, and no n x n
+temporary is formed.
+
 Also hosts the random-search hyper-parameter tuner.
 """
 
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradients import grads_from_residuals
+from .gradients import _transformed_step
 from .initialization import lift_to_transformed, random_init
 from .model import (
     DataBundle,
@@ -31,7 +35,6 @@ from .model import (
     TraceBuilder,
     Transform,
     check_compatible,
-    residuals,
 )
 
 TUNE_ALPHA_RANGE = (1e-4, 1e-1)
@@ -107,8 +110,8 @@ def adam_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
     fact = start.copy()
     state = AdamState.zeros_like(fact)
     tracer = TraceBuilder(bundle, config)
-    z = residuals(bundle, fact)
-    tracer.start(sum(float(zi.ravel() @ zi.ravel()) for zi in z))
+    se_value, dg, ds, _ = _transformed_step(bundle, fact)
+    tracer.start(se_value)
 
     stop = None
     for it in range(1, config.max_iterations + 1):
@@ -116,15 +119,14 @@ def adam_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
             config.adam_alpha, config.adam_beta1, config.adam_beta2, it,
             config.standard_bias_correction,
         )
-        dg, ds = grads_from_residuals(fact, z)
         if not (np.isfinite(dg).all() and all(np.isfinite(d).all() for d in ds)):
             raise SolverDivergedError(
                 f"gradient became non-finite at iteration {it}", records=tracer.records
             )
         adam_step(state, fact, (dg, ds), eta, config.adam_beta1,
                   config.adam_beta2, config.adam_epsilon)
-        z = residuals(bundle, fact)
-        stop = tracer.step(it, sum(float(zi.ravel() @ zi.ravel()) for zi in z))
+        se_value, dg, ds, _ = _transformed_step(bundle, fact)
+        stop = tracer.step(it, se_value)
         if stop is not None:
             break
     return fact.to_native(), tracer.finish(stop)

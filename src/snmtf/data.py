@@ -94,18 +94,31 @@ def save_dense_matrix(path, x) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load one matrix file, dense text or Matrix Market (densified)."""
+    """Load one matrix file, dense text or Matrix Market (densified).
+
+    Raises ValidationError naming the file when it is missing, its header is
+    not ``rows cols``, or its body does not parse as that many numbers.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.readline()
+    try:
+        with open(path, "rb") as fh:
+            head = fh.readline()
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{path}: matrix file not found") from exc
     if head.startswith(b"%%MatrixMarket"):
-        m = scipy.io.mmread(path)
+        try:
+            m = scipy.io.mmread(path)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed Matrix Market file: {exc}") from exc
         return np.asarray(m.todense() if scipy.sparse.issparse(m) else m, dtype=float)
     try:
         rows, cols = (int(tok) for tok in head.split())
     except ValueError as exc:
         raise ValidationError(f"{path}: malformed matrix header {head!r}") from exc
-    data = np.loadtxt(path, skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed matrix body: {exc}") from exc
     if data.shape != (rows, cols):
         raise ValidationError(
             f"{path}: header promises {rows} x {cols}, file holds {data.shape[0]} x {data.shape[1]}"

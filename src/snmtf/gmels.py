@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradients import _gram_step
+from .gradients import _transformed_step
 from .model import (
     DataBundle,
     Factorization,
@@ -88,12 +88,6 @@ def _line_poly_coefficients(r_list, norms_sq, g, s_list, step_g, step_s, h_list)
     return coeffs
 
 
-def _native_gram_step(bundle: DataBundle, fact: Factorization):
-    """SE, native gradient and R_i (G * G) at a SQUARE-coordinates point."""
-    return _gram_step(bundle.R, bundle.norms_sq, SQUARE.apply(fact.G),
-                      [SQUARE.apply(s) for s in fact.S])
-
-
 def line_poly_coeffs(bundle: DataBundle, fact: Factorization, grad_g, grad_s) -> LinePolynomial:
     """Degree-12 polynomial p(t) = SE(G - t dG, S_i - t dS_i).
 
@@ -152,13 +146,13 @@ def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
 
     fact = start.copy()
     tracer = TraceBuilder(bundle, config)
-    se_value, dg, ds, h_list = _native_gram_step(bundle, fact)
+    se_value, dg, ds, h_list = _transformed_step(bundle, fact)
     tracer.start(se_value)
 
     stop = None
     for it in range(1, config.max_iterations + 1):
-        step_g = -SQUARE.derivative(fact.G) * dg
-        step_s = [-SQUARE.derivative(s) * d for s, d in zip(fact.S, ds)]
+        step_g = -dg
+        step_s = [-d for d in ds]
         poly = LinePolynomial(_line_poly_coefficients(
             bundle.R, bundle.norms_sq, fact.G, fact.S, step_g, step_s, h_list
         ))
@@ -167,7 +161,7 @@ def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
             fact.G += t * step_g
             for s, d in zip(fact.S, step_s):
                 s += t * d
-        se_value, dg, ds, h_list = _native_gram_step(bundle, fact)
+        se_value, dg, ds, h_list = _transformed_step(bundle, fact)
         stop = tracer.step(it, se_value)
         if stop is not None:
             break

@@ -15,9 +15,11 @@ residual enters dS_i' (the cross terms vanish identically; a finite-difference
 oracle in the test suite pins this down).
 
 The native gradient needs no residual: with H_i = R_i G it is k x k algebra
-on A = G^T G and M_i = G^T H_i, and so is SE (``se_from_gram``).  Solvers in
-transformed coordinates get their gradient from it by the chain rule,
-dX' = f'(X') * dX.
+on A = G^T G and M_i = G^T H_i, and so is SE (``se_from_gram``).  Every solver
+gets its objective and gradient from that one Gram step; in transformed
+coordinates the gradient follows by the chain rule, dX' = f'(X') * dX.
+:func:`grad_transformed` evaluates the formulas above from the n x n residuals
+instead and is kept as the independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -68,28 +70,33 @@ def _gram_step(r_list, norms_sq, g, s_list):
     return se_from_gram(norms_sq, gram, mid, s_list), dg, ds, h_list
 
 
-def grads_from_residuals(fact: Factorization, residual_list):
-    """Transformed-coordinates gradient given precomputed residuals Z_i.
+def _transformed_step(bundle: DataBundle, fact: Factorization):
+    """SE and the gradient in the stored variables, f = fact.coords.
 
-    Split out so solvers that already hold the residuals (for the objective
-    value) do not rebuild them.
+    Runs :func:`_gram_step` at the native point (f(G'), [f(S_i')]) and applies
+    the chain rule dX' = f'(X') * dX.  Returns (SE, dG', [dS_i'], [H_i]) with
+    H_i = R_i f(G').
     """
     f = fact.coords
-    fg = f.apply(fact.G)
-    acc = np.zeros_like(fact.G)
-    ds = []
-    for z, s in zip(residual_list, fact.S):
-        fs = f.apply(s)
-        acc += (z @ fg) @ fs.T
-        ds.append(-2.0 * f.derivative(s) * (fg.T @ z @ fg))
-    dg = -4.0 * f.derivative(fact.G) * acc
-    return dg, ds
+    se_value, dg, ds, h_list = _gram_step(bundle.R, bundle.norms_sq, f.apply(fact.G),
+                                          [f.apply(s) for s in fact.S])
+    return (se_value, f.derivative(fact.G) * dg,
+            [f.derivative(s) * d for s, d in zip(fact.S, ds)], h_list)
 
 
 def grad_transformed(bundle: DataBundle, fact: Factorization):
     """Gradient of the transformed SE with respect to the raw variables.
 
-    In IDENTITY coordinates this reduces to :func:`grad_native`.
+    Built from the n x n residuals Z_i; the reference for the Gram-space
+    kernel.  In IDENTITY coordinates this reduces to :func:`grad_native`.
     """
-    z = residuals(bundle, fact)
-    return grads_from_residuals(fact, z)
+    f = fact.coords
+    fg = f.apply(fact.G)
+    acc = np.zeros_like(fact.G)
+    ds = []
+    for z, s in zip(residuals(bundle, fact), fact.S):
+        fs = f.apply(s)
+        acc += (z @ fg) @ fs.T
+        ds.append(-2.0 * f.derivative(s) * (fg.T @ z @ fg))
+    dg = -4.0 * f.derivative(fact.G) * acc
+    return dg, ds

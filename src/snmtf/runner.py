@@ -65,12 +65,16 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     for i, s in enumerate(start.S):
         _check_nonnegative(s, f"start S_{i + 1}")
 
-    if config.method == "fpm":
-        return fpm.fpm_solve(bundle, config, start)
-    if config.method == "bcd":
-        return bcd.bcd_solve(bundle, config, start.G, rng=rng)
-    if config.method == "gmels":
-        lifted = initialization.lift_to_transformed(start, Transform.SQUARE)
-        return gmels.gmels_solve(bundle, config, lifted)
-    lifted = initialization.lift_to_transformed(start, Transform.ABS)
-    return adam.adam_solve(bundle, config, lifted)
+    # Overflow and NaN are detected explicitly (a non-finite SE or adam
+    # gradient raises SolverDivergedError), so numpy's warnings would only
+    # repeat that report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.method == "fpm":
+            return fpm.fpm_solve(bundle, config, start)
+        if config.method == "bcd":
+            return bcd.bcd_solve(bundle, config, start.G, rng=rng)
+        if config.method == "gmels":
+            lifted = initialization.lift_to_transformed(start, Transform.SQUARE)
+            return gmels.gmels_solve(bundle, config, lifted)
+        lifted = initialization.lift_to_transformed(start, Transform.ABS)
+        return adam.adam_solve(bundle, config, lifted)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from snmtf.adam import AdamState, adam_eta, adam_solve, adam_step, tune_adam
 from snmtf.data import generate_synthetic
 from snmtf.initialization import lift_to_transformed, random_init
 from snmtf.model import (
+    DataBundle,
     Factorization,
     SolverConfig,
     SolverDivergedError,
@@ -138,15 +140,38 @@ class TestSolve:
         assert float(fact.G.min()) >= 0.0
         assert all(float(s.min()) >= 0.0 for s in fact.S)
 
-    def test_zero_gradient_start_never_moves(self):
-        # an exactly-factorized bundle with the planted start has zero
-        # gradient; no entry may move
-        bundle, planted = generate_synthetic(n=12, K=2, N=2, seed=9)
-        start = lift_to_transformed(planted, Transform.ABS)
-        g0 = start.G.copy()
-        config = SolverConfig(method="adam", k=2, seed=0, max_iterations=10, mse_stop=0.0)
-        fact, _ = adam_solve(bundle, config, start)
-        np.testing.assert_array_equal(fact.G, g0)
+    def test_zero_gradient_start_never_moves(self, rng):
+        # An exact fit has zero gradient, so no entry may move.  Dyadic
+        # entries make every product exact in any evaluation order, so the
+        # computed gradient is exactly zero too, not just zero up to rounding.
+        g = rng.integers(1, 9, (12, 2)) / 8.0
+        s_list = [(lambda s: np.triu(s) + np.triu(s, 1).T)(rng.integers(0, 5, (2, 2)) / 4.0)
+                  for _ in range(2)]
+        bundle = DataBundle.from_matrices([g @ s @ g.T for s in s_list])
+        start = lift_to_transformed(Factorization(g, s_list), Transform.ABS)
+        config = SolverConfig(method="adam", k=2, seed=0, max_iterations=10,
+                              mse_stop=0.0, delta_stop=0.0)
+        fact, trace = adam_solve(bundle, config, start)
+        assert trace.iterations == 10
+        np.testing.assert_array_equal(fact.G, g)
+        for s, s0 in zip(fact.S, s_list):
+            np.testing.assert_array_equal(s, s0)
+
+    def test_never_allocates_an_n_by_n_matrix(self, rng):
+        # SE and the gradient come from R_i @ X products with X of shape
+        # n x k; the traced peak stays below one n x n matrix.
+        n, k, N = 400, 10, 5
+        bundle = random_bundle(rng, n, N)
+        start = lift_to_transformed(random_init(n, k, N, seed=2), Transform.ABS)
+        config = SolverConfig(method="adam", k=k, seed=0, max_iterations=3, mse_stop=0.0)
+        tracemalloc.start()
+        try:
+            _, trace = adam_solve(bundle, config, start)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations == 3
+        assert peak < n * n * 8
 
     def test_symmetry_preserved(self, rng):
         bundle = random_bundle(rng, 8, 2)

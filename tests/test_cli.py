@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import json
+import warnings
 
 import pytest
 
@@ -77,10 +78,13 @@ class TestSolve:
         # A step size of 1e200 overflows the adam iterates within a few steps.
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
         out = tmp_path / "run"
-        rc = run_cli(
-            "solve", "--bundle", bundle_dir, "--method", "adam", "--k", 2,
-            "--adam-alpha", 1e200, "--out", out,
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli(
+                "solve", "--bundle", bundle_dir, "--method", "adam", "--k", 2,
+                "--adam-alpha", 1e200, "--out", out,
+            )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert rc == cli.EXIT_DIVERGED
         err = capsys.readouterr().err
         assert err.startswith("diverged: ") and "non-finite" in err

@@ -1,12 +1,16 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snmtf import data
 from snmtf.model import (
     ConvergenceTrace,
+    DataBundle,
     Factorization,
     TraceRecord,
     Transform,
@@ -15,6 +19,50 @@ from snmtf.model import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bundle"
+
+VALID_R = np.array([[1.0, 0.5, 0.25], [0.5, 2.0, 0.0], [0.25, 0.0, 3.0]])
+
+
+def _dense_text(rows, header=None):
+    if header is None:
+        header = f"{len(rows)} {len(rows[0])}"
+    return header + "\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+def _not_the_valid_header(header):
+    try:
+        return tuple(int(tok) for tok in header.split()) != VALID_R.shape
+    except ValueError:
+        return True
+
+
+@st.composite
+def malformed_dense_text(draw):
+    """Dense-text body for VALID_R with exactly one kind of defect."""
+    rows = [[format(v, ".17g") for v in row] for row in VALID_R]
+    kind = draw(st.sampled_from(
+        ["header", "token", "ragged", "non_finite", "non_square", "asymmetric"]
+    ))
+    i = draw(st.integers(0, 2))
+    j = draw(st.integers(0, 2))
+    if kind == "header":
+        header = draw(st.text(alphabet="0123456789 -.x", max_size=8).filter(_not_the_valid_header))
+        return _dense_text(rows, header)
+    if kind == "token":
+        # no digits and no i/n/f, so float() rejects every such token
+        rows[i][j] = draw(st.text(alphabet="abxyz.,;+-_", min_size=1, max_size=4))
+    elif kind == "ragged":
+        rows[i] = rows[i][:j] if draw(st.booleans()) else rows[i] + ["1"]
+        return _dense_text(rows, "3 3")
+    elif kind == "non_finite":
+        rows[i][j] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf"]))
+    elif kind == "non_square":
+        cols = draw(st.sampled_from([1, 2, 4]))
+        rows = [(row + ["0"])[:cols] for row in rows]
+    else:
+        j = (i + draw(st.integers(1, 2))) % 3
+        rows[i][j] = format(VALID_R[i, j] + draw(st.floats(1e-3, 10.0)), ".17g")
+    return _dense_text(rows)
 
 
 class TestGenerateSynthetic:
@@ -81,6 +129,12 @@ class TestMatrixFiles:
         with pytest.raises(ValidationError, match="malformed"):
             data.load_matrix(path)
 
+    def test_malformed_matrix_market(self, tmp_path):
+        path = tmp_path / "bad.mtx.txt"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 x 3\n")
+        with pytest.raises(ValidationError, match="bad.mtx.txt: malformed Matrix Market"):
+            data.load_matrix(path)
+
 
 class TestBundleIO:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -124,6 +178,24 @@ class TestBundleIO:
         (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match="norm_sq_total"):
             data.load_bundle(tmp_path / "b")
+
+    def test_listed_matrix_missing(self, tmp_path):
+        bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
+        data.save_bundle(bundle, tmp_path / "b")
+        (tmp_path / "b" / "R_2.mtx.txt").unlink()
+        with pytest.raises(ValidationError, match=r"R_2\.mtx\.txt: matrix file not found"):
+            data.load_bundle(tmp_path / "b")
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=malformed_dense_text())
+    @example(text="2 2\n1 2\n3\n")
+    def test_malformed_dense_text_is_validation_error(self, text):
+        bundle = DataBundle.from_matrices([VALID_R])
+        with tempfile.TemporaryDirectory() as tmp:
+            data.save_bundle(bundle, tmp)
+            (Path(tmp) / "R_1.mtx.txt").write_text(text)
+            with pytest.raises(ValidationError, match="R_1"):
+                data.load_bundle(tmp)
 
     def test_golden_bundle_norm_matches_manifest(self):
         bundle = data.load_bundle(GOLDEN)

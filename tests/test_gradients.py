@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snmtf.gradients import grad_native, grad_transformed
+from snmtf.gradients import _transformed_step, grad_native, grad_transformed
 from snmtf.model import DataBundle, Factorization, Transform, residuals
 
 from conftest import exact_fit_pair, random_bundle, random_native_fact
@@ -155,3 +155,20 @@ class TestGradTransformed:
             _, ds = grad_transformed(bundle, fact)
             for d in ds:
                 assert np.abs(d - d.T).max() <= 1e-10 * max(np.abs(d).max(), 1.0)
+
+    @pytest.mark.parametrize("transform", [Transform.ABS, Transform.SQUARE])
+    def test_gram_kernel_matches_residual_reference(self, transform):
+        # the kernel the solvers use against the n x n residual formulas
+        rng = np.random.default_rng(7)
+        bundle = random_bundle(rng, 9, 3)
+        for _ in range(10):
+            g = rng.standard_normal((9, 4)) * 0.8
+            s_list = [(lambda s: (s + s.T) / 2.0)(rng.standard_normal((4, 4)) * 0.8)
+                      for _ in range(3)]
+            fact = Factorization(g, s_list, transform)
+            se_value, dg, ds, _ = _transformed_step(bundle, fact)
+            ref_g, ref_s = grad_transformed(bundle, fact)
+            assert se_value == pytest.approx(transformed_se(bundle, fact), rel=1e-10)
+            assert np.linalg.norm(dg - ref_g) <= 1e-10 * np.linalg.norm(ref_g)
+            for d, ref in zip(ds, ref_s):
+                assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
