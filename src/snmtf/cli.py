@@ -25,6 +25,7 @@ import numpy as np
 from . import adam as adam_mod
 from . import data, runner
 from .model import (
+    DataBundle,
     DimensionError,
     SolverConfig,
     SolverDivergedError,
@@ -43,27 +44,44 @@ RESULT_COLUMNS = (
 )
 
 
-def _config_from_args(args, method: str, k: int) -> SolverConfig:
-    """SolverConfig from the solver flags; an out-of-range knob is a usage error."""
+def _checked_config(**fields) -> SolverConfig:
+    """SolverConfig(**fields); an unknown method or out-of-range knob is a usage error."""
     try:
-        return SolverConfig(
-            method=method,
-            k=k,
-            max_iterations=args.max_iters,
-            mse_stop=args.mse_stop,
-            delta_stop=args.delta_stop,
-            seed=args.seed,
-            adam_alpha=args.adam_alpha,
-            adam_beta1=args.adam_beta1,
-            adam_beta2=args.adam_beta2,
-            adam_epsilon=args.adam_eps,
-            standard_bias_correction=getattr(args, "standard_bias_correction", False),
-            bcd_inner_iterations=args.bcd_inner,
-            trace_stride=args.trace_stride,
-        )
+        return SolverConfig(**fields)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from exc
+
+
+def _config_from_args(args, method: str, k: int) -> SolverConfig:
+    """SolverConfig from the solver flags of ``snmtf solve``."""
+    return _checked_config(
+        method=method,
+        k=k,
+        max_iterations=args.max_iters,
+        mse_stop=args.mse_stop,
+        delta_stop=args.delta_stop,
+        seed=args.seed,
+        adam_alpha=args.adam_alpha,
+        adam_beta1=args.adam_beta1,
+        adam_beta2=args.adam_beta2,
+        adam_epsilon=args.adam_eps,
+        standard_bias_correction=getattr(args, "standard_bias_correction", False),
+        bcd_inner_iterations=args.bcd_inner,
+        trace_stride=args.trace_stride,
+    )
+
+
+def _ratio_list(text: str) -> list[int]:
+    """argparse type of ``--ratios``: comma-separated positive integers."""
+    try:
+        ratios = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if min(ratios) < 1:
+        raise argparse.ArgumentTypeError(f"ratios must be positive, got {text!r}")
+    return ratios
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
@@ -117,25 +135,23 @@ def _discover_suite(root) -> list[Path]:
     return dirs
 
 
-def _sweep_task(task: dict) -> dict:
-    bundle = data.load_bundle(task["bundle_dir"])
-    planted_k = task["planted_K"]
+def _sweep_row(bundle: DataBundle, spec: dict) -> dict:
+    """One results.csv row: the run ``spec["config"]`` on the loaded bundle."""
+    config = spec["config"]
     row = {
         "bundle": bundle.label,
-        "method": task["method"],
+        "method": config.method,
         "n": bundle.n,
-        "K": planted_k,
-        "k": task["k"],
-        "k_over_K_pct": task["pct"],
+        "K": spec["planted_K"],
+        "k": config.k,
+        "k_over_K_pct": spec["pct"],
         "final_mse": "",
         "iterations": "",
         "seconds": "",
         "stop_reason": "",
     }
-    config = SolverConfig(method=task["method"], k=task["k"], seed=task["seed"],
-                          max_iterations=task["max_iters"])
     try:
-        fact, trace = runner.run(bundle, config, init=task["init"])
+        fact, trace = runner.run(bundle, config, init=spec["init"])
     except Exception as exc:  # record and keep sweeping
         row["stop_reason"] = f"error: {type(exc).__name__}: {exc}"
         return row
@@ -146,50 +162,73 @@ def _sweep_task(task: dict) -> dict:
         seconds=f"{final.elapsed_seconds:.3f}",
         stop_reason=trace.stop_reason,
     )
-    if task["runs_dir"] is not None:
-        run_dir = Path(task["runs_dir"]) / f"{bundle.label}__{task['method']}__k{task['k']}"
+    if spec["runs_dir"] is not None:
+        run_dir = spec["runs_dir"] / f"{bundle.label}__{config.method}__k{config.k}"
         data.save_factorization(fact, trace, run_dir, config)
     return row
+
+
+# The bundle a pool worker runs its rows on; set once per worker.
+_pool_bundle: DataBundle | None = None
+
+
+def _receive_bundle(bundle: DataBundle) -> None:
+    global _pool_bundle
+    _pool_bundle = bundle
+
+
+def _pooled_row(spec: dict) -> dict:
+    return _sweep_row(_pool_bundle, spec)
+
+
+def _sweep_bundle(bundle_dir, specs: list[dict], jobs: int) -> list[dict]:
+    """Load one bundle and run all of its rows on it.
+
+    With more than one worker the rows run on a process pool whose workers
+    each receive the loaded bundle once, at start-up.
+    """
+    bundle = data.load_bundle(bundle_dir)
+    workers = min(jobs, len(specs))
+    if workers <= 1:
+        return [_sweep_row(bundle, spec) for spec in specs]
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_receive_bundle, initargs=(bundle,)
+    ) as pool:
+        return list(pool.map(_pooled_row, specs))
 
 
 def cmd_benchmark(args) -> int:
     bundle_dirs = _discover_suite(args.suite)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    ratios = [int(r) for r in args.ratios.split(",")]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     runs_dir = None if args.no_save_runs else out / "runs"
 
-    tasks = []
+    # Every manifest and row config is checked before the first bundle loads.
+    plan = []
     for bundle_dir in bundle_dirs:
-        manifest = data.read_manifest(bundle_dir)
-        planted_k = manifest.get("planted_K")
+        planted_k = data.read_manifest(bundle_dir).get("planted_K")
         if planted_k is None:
             raise ValidationError(
                 f"{bundle_dir}: manifest has no planted_K; the sweep needs it to place the k grid"
             )
-        for method in methods:
-            for pct in ratios:
-                k = max(1, round(int(planted_k) * pct / 100))
-                tasks.append(
-                    {
-                        "bundle_dir": str(bundle_dir),
-                        "planted_K": int(planted_k),
-                        "method": method,
-                        "k": k,
-                        "pct": pct,
-                        "seed": args.seed,
-                        "init": args.init,
-                        "max_iters": args.max_iters,
-                        "runs_dir": str(runs_dir) if runs_dir else None,
-                    }
-                )
+        specs = [
+            {
+                "config": _checked_config(method=method, k=max(1, round(planted_k * pct / 100)),
+                                          seed=args.seed, max_iterations=args.max_iters),
+                "planted_K": planted_k,
+                "pct": pct,
+                "init": args.init,
+                "runs_dir": runs_dir,
+            }
+            for method in methods
+            for pct in args.ratios
+        ]
+        plan.append((bundle_dir, specs))
 
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
-    else:
-        rows = [_sweep_task(task) for task in tasks]
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for bundle_dir, specs in plan:
+        rows.extend(_sweep_bundle(bundle_dir, specs, args.jobs))
     rows.sort(key=lambda r: (r["bundle"], r["method"], r["k"]))
 
     results_path = out / "results.csv"
@@ -280,7 +319,7 @@ def cmd_tune(args) -> int:
         if k is None:
             raise ValidationError(f"{bundle_dir}: no planted_K in manifest and no --k given")
         bundle = data.load_bundle(bundle_dir)
-        problems.append((bundle, int(k)))
+        problems.append((bundle, k))
         labels.append(bundle.label)
 
     points = [tuple(float(x) for x in p.split(",")) for p in args.point] if args.point else None
@@ -339,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="method x inner-dimension sweep over a suite")
     p.add_argument("--suite", required=True, help="bundle directory or directory of bundles")
     p.add_argument("--methods", default="fpm,bcd,gmels,adam")
-    p.add_argument("--ratios", default=",".join(str(r) for r in DEFAULT_RATIOS),
+    p.add_argument("--ratios", type=_ratio_list,
+                   default=",".join(str(r) for r in DEFAULT_RATIOS),
                    help="k as a percentage of the planted K")
     p.add_argument("--init", choices=runner.INIT_KINDS, default="deterministic")
     p.add_argument("--seed", type=int, default=0)

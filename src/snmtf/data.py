@@ -87,10 +87,11 @@ def generate_synthetic(n: int, K: int, N: int = 5, density: float = 0.65, seed: 
 
 def save_dense_matrix(path, x) -> None:
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    # One %-format per row; "%.17g" writes the same bytes as format(v, ".17g").
+    row_format = " ".join(["%.17g"] * x.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{x.shape[0]} {x.shape[1]}\n")
-        for row in x:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in x)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -163,11 +164,11 @@ def load_bundle(path, symmetrize: bool = False) -> DataBundle:
     """
     path = Path(path)
     manifest = read_manifest(path)
-    names = manifest.get("matrices") or [f"R_{i + 1}.mtx.txt" for i in range(int(manifest["N"]))]
+    names = manifest.get("matrices") or [f"R_{i + 1}.mtx.txt" for i in range(manifest["N"])]
     mats = [load_matrix(path / name) for name in names]
     bundle = DataBundle.from_matrices(mats, label=manifest.get("label", path.name),
                                       symmetrize=symmetrize)
-    if bundle.n != int(manifest["n"]) or bundle.N != int(manifest["N"]):
+    if bundle.n != manifest["n"] or bundle.N != manifest["N"]:
         raise ValidationError(
             f"{path}: manifest promises n={manifest['n']}, N={manifest['N']}, "
             f"matrices give n={bundle.n}, N={bundle.N}"
@@ -183,6 +184,8 @@ def load_bundle(path, symmetrize: bool = False) -> DataBundle:
 
 
 def read_manifest(path) -> dict:
+    """The bundle's manifest; ``n``, ``N`` and (when present) ``planted_K``
+    must be positive integers, or ValidationError is raised."""
     manifest_path = Path(path) / MANIFEST_NAME
     try:
         with open(manifest_path) as fh:
@@ -191,9 +194,17 @@ def read_manifest(path) -> dict:
         raise ValidationError(f"{path}: no {MANIFEST_NAME}; not a bundle directory") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"{manifest_path}: malformed manifest: not a JSON object")
     for key in ("n", "N"):
         if key not in manifest:
             raise ValidationError(f"{manifest_path}: manifest lacks required key {key!r}")
+    for key in ("n", "N", "planted_K"):
+        value = manifest.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValidationError(
+                f"{manifest_path}: manifest {key} must be a positive integer, got {value!r}"
+            )
     return manifest
 
 

@@ -15,9 +15,10 @@ residual enters dS_i' (the cross terms vanish identically; a finite-difference
 oracle in the test suite pins this down).
 
 The native gradient needs no residual: with H_i = R_i G it is k x k algebra
-on A = G^T G and M_i = G^T H_i, and so is SE (``se_from_gram``).  Every solver
-gets its objective and gradient from that one Gram step; in transformed
-coordinates the gradient follows by the chain rule, dX' = f'(X') * dX.
+on A = G^T G and M_i = G^T H_i, and so is SE (``se_from_gram``), which shares
+the products A S_i A with dS_i.  Every solver gets its objective and gradient
+from that one Gram step; in transformed coordinates the gradient follows by
+the chain rule, dX' = f'(X') * dX.
 :func:`grad_transformed` evaluates the formulas above from the n x n residuals
 instead and is kept as the independent reference the tests compare against.
 """
@@ -31,9 +32,9 @@ from .model import (
     Factorization,
     Transform,
     _require_native,
+    _se_from_asa,
     check_compatible,
     residuals,
-    se_from_gram,
 )
 
 __all__ = ["Transform", "grad_native", "grad_transformed"]
@@ -59,15 +60,15 @@ def _gram_step(r_list, norms_sq, g, s_list):
     gram = g.T @ g
     h_list = [r @ g for r in r_list]
     mid = [g.T @ h for h in h_list]
+    asa = [gram @ s @ gram for s in s_list]
     num = np.zeros_like(g)
     sas = np.zeros_like(gram)
-    ds = []
-    for h, m, s in zip(h_list, mid, s_list):
-        ds.append(2.0 * (gram @ s @ gram - m))
+    for h, s in zip(h_list, s_list):
         num += h @ s
         sas += s @ gram @ s
     dg = 4.0 * (g @ sas - num)
-    return se_from_gram(norms_sq, gram, mid, s_list), dg, ds, h_list
+    ds = [2.0 * (a - m) for a, m in zip(asa, mid)]
+    return _se_from_asa(norms_sq, mid, s_list, asa), dg, ds, h_list
 
 
 def _transformed_step(bundle: DataBundle, fact: Factorization):

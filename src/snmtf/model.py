@@ -165,6 +165,13 @@ class DataBundle:
         norm = sum(float(r.ravel() @ r.ravel()) for r in mats)
         return cls(n=n, N=len(mats), R=tuple(mats), norm_sq_total=norm, label=label)
 
+    def __setstate__(self, state):
+        # Unpickled arrays come back writeable (as in a process pool worker);
+        # restore the read-only promise.
+        self.__dict__.update(state)
+        for r in self.R:
+            r.setflags(write=False)
+
     @cached_property
     def norms_sq(self) -> tuple[float, ...]:
         """Per-matrix squared Frobenius norms ||R_i||^2."""
@@ -263,9 +270,14 @@ def se_from_gram(norms_sq, gram, mid, s_list) -> float:
     objective in O(N k^3) without forming n x n residuals.  Clamped at zero:
     cancellation can push the exact-fit value a few ulps negative.
     """
+    return _se_from_asa(norms_sq, mid, s_list, [gram @ s @ gram for s in s_list])
+
+
+def _se_from_asa(norms_sq, mid, s_list, asa_list) -> float:
+    """:func:`se_from_gram` given the products A S_i A, for callers that
+    already hold them (the native gradient needs them too)."""
     total = 0.0
-    for nrm, m, s in zip(norms_sq, mid, s_list):
-        asa = gram @ s @ gram
+    for nrm, m, s, asa in zip(norms_sq, mid, s_list, asa_list):
         total += nrm - 2.0 * float(np.vdot(m, s)) + float(np.vdot(asa, s))
     return max(total, 0.0)
 

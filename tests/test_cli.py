@@ -1,6 +1,9 @@
+import concurrent.futures
 import csv
 import filecmp
 import json
+import multiprocessing
+import shutil
 import warnings
 
 import pytest
@@ -18,6 +21,18 @@ def make_bundle_dir(tmp_path, name, n=24, K=3, seed=0):
     rc = run_cli("generate", "--n", n, "--K", K, "--seed", seed, "--out", out)
     assert rc == 0
     return out
+
+
+def set_manifest_key(bundle_dir, key, value):
+    path = bundle_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[key] = value
+    path.write_text(json.dumps(manifest))
+
+
+def read_rows_without_timing(path):
+    with open(path, newline="") as fh:
+        return [dict(row, seconds="") for row in csv.DictReader(fh)]
 
 
 def read_trace_without_timing(path):
@@ -118,6 +133,16 @@ class TestSolve:
             run_cli(*argv)
         assert err.value.code == cli.EXIT_USAGE
 
+    def test_non_integer_manifest_count_is_validation_error(self, tmp_path, capsys):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        set_manifest_key(bundle_dir, "n", "x")
+        rc = run_cli(
+            "solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 2,
+            "--out", tmp_path / "run",
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert "manifest n must be a positive integer, got 'x'" in capsys.readouterr().err
+
     def test_missing_bundle_is_validation_error(self, tmp_path):
         rc = run_cli(
             "solve", "--bundle", tmp_path / "nope", "--method", "fpm", "--k", 2,
@@ -183,16 +208,102 @@ class TestBenchmark:
                 "--ratios", "100", "--max-iters", 30, "--out", out,
             )
             assert rc == 0
-        with open(out_a / "results.csv") as fh:
-            rows_a = [dict(r, seconds="") for r in csv.DictReader(fh)]
-        with open(out_b / "results.csv") as fh:
-            rows_b = [dict(r, seconds="") for r in csv.DictReader(fh)]
-        assert rows_a == rows_b
+        assert read_rows_without_timing(out_a / "results.csv") == read_rows_without_timing(
+            out_b / "results.csv")
         runs_a = sorted((out_a / "runs").iterdir())
         runs_b = sorted((out_b / "runs").iterdir())
         for da, db in zip(runs_a, runs_b):
             assert filecmp.cmp(da / "G.txt", db / "G.txt", shallow=False)
             assert read_trace_without_timing(da / "trace.csv") == read_trace_without_timing(db / "trace.csv")
+
+
+    def test_loads_each_bundle_once(self, suite, tmp_path, monkeypatch):
+        loaded = []
+        real_load = data.load_bundle
+
+        def counting_load(path, *args, **kwargs):
+            loaded.append(path.name)
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "load_bundle", counting_load)
+        rc = run_cli(
+            "benchmark", "--suite", suite, "--methods", "fpm,bcd", "--ratios", "50,100",
+            "--max-iters", 5, "--jobs", 1, "--out", tmp_path / "res", "--no-save-runs",
+        )
+        assert rc == 0
+        assert sorted(loaded) == ["b2", "b3"]
+        assert len(read_rows_without_timing(tmp_path / "res" / "results.csv")) == 8
+
+    def test_pool_matches_serial(self, suite, tmp_path):
+        outs = {}
+        for jobs in (1, 2):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            rc = run_cli(
+                "benchmark", "--suite", suite, "--methods", "fpm,adam", "--ratios", "50,100",
+                "--max-iters", 20, "--jobs", jobs, "--out", outs[jobs],
+            )
+            assert rc == 0
+        rows = read_rows_without_timing(outs[1] / "results.csv")
+        assert len(rows) == 8 and all(row["final_mse"] for row in rows)
+        assert read_rows_without_timing(outs[2] / "results.csv") == rows
+        assert (outs[2] / "aggregate.csv").read_text() == (outs[1] / "aggregate.csv").read_text()
+        runs = sorted(p.name for p in (outs[1] / "runs").iterdir())
+        assert runs == sorted(p.name for p in (outs[2] / "runs").iterdir())
+        for name in runs:
+            for fname in ("G.txt", "S_1.txt", "summary.json"):
+                assert filecmp.cmp(outs[1] / "runs" / name / fname,
+                                   outs[2] / "runs" / name / fname, shallow=False)
+            assert (read_trace_without_timing(outs[1] / "runs" / name / "trace.csv")
+                    == read_trace_without_timing(outs[2] / "runs" / name / "trace.csv"))
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_worker_bundle_is_read_only(self, suite, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method on this platform")
+        bundle = data.load_bundle(suite / "b2")
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context(start_method),
+            initializer=cli._receive_bundle, initargs=(bundle,),
+        ) as pool:
+            seen = pool.submit(pool_worker_bundle_flags).result()
+        assert seen == (bundle.label, [False] * bundle.N)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_malformed_bundle_in_suite_exits_3(self, suite, tmp_path, jobs, capsys):
+        root = tmp_path / "suite"
+        shutil.copytree(suite, root)
+        (root / "b3" / "R_2.mtx.txt").write_text("20 20\n1 2 banana\n")
+        rc = run_cli(
+            "benchmark", "--suite", root, "--methods", "fpm,bcd", "--ratios", "100",
+            "--max-iters", 5, "--jobs", jobs, "--out", tmp_path / "res", "--no-save-runs",
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert "R_2.mtx.txt: malformed matrix body" in capsys.readouterr().err
+
+    def test_non_integer_planted_k_is_validation_error(self, suite, tmp_path):
+        root = tmp_path / "suite"
+        shutil.copytree(suite, root)
+        set_manifest_key(root / "b3", "planted_K", "x")
+        rc = run_cli("benchmark", "--suite", root, "--ratios", "100", "--out", tmp_path / "res")
+        assert rc == cli.EXIT_VALIDATION
+        rc = run_cli("tune", "--suite", root / "b3", "--trials", 1, "--out", tmp_path / "t.csv")
+        assert rc == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--ratios", "x"), ("--ratios", "50,,100"), ("--ratios", "0"), ("--methods", "fpm,warp"),
+        ("--max-iters", 0),
+    ])
+    def test_bad_sweep_argument_is_usage_error(self, suite, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as err:
+            run_cli("benchmark", "--suite", suite, flag, value, "--out", tmp_path / "res")
+        assert err.value.code == cli.EXIT_USAGE
+        assert not (tmp_path / "res" / "results.csv").exists()
+
+
+def pool_worker_bundle_flags():
+    """What a sweep pool worker holds: (label, writeable flag of each R_i)."""
+    bundle = cli._pool_bundle
+    return bundle.label, [r.flags.writeable for r in bundle.R]
 
 
 class TestCompare:

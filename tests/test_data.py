@@ -111,6 +111,20 @@ class TestMatrixFiles:
         back = data.load_matrix(path)
         assert np.array_equal(back, x)
 
+    def test_dense_writer_bytes_match_per_value_format(self, rng, tmp_path):
+        special = [0.0, -0.0, 5e-324, 1e-320, 1.7976931348623157e308, np.inf, -np.inf,
+                   np.nan, 0.1, 1 / 3, 1e16, 1e17]
+        values = np.concatenate([special, -np.array(special), rng.standard_normal(24),
+                                 rng.random(24) * 10.0 ** rng.integers(-300, 300, 24)])
+        for shape in ((4, 18), (72, 1), (1, 72), (3, 0)):
+            x = values[: shape[0] * shape[1]].reshape(shape)
+            path = tmp_path / "m.txt"
+            data.save_dense_matrix(path, x)
+            expected = f"{shape[0]} {shape[1]}\n" + "".join(
+                " ".join(format(v, ".17g") for v in row) + "\n" for row in x
+            )
+            assert path.read_bytes() == expected.encode()
+
     def test_matrix_market_coordinate(self, tmp_path):
         path = tmp_path / "m.mtx.txt"
         path.write_text(
@@ -178,6 +192,26 @@ class TestBundleIO:
         (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match="norm_sq_total"):
             data.load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", "x"), ("N", "x"), ("n", 0), ("N", 2.0), ("n", True), ("planted_K", "x"),
+        ("planted_K", 1.5), ("planted_K", None),
+    ])
+    def test_manifest_counts_must_be_positive_integers(self, tmp_path, key, value):
+        bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
+        data.save_bundle(bundle, tmp_path / "b", planted_k=2)
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        manifest[key] = value
+        (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match=f"manifest {key} must be a positive integer"):
+            data.read_manifest(tmp_path / "b")
+        with pytest.raises(ValidationError, match=f"manifest {key} must be a positive integer"):
+            data.load_bundle(tmp_path / "b")
+
+    def test_manifest_must_be_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(ValidationError, match="not a JSON object"):
+            data.read_manifest(tmp_path)
 
     def test_listed_matrix_missing(self, tmp_path):
         bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from snmtf.gradients import _transformed_step, grad_native, grad_transformed
-from snmtf.model import DataBundle, Factorization, Transform, residuals
+from snmtf.gradients import _gram_step, _transformed_step, grad_native, grad_transformed
+from snmtf.model import DataBundle, Factorization, Transform, residuals, se_from_gram
 
 from conftest import exact_fit_pair, random_bundle, random_native_fact
 
@@ -84,6 +84,14 @@ class TestGradNative:
         dg, ds = grad_native(bundle, fact)
         assert dg[0, 0] == pytest.approx(-12.0)
         assert ds[0][0, 0] == pytest.approx(-6.0)
+
+    def test_gram_step_se_is_se_from_gram_bit_for_bit(self, rng):
+        bundle = random_bundle(rng, 9, 3)
+        fact = random_native_fact(rng, 9, 4, 3)
+        se_value, _, _, h_list = _gram_step(bundle.R, bundle.norms_sq, fact.G, fact.S)
+        gram = fact.G.T @ fact.G
+        mid = [fact.G.T @ h for h in h_list]
+        assert se_value == se_from_gram(bundle.norms_sq, gram, mid, fact.S)
 
     def test_ds_symmetric(self, rng):
         bundle = random_bundle(rng, 7, 3)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,14 @@ class TestDataBundle:
         bundle = random_bundle(rng, 4, 2)
         with pytest.raises(ValueError):
             bundle.R[0][0, 0] = 1.0
+
+    def test_unpickled_matrices_are_read_only(self, rng):
+        bundle = random_bundle(rng, 4, 2)
+        back = pickle.loads(pickle.dumps(bundle))
+        assert [r.flags.writeable for r in back.R] == [False, False]
+        assert back.norm_sq_total == bundle.norm_sq_total
+        for x, y in zip(back.R, bundle.R):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestTransform:
