@@ -11,9 +11,9 @@ the schedule eta = alpha * sqrt(1 - (1 - beta2)^i) / (1 - (1 - beta1)^i); a
 config switch selects the conventional beta^i correction factors instead.
 No descent guarantee holds, so no monotonicity is asserted anywhere.
 
-The objective and gradient come from the shared Gram step: per iteration the
-data is touched by N products R_i X with X of shape n x k, and no n x n
-temporary is formed.
+The objective and gradient come from the shared Gram step, and no n x n
+temporary is formed.  Data passes (see ``DataBundle.times``): N at the start,
+N per iteration.
 
 Also hosts the random-search hyper-parameter tuner.
 """
@@ -119,7 +119,7 @@ def adam_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
             config.adam_alpha, config.adam_beta1, config.adam_beta2, it,
             config.standard_bias_correction,
         )
-        if not (np.isfinite(dg).all() and all(np.isfinite(d).all() for d in ds)):
+        if not (np.isfinite(dg).all() and np.isfinite(ds).all()):
             raise SolverDivergedError(
                 f"gradient became non-finite at iteration {it}", records=tracer.records
             )
@@ -133,7 +133,8 @@ def adam_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
 
 
 def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_stop):
-    """Max over problems of the mean final MSE of seeded random-start runs."""
+    """Max over problems of the mean final MSE of seeded random-start runs;
+    a diverged run counts as MSE inf."""
     per_problem = []
     for (bundle, k), seeds in zip(problems, run_seeds):
         finals = []
@@ -145,8 +146,10 @@ def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_s
             )
             native = random_init(bundle.n, k, bundle.N, int(seed))
             start = lift_to_transformed(native, Transform.ABS)
-            _, trace = adam_solve(bundle, config, start)
-            finals.append(trace.final.mse)
+            try:
+                finals.append(adam_solve(bundle, config, start)[1].final.mse)
+            except SolverDivergedError:  # a diverging triple ranks last
+                finals.append(np.inf)
         per_problem.append(float(np.mean(finals)))
     return float(max(per_problem)), per_problem
 

@@ -14,14 +14,17 @@ number of projected-gradient steps with exact line search:
   perturbation (scale 1e-5) is added before projecting, to escape flat spots.
 
 All line-search quantities are reduced to k x k products (Frobenius traces),
-so the per-step cost is dominated by the N products R_i @ [G, dG].
+so the cost is dominated by the data passes (see ``DataBundle.times``):
+N at the start, then per outer iteration 2 N per G step (R_i G, then R_i dG,
+which needs dG and so cannot share one n x 2k product with R_i G) plus N for
+the next S block, i.e. 21 N at the default 10 inner steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gradients import _gram_step
+from .gradients import _gram_products, _gram_step
 from .model import (
     DataBundle,
     Factorization,
@@ -43,7 +46,14 @@ def _vdot(a, b) -> float:
     return float(np.vdot(a, b))
 
 
-def _quartic_coefficients(r_list, norms_sq, g, s_list, dg, h_list=None) -> np.ndarray:
+def _traces(x, y) -> np.ndarray:
+    """Frobenius inner products <X_i, Y_i> over a (N, k, k) stack ``x``;
+    ``y`` is a stack too or one k x k matrix shared by every i.  ``np.vecdot``
+    (numpy 2) takes the same dot product as ``np.vdot``, term for term."""
+    return np.vecdot(x.reshape(len(x), -1), y.reshape(*y.shape[:-2], -1))
+
+
+def _quartic_coefficients(bundle: DataBundle, g, s, dg, h) -> np.ndarray:
     """Ascending coefficients of p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2.
 
     With Z_i the residual, P_i = dG S_i G^T + G S_i dG^T and
@@ -54,43 +64,38 @@ def _quartic_coefficients(r_list, norms_sq, g, s_list, dg, h_list=None) -> np.nd
         c3 = 2 sum <P_i, Q_i>         c4 = sum ||Q_i||^2
 
     evaluated through k x k traces (A = G^T G, B = G^T dG, C = dG^T dG,
-    M_i = G^T R_i G, N_i = G^T R_i dG, O_i = dG^T R_i dG).  ``h_list``
-    passes in precomputed R_i @ G products when the caller already has them.
+    M_i = G^T R_i G, N_i = G^T R_i dG, O_i = dG^T R_i dG).  ``s`` is the
+    (N, k, k) stack of the S_i and ``h`` the stack of products R_i G that the
+    gradient already took, so the products R_i dG are this function's one
+    data pass.
     """
     a = g.T @ g
     b = g.T @ dg
     cc = dg.T @ dg
-    coeffs = np.zeros(5)
-    if h_list is None:
-        h_list = [r @ g for r in r_list]
-    for r, nrm, s, h in zip(r_list, norms_sq, s_list, h_list):
-        j = r @ dg
-        m = g.T @ h
-        nk = g.T @ j
-        o = dg.T @ j
-        sas = s @ a @ s
-        sbs = s @ b @ s
-        scs = s @ cc @ s
-        y = s @ b.T
-        z_sq = nrm - 2.0 * _vdot(m, s) + _vdot(sas, a)
-        zp = 2.0 * _vdot(nk, s) - 2.0 * _vdot(b, sas)
-        zq = _vdot(o, s) - _vdot(sbs, b)
-        p_sq = 2.0 * _vdot(scs, a) + 2.0 * _vdot(y, y.T)
-        pq = _vdot(scs, b) + _vdot(sbs, cc)
-        q_sq = _vdot(scs, cc)
-        coeffs[0] += z_sq
-        coeffs[1] += -2.0 * zp
-        coeffs[2] += p_sq - 2.0 * zq
-        coeffs[3] += 2.0 * pq
-        coeffs[4] += q_sq
-    return coeffs
+    j = bundle.times(dg)
+    m = g.T @ h
+    nk = g.T @ j
+    o = dg.T @ j
+    sas = s @ a @ s
+    sbs = s @ b @ s
+    scs = s @ cc @ s
+    y = s @ b.T
+    z_sq = np.asarray(bundle.norms_sq) - 2.0 * _traces(m, s) + _traces(sas, a)
+    zp = 2.0 * _traces(nk, s) - 2.0 * _traces(sas, b)
+    zq = _traces(o, s) - _traces(sbs, b)
+    p_sq = 2.0 * _traces(scs, a) + 2.0 * _traces(y, y.swapaxes(1, 2))
+    pq = _traces(scs, b) + _traces(sbs, cc)
+    q_sq = _traces(scs, cc)
+    terms = np.stack((z_sq, -2.0 * zp, p_sq - 2.0 * zq, 2.0 * pq, q_sq), axis=1)
+    return terms.sum(axis=0)  # an axis-0 sum adds the rows in order of i
 
 
 def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> LinePolynomial:
     """Quartic step-size polynomial along dG at a native-coordinates point."""
     _require_native(fact, "quartic_coeffs")
     check_compatible(bundle, fact)
-    c = _quartic_coefficients(bundle.R, bundle.norms_sq, fact.G, fact.S, np.asarray(dg, float))
+    g = fact.G
+    c = _quartic_coefficients(bundle, g, np.array(fact.S), np.asarray(dg, float), bundle.times(g))
     return LinePolynomial(c)
 
 
@@ -108,10 +113,10 @@ def _minimize_quartic(poly: LinePolynomial, lo: float = SEARCH_INTERVAL[0], hi: 
     return candidates[int(np.argmin(values))]
 
 
-def _g_step(r_list, norms_sq, g, s_list, rng):
+def _g_step(bundle: DataBundle, g, s, rng):
     """One projected-gradient step on G with exact quartic line search."""
-    _, dg, _, h_list = _gram_step(r_list, norms_sq, g, s_list)
-    coeffs = _quartic_coefficients(r_list, norms_sq, g, s_list, dg, h_list)
+    _, dg, _, h = _gram_step(bundle, g, s)
+    coeffs = _quartic_coefficients(bundle, g, s, dg, h)
     poly = LinePolynomial(coeffs)
     t = _minimize_quartic(poly)
     g_new = g + t * dg
@@ -124,11 +129,12 @@ def linesearch_g(bundle: DataBundle, fact: Factorization, rng: np.random.Generat
     """Projected exact-line-search update of G (gradient direction, [-1, 0])."""
     _require_native(fact, "linesearch_g")
     check_compatible(bundle, fact)
-    return _g_step(bundle.R, bundle.norms_sq, fact.G, fact.S, rng)
+    return _g_step(bundle, fact.G, np.array(fact.S), rng)
 
 
 def linesearch_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
-    """Projected exact-line-search update of S_i at fixed G."""
+    """Projected exact-line-search update of S_i at fixed G; it needs only R_i G,
+    so it indexes ``bundle.R[i]`` instead of taking a full data pass."""
     _require_native(fact, "linesearch_s")
     check_compatible(bundle, fact)
     g = fact.G
@@ -172,12 +178,6 @@ def _block_se(norm_sq, gram, mid, s) -> float:
     return norm_sq - 2.0 * _vdot(mid, s) + _vdot(gram @ s @ gram, s)
 
 
-def _g_products(r_list, g):
-    gram = g.T @ g
-    mid = [g.T @ (r @ g) for r in r_list]
-    return gram, mid
-
-
 def bcd_solve(
     bundle: DataBundle,
     config: SolverConfig,
@@ -201,24 +201,24 @@ def bcd_solve(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    s_list = [np.full((config.k, config.k), INITIAL_S_VALUE) for _ in range(bundle.N)]
+    s = np.full((bundle.N, config.k, config.k), INITIAL_S_VALUE)
     norms = bundle.norms_sq
     tracer = TraceBuilder(bundle, config)
 
-    gram, mid = _g_products(bundle.R, g)
-    tracer.start(se_from_gram(norms, gram, mid, s_list))
+    gram, _, mid = _gram_products(bundle, g)
+    tracer.start(se_from_gram(norms, gram, mid, s))
 
     stop = None
     for outer in range(1, config.max_iterations + 1):
         for i in range(bundle.N):
-            s_list[i] = _s_inner_solve(
-                gram, mid[i], s_list[i], config.bcd_inner_iterations,
+            s[i] = _s_inner_solve(
+                gram, mid[i], s[i], config.bcd_inner_iterations,
                 norm_sq=norms[i], substep_log=substep_log,
             )
         for _ in range(config.bcd_inner_iterations):
-            g = _g_step(bundle.R, norms, g, s_list, rng)
-        gram, mid = _g_products(bundle.R, g)
-        stop = tracer.step(outer, se_from_gram(norms, gram, mid, s_list))
+            g = _g_step(bundle, g, s, rng)
+        gram, _, mid = _gram_products(bundle, g)
+        stop = tracer.step(outer, se_from_gram(norms, gram, mid, s))
         if stop is not None:
             break
-    return Factorization(g, s_list), tracer.finish(stop)
+    return Factorization(g, list(s)), tracer.finish(stop)

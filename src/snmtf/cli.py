@@ -9,7 +9,8 @@ Subcommands::
     snmtf tune      --suite bundles --trials 100 --out tune.csv
 
 Exit codes: 0 normal stop, 2 usage error, 3 data validation error,
-5 solver divergence (the objective or a gradient became non-finite).
+5 solver divergence (the objective or a gradient became non-finite, or the
+MSE ran away; see ``model.TraceBuilder``).
 """
 
 from __future__ import annotations
@@ -72,16 +73,29 @@ def _config_from_args(args, method: str, k: int) -> SolverConfig:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _ratio_list(text: str) -> list[int]:
     """argparse type of ``--ratios``: comma-separated positive integers."""
+    return [_positive_int(tok) for tok in text.split(",")]
+
+
+def _adam_point(text: str) -> tuple[float, float, float]:
+    """argparse type of ``--point``: alpha,beta1,beta2 as three numbers."""
     try:
-        ratios = [int(tok) for tok in text.split(",")]
+        alpha, beta1, beta2 = map(float, text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-    if min(ratios) < 1:
-        raise argparse.ArgumentTypeError(f"ratios must be positive, got {text!r}")
-    return ratios
+        raise argparse.ArgumentTypeError(f"expected alpha,beta1,beta2, got {text!r}") from None
+    return alpha, beta1, beta2
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
@@ -311,20 +325,22 @@ def cmd_compare(args) -> int:
 
 def cmd_tune(args) -> int:
     bundle_dirs = _discover_suite(args.suite)
-    problems = []
-    labels = []
-    for bundle_dir in bundle_dirs:
-        manifest = data.read_manifest(bundle_dir)
-        k = args.k if args.k is not None else manifest.get("planted_K")
+    ks = [args.k if args.k is not None else data.read_manifest(bundle_dir).get("planted_K")
+          for bundle_dir in bundle_dirs]
+
+    # Every (k, point) config the tuner builds is checked before the first
+    # bundle loads; sampled points lie in range by construction.
+    points = [dict(adam_alpha=a, adam_beta1=b1, adam_beta2=b2) for a, b1, b2 in args.point or ()]
+    for bundle_dir, k in zip(bundle_dirs, ks):
         if k is None:
             raise ValidationError(f"{bundle_dir}: no planted_K in manifest and no --k given")
-        bundle = data.load_bundle(bundle_dir)
-        problems.append((bundle, k))
-        labels.append(bundle.label)
+        for knobs in points or [{}]:
+            _checked_config(method="adam", k=k, max_iterations=args.max_iters, **knobs)
 
-    points = [tuple(float(x) for x in p.split(",")) for p in args.point] if args.point else None
+    problems = [(data.load_bundle(d), k) for d, k in zip(bundle_dirs, ks)]
+    labels = [bundle.label for bundle, _ in problems]
     ranked = adam_mod.tune_adam(
-        problems, trials=args.trials, seed=args.seed, points=points,
+        problems, trials=args.trials, seed=args.seed, points=args.point,
         runs_per_problem=args.runs, max_iterations=args.max_iters,
     )
     with open(args.out, "w", newline="") as fh:
@@ -397,12 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="random-search adam hyper-parameter tuning")
     p.add_argument("--suite", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--runs", type=int, default=3, help="runs per (trial, problem)")
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--runs", type=_positive_int, default=3, help="runs per (trial, problem)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None, help="override the planted K")
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--point", action="append", default=None,
+    p.add_argument("--point", type=_adam_point, action="append", default=None,
                    help="evaluate an explicit alpha,beta1,beta2 triple instead of sampling")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tune)

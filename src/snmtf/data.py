@@ -69,20 +69,16 @@ def generate_synthetic(n: int, K: int, N: int = 5, density: float = 0.65, seed: 
         row += size
 
     upper = np.triu_indices(K)
-    s_list = []
-    r_list = []
-    for _ in range(N):
+    s = np.empty((N, K, K))
+    for block in s:
         vals = rng.random((K, K)) ** 2
         vals.T[upper] = vals[upper]
         keep = rng.random((K, K)) < density
-        mask = np.triu(keep) | np.triu(keep, 1).T
-        s = np.where(mask, vals, 0.0)
-        s_list.append(s)
-        r_list.append((g @ s) @ g.T)
+        block[...] = np.where(np.triu(keep) | np.triu(keep, 1).T, vals, 0.0)
 
     label = f"synthetic-n{n}-K{K}-N{N}-seed{seed}"
-    bundle = DataBundle.from_matrices(r_list, label=label)
-    return bundle, Factorization(g, s_list)
+    bundle = DataBundle.from_matrices(g @ s @ g.T, label=label)
+    return bundle, Factorization(g, list(s))
 
 
 def save_dense_matrix(path, x) -> None:

@@ -9,12 +9,14 @@ Machine epsilon is added to every denominator entry (and only there).  Both
 updates preserve non-negativity and zeros exactly; at a strictly positive
 exact factorization both ratios are all-ones and the update is the identity.
 Each iteration updates G first, then every S_i using the new G.
+Data passes (see ``DataBundle.times``): N at the start, N per iteration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .gradients import _g_terms, _gram_products
 from .model import (
     MACHINE_EPS,
     DataBundle,
@@ -27,18 +29,15 @@ from .model import (
 )
 
 
-def _update_g(g, gram, h_list, s_list) -> np.ndarray:
-    """Multiplicative G update from A = G^T G and the products H_i = R_i G."""
-    num = np.zeros_like(g)
-    sas = np.zeros_like(gram)
-    for h, s in zip(h_list, s_list):
-        num += h @ s
-        sas += s @ gram @ s
+def _update_g(g, gram, h, s) -> np.ndarray:
+    """Multiplicative G update from A = G^T G and the stacks H = R_i G and S."""
+    num, sas = _g_terms(gram, h, s)
     return g * np.sqrt(num / (g @ sas + MACHINE_EPS))
 
 
 def _update_s(gram, mid, s) -> np.ndarray:
-    """Multiplicative S_i update from A = G^T G and M_i = G^T R_i G."""
+    """Multiplicative S update from A = G^T G and M = G^T R_i G (one block or
+    a stack of them)."""
     return s * np.sqrt(mid / (gram @ s @ gram + MACHINE_EPS))
 
 
@@ -47,11 +46,12 @@ def fpm_step_g(bundle: DataBundle, fact: Factorization) -> np.ndarray:
     _require_native(fact, "fpm_step_g")
     check_compatible(bundle, fact)
     g = fact.G
-    return _update_g(g, g.T @ g, [r @ g for r in bundle.R], fact.S)
+    return _update_g(g, g.T @ g, bundle.times(g), np.array(fact.S))
 
 
 def fpm_step_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
-    """One multiplicative update of S_i (G held fixed)."""
+    """One multiplicative update of S_i (G held fixed); it needs only R_i G,
+    so it indexes ``bundle.R[i]`` instead of taking a full data pass."""
     _require_native(fact, "fpm_step_s")
     check_compatible(bundle, fact)
     g = fact.G
@@ -72,23 +72,19 @@ def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
     _require_native(start, "fpm_solve")
     check_compatible(bundle, start)
     g = start.G.copy()
-    s_list = [s.copy() for s in start.S]
+    s = np.array(start.S)
     norms = bundle.norms_sq
 
     tracer = TraceBuilder(bundle, config)
-    gram = g.T @ g
-    h_list = [r @ g for r in bundle.R]
-    mid = [g.T @ h for h in h_list]
-    tracer.start(se_from_gram(norms, gram, mid, s_list))
+    gram, h, mid = _gram_products(bundle, g)
+    tracer.start(se_from_gram(norms, gram, mid, s))
 
     stop = None
     for it in range(1, config.max_iterations + 1):
-        g = _update_g(g, gram, h_list, s_list)
-        gram = g.T @ g
-        h_list = [r @ g for r in bundle.R]
-        mid = [g.T @ h for h in h_list]
-        s_list = [_update_s(gram, m, s) for m, s in zip(mid, s_list)]
-        stop = tracer.step(it, se_from_gram(norms, gram, mid, s_list))
+        g = _update_g(g, gram, h, s)
+        gram, h, mid = _gram_products(bundle, g)
+        s = _update_s(gram, mid, s)
+        stop = tracer.step(it, se_from_gram(norms, gram, mid, s))
         if stop is not None:
             break
-    return Factorization(g, s_list), tracer.finish(stop)
+    return Factorization(g, list(s)), tracer.finish(stop)

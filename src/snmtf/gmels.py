@@ -15,6 +15,9 @@ with A(t) = G(t)^T G(t).  Given R_i P0 (the products the gradient already
 needs), only R_i P1 and R_i P2 touch the data; everything else is k x k
 polynomial algebra, so no n x n matrix is ever formed.  Every iteration steps
 all variables by the global minimizer of p, so SE never increases.
+
+Data passes (see ``DataBundle.times``): N at the start, 3 N per iteration
+(R_i [P1, P2] as one n x 2k product, then R_i G at the new point).
 """
 
 from __future__ import annotations
@@ -51,8 +54,12 @@ def _square_line(x, d) -> np.ndarray:
 
 
 def _poly_matmul(x, y) -> np.ndarray:
-    """Stacked coefficients of the matrix polynomial product X(t) Y(t)."""
-    out = np.zeros((len(x) + len(y) - 1, x.shape[1], y.shape[2]))
+    """Stacked coefficients of the matrix polynomial product X(t) Y(t).
+
+    Axis 0 indexes the power of t; the rest broadcast as in ``matmul``.
+    """
+    shape = np.broadcast_shapes(x.shape[1:-2], y.shape[1:-2]) + (x.shape[-2], y.shape[-1])
+    out = np.zeros((len(x) + len(y) - 1,) + shape)
     for a, xa in enumerate(x):
         for b, yb in enumerate(y):
             out[a + b] += xa @ yb
@@ -60,31 +67,33 @@ def _poly_matmul(x, y) -> np.ndarray:
 
 
 def _poly_inner(x, y) -> np.ndarray:
-    """Ascending coefficients of the Frobenius product <X(t), Y(t)>."""
-    pairs = np.tensordot(x, y, axes=([1, 2], [1, 2]))
+    """Ascending coefficients of the Frobenius product <X(t), Y(t)>, summed
+    over every axis after the first."""
+    pairs = np.tensordot(x, y, axes=(range(1, x.ndim), range(1, y.ndim)))
     out = np.zeros(len(x) + len(y) - 1)
     for a, row in enumerate(pairs):
         out[a:a + len(y)] += row
     return out
 
 
-def _line_poly_coefficients(r_list, norms_sq, g, s_list, step_g, step_s, h_list) -> np.ndarray:
+def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h) -> np.ndarray:
     """Ascending coefficients of p(t) = SE(G + t step_G, S_i + t step_S_i).
 
-    ``g`` / ``s_list`` are the SQUARE-coordinates variables and ``h_list``
-    holds R_i P0 = R_i (G * G), the native products at the current point.
+    ``g`` and the (N, k, k) stack ``s`` are the SQUARE-coordinates variables
+    and ``h`` holds the stack R_i P0 = R_i (G * G), the native products at
+    the current point.  The products R_i [P1, P2] are this function's one
+    n x 2k data pass.
     """
+    k = g.shape[1]
     p = _square_line(g, step_g)
     pt = p.transpose(0, 2, 1)
-    gram = _poly_matmul(pt, p)
-    coeffs = np.zeros(13)
-    for r, nrm, s, ds, h in zip(r_list, norms_sq, s_list, step_s, h_list):
-        q = _square_line(s, ds)
-        mid = _poly_matmul(pt, np.stack((h, r @ p[1], r @ p[2])))
-        asq = _poly_matmul(gram, q)
-        coeffs[0] += nrm
-        coeffs[:7] -= 2.0 * _poly_inner(mid, q)
-        coeffs += _poly_inner(asq, asq.transpose(0, 2, 1))
+    rp = bundle.times(np.hstack((p[1], p[2])))
+    mid = _poly_matmul(pt, np.stack((h, rp[..., :k], rp[..., k:])))
+    q = _square_line(s, step_s)
+    asq = _poly_matmul(_poly_matmul(pt, p), q)
+    coeffs = _poly_inner(asq, asq.swapaxes(-1, -2))
+    coeffs[:7] -= 2.0 * _poly_inner(mid, q)
+    coeffs[0] += bundle.norm_sq_total
     return coeffs
 
 
@@ -97,11 +106,10 @@ def line_poly_coeffs(bundle: DataBundle, fact: Factorization, grad_g, grad_s) ->
     """
     _require_square_coords(fact, "line_poly_coeffs")
     check_compatible(bundle, fact)
-    native_g = SQUARE.apply(fact.G)
-    h_list = [r @ native_g for r in bundle.R]
+    h = bundle.times(SQUARE.apply(fact.G))
     step_g = -np.asarray(grad_g, dtype=float)
-    step_s = [-np.asarray(d, dtype=float) for d in grad_s]
-    c = _line_poly_coefficients(bundle.R, bundle.norms_sq, fact.G, fact.S, step_g, step_s, h_list)
+    step_s = -np.asarray(grad_s, dtype=float)
+    c = _line_poly_coefficients(bundle, fact.G, np.array(fact.S), step_g, step_s, h)
     return LinePolynomial(c)
 
 
@@ -136,8 +144,7 @@ def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
     """Run the exact line search from a SQUARE-coordinates starting point.
 
     Returns (native factorization, trace); the native factors are the
-    element-wise squares of the final variables.  Per iteration the data is
-    touched by 3 N products R_i X with X of shape n x k.
+    element-wise squares of the final variables.
     """
     if config.method != "gmels":
         raise ValueError(f"config.method is {config.method!r}, expected 'gmels'")
@@ -146,22 +153,20 @@ def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
 
     fact = start.copy()
     tracer = TraceBuilder(bundle, config)
-    se_value, dg, ds, h_list = _transformed_step(bundle, fact)
+    se_value, dg, ds, h = _transformed_step(bundle, fact)
     tracer.start(se_value)
 
     stop = None
     for it in range(1, config.max_iterations + 1):
-        step_g = -dg
-        step_s = [-d for d in ds]
         poly = LinePolynomial(_line_poly_coefficients(
-            bundle.R, bundle.norms_sq, fact.G, fact.S, step_g, step_s, h_list
+            bundle, fact.G, np.array(fact.S), -dg, -ds, h
         ))
         t = poly_minimize(poly)
         if t != 0.0:
-            fact.G += t * step_g
-            for s, d in zip(fact.S, step_s):
-                s += t * d
-        se_value, dg, ds, h_list = _transformed_step(bundle, fact)
+            fact.G -= t * dg
+            for s, d in zip(fact.S, ds):
+                s -= t * d
+        se_value, dg, ds, h = _transformed_step(bundle, fact)
         stop = tracer.step(it, se_value)
         if stop is not None:
             break

@@ -18,7 +18,9 @@ The native gradient needs no residual: with H_i = R_i G it is k x k algebra
 on A = G^T G and M_i = G^T H_i, and so is SE (``se_from_gram``), which shares
 the products A S_i A with dS_i.  Every solver gets its objective and gradient
 from that one Gram step; in transformed coordinates the gradient follows by
-the chain rule, dX' = f'(X') * dX.
+the chain rule, dX' = f'(X') * dX.  A Gram step is one data pass (see
+``DataBundle.times``), R_i G for every i; the rest is batched k x k algebra
+on the (N, k, k) stack of the S_i.
 :func:`grad_transformed` evaluates the formulas above from the n x n residuals
 instead and is kept as the independent reference the tests compare against.
 """
@@ -47,42 +49,50 @@ def grad_native(bundle: DataBundle, fact: Factorization):
     """
     _require_native(fact, "grad_native")
     check_compatible(bundle, fact)
-    _, dg, ds, _ = _gram_step(bundle.R, bundle.norms_sq, fact.G, fact.S)
-    return dg, ds
+    _, dg, ds, _ = _gram_step(bundle, fact.G, np.array(fact.S))
+    return dg, list(ds)
 
 
-def _gram_step(r_list, norms_sq, g, s_list):
-    """SE and native gradient at (G, [S_i]) from the N products H_i = R_i G.
+def _gram_products(bundle: DataBundle, g):
+    """A = G^T G, the products H_i = R_i G and M_i = G^T H_i: one data pass.
 
-    Returns (SE, dG, [dS_i], [H_i]); the products are handed back for callers
-    that reuse them.  No n x n matrix is formed.
+    H and M come back as (N, n, k) and (N, k, k) stacks.
     """
-    gram = g.T @ g
-    h_list = [r @ g for r in r_list]
-    mid = [g.T @ h for h in h_list]
-    asa = [gram @ s @ gram for s in s_list]
-    num = np.zeros_like(g)
-    sas = np.zeros_like(gram)
-    for h, s in zip(h_list, s_list):
-        num += h @ s
-        sas += s @ gram @ s
+    h = bundle.times(g)
+    return g.T @ g, h, g.T @ h
+
+
+def _g_terms(gram, h, s):
+    """The two halves of dG: sum_i H_i S_i and sum_i S_i A S_i."""
+    return (h @ s).sum(axis=0), (s @ gram @ s).sum(axis=0)
+
+
+def _gram_step(bundle: DataBundle, g, s):
+    """SE and native gradient at (G, S) from the N products H_i = R_i G.
+
+    ``s`` is the (N, k, k) stack of the S_i.  Returns (SE, dG, dS, H) with dS
+    and H as stacks; H is handed back for callers that reuse it.  No n x n
+    matrix is formed.
+    """
+    gram, h, mid = _gram_products(bundle, g)
+    asa = gram @ s @ gram
+    num, sas = _g_terms(gram, h, s)
     dg = 4.0 * (g @ sas - num)
-    ds = [2.0 * (a - m) for a, m in zip(asa, mid)]
-    return _se_from_asa(norms_sq, mid, s_list, asa), dg, ds, h_list
+    ds = 2.0 * (asa - mid)
+    return _se_from_asa(bundle.norms_sq, mid, s, asa), dg, ds, h
 
 
 def _transformed_step(bundle: DataBundle, fact: Factorization):
     """SE and the gradient in the stored variables, f = fact.coords.
 
     Runs :func:`_gram_step` at the native point (f(G'), [f(S_i')]) and applies
-    the chain rule dX' = f'(X') * dX.  Returns (SE, dG', [dS_i'], [H_i]) with
-    H_i = R_i f(G').
+    the chain rule dX' = f'(X') * dX.  Returns (SE, dG', dS', H) with dS' and
+    H = R_i f(G') as stacks.
     """
     f = fact.coords
-    se_value, dg, ds, h_list = _gram_step(bundle.R, bundle.norms_sq, f.apply(fact.G),
-                                          [f.apply(s) for s in fact.S])
-    return (se_value, f.derivative(fact.G) * dg,
-            [f.derivative(s) * d for s, d in zip(fact.S, ds)], h_list)
+    s = np.array(fact.S)
+    se_value, dg, ds, h = _gram_step(bundle, f.apply(fact.G), f.apply(s))
+    return se_value, f.derivative(fact.G) * dg, f.derivative(s) * ds, h
 
 
 def grad_transformed(bundle: DataBundle, fact: Factorization):

@@ -38,6 +38,10 @@ STOP_REASONS = (MSE_THRESHOLD, DELTA_THRESHOLD, MAX_ITERATIONS)
 SYMMETRY_INPUT_RTOL = 1e-12
 SYMMETRY_ITERATE_RTOL = 1e-10
 
+# G = 0 already scores MSE 1, so a run whose MSE climbs past this multiple of
+# max(1, MSE_0) has diverged even while its iterates stay finite.
+DIVERGENCE_MSE_FACTOR = 1e6
+
 
 class DimensionError(ValueError):
     """Shape mismatch between a factorization and a data bundle."""
@@ -48,7 +52,8 @@ class ValidationError(ValueError):
 
 
 class SolverDivergedError(RuntimeError):
-    """The objective or a gradient became non-finite during a run.
+    """The objective or a gradient became non-finite during a run, or the
+    MSE ran away (see :class:`TraceBuilder`).
 
     ``records`` carries the per-iteration records collected before the abort,
     for diagnosis.
@@ -123,59 +128,70 @@ def _check_nonnegative(r: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DataBundle:
-    """An N-tuple of symmetric non-negative n x n matrices plus cached norms.
+    """N symmetric non-negative n x n matrices plus cached norms.
 
-    Instances are immutable (the stored arrays are marked read-only) and can
-    be shared freely across concurrent solver runs.
+    ``R`` is one read-only, C-contiguous (N, n, n) array; iterating or
+    indexing it yields the n x n matrices R_i.  The solvers touch the data
+    only through :meth:`times`.  Instances are immutable and can be shared
+    freely across concurrent solver runs.
     """
 
     n: int
     N: int
-    R: tuple[np.ndarray, ...]
+    R: np.ndarray
     norm_sq_total: float
     label: str = ""
 
     @classmethod
     def from_matrices(cls, matrices, label: str = "", symmetrize: bool = False) -> "DataBundle":
-        """Validate and wrap raw matrices.
+        """Validate raw matrices and copy them into one (N, n, n) stack.
 
         Raises ValidationError on non-square, non-finite, asymmetric (beyond
-        1e-12 relative, unless ``symmetrize``) or negative input.
+        1e-12 relative, unless ``symmetrize``), negative or differently
+        ordered input.
         """
-        mats = []
+        matrices = list(matrices)
+        if not matrices:
+            raise ValidationError("a bundle needs at least one matrix")
+        stack = None
         for i, raw in enumerate(matrices):
             name = f"R_{i + 1}"
-            r = np.array(raw, dtype=float)
+            r = np.asarray(raw, dtype=float)
             _check_square(r, name)
             _check_finite(r, name)
             if symmetrize:
                 r = (r + r.T) / 2.0
             _check_symmetric(r, name, SYMMETRY_INPUT_RTOL)
             _check_nonnegative(r, name)
-            r.setflags(write=False)
-            mats.append(r)
-        if not mats:
-            raise ValidationError("a bundle needs at least one matrix")
-        n = mats[0].shape[0]
-        for i, r in enumerate(mats):
-            if r.shape[0] != n:
+            if stack is None:
+                stack = np.empty((len(matrices),) + r.shape)
+            elif r.shape != stack.shape[1:]:
                 raise ValidationError(
-                    f"R_{i + 1} has order {r.shape[0]}, expected {n}"
+                    f"{name} has order {r.shape[0]}, expected {stack.shape[1]}"
                 )
-        norm = sum(float(r.ravel() @ r.ravel()) for r in mats)
-        return cls(n=n, N=len(mats), R=tuple(mats), norm_sq_total=norm, label=label)
+            stack[i] = r
+        stack.setflags(write=False)
+        norm = sum(float(r.ravel() @ r.ravel()) for r in stack)
+        return cls(n=stack.shape[1], N=len(stack), R=stack, norm_sq_total=norm, label=label)
 
     def __setstate__(self, state):
-        # Unpickled arrays come back writeable (as in a process pool worker);
-        # restore the read-only promise.
+        # An unpickled array comes back writeable (as in a process pool
+        # worker); restore the read-only promise.
         self.__dict__.update(state)
-        for r in self.R:
-            r.setflags(write=False)
+        self.R.setflags(write=False)
 
     @cached_property
     def norms_sq(self) -> tuple[float, ...]:
         """Per-matrix squared Frobenius norms ||R_i||^2."""
         return tuple(float(r.ravel() @ r.ravel()) for r in self.R)
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """The products R_i X for every i, as one (N, n, m) array.
+
+        The one place where the solvers multiply by the data.  One data pass
+        is the N products R_i X with X of k columns.
+        """
+        return self.R @ x
 
 
 @dataclass
@@ -270,7 +286,7 @@ def se_from_gram(norms_sq, gram, mid, s_list) -> float:
     objective in O(N k^3) without forming n x n residuals.  Clamped at zero:
     cancellation can push the exact-fit value a few ulps negative.
     """
-    return _se_from_asa(norms_sq, mid, s_list, [gram @ s @ gram for s in s_list])
+    return _se_from_asa(norms_sq, mid, s_list, gram @ np.asarray(s_list) @ gram)
 
 
 def _se_from_asa(norms_sq, mid, s_list, asa_list) -> float:
@@ -326,6 +342,9 @@ class TraceBuilder:
     iteration cap.  The plateau check runs first so a run started at a fixed
     point terminates with ``delta_threshold`` rather than tripping the MSE
     threshold it already satisfies.
+
+    Before the rules, :meth:`step` raises SolverDivergedError when SE is
+    non-finite or MSE_t exceeds DIVERGENCE_MSE_FACTOR * max(1, MSE_0) (1e6).
     """
 
     def __init__(self, bundle: DataBundle, config: "SolverConfig"):
@@ -335,6 +354,7 @@ class TraceBuilder:
         self._config = config
         self._t0 = time.monotonic()
         self._prev_mse: float | None = None
+        self._mse_ceiling = np.inf
         self._last: tuple[int, float, float] | None = None
         self.records: list[TraceRecord] = []
 
@@ -350,6 +370,7 @@ class TraceBuilder:
         mse_value = se_value / self._norm
         self._append(0, se_value, mse_value)
         self._prev_mse = mse_value
+        self._mse_ceiling = DIVERGENCE_MSE_FACTOR * max(1.0, mse_value)
         self._last = (0, se_value, mse_value)
         return mse_value
 
@@ -361,6 +382,12 @@ class TraceBuilder:
                 records=self.records,
             )
         mse_value = se_value / self._norm
+        if mse_value > self._mse_ceiling:
+            raise SolverDivergedError(
+                f"MSE {mse_value:.6g} at iteration {iteration} exceeds "
+                f"{DIVERGENCE_MSE_FACTOR:g} x max(1, starting MSE)",
+                records=self.records,
+            )
         if iteration % self._config.trace_stride == 0:
             self._append(iteration, se_value, mse_value)
         self._last = (iteration, se_value, mse_value)

@@ -37,6 +37,32 @@ def exact_fit_pair(rng, n, k, N, strictly_positive=True):
     return bundle, Factorization(g, s_list)
 
 
+def assert_one_stack(bundle):
+    """The bundle holds its data as one read-only, C-contiguous (N, n, n) array."""
+    assert isinstance(bundle.R, np.ndarray)
+    assert bundle.R.shape == (bundle.N, bundle.n, bundle.n)
+    assert bundle.R.flags.c_contiguous and not bundle.R.flags.writeable
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def data_passes(monkeypatch):
+    """Counts the data passes taken through ``DataBundle.times``.
+
+    One pass is one product R_i @ X with X of k columns, so a call with an
+    n x m block X costs N m / k passes.  The fixture returns a function of k
+    that reads the count so far.
+    """
+    columns = []
+    times = DataBundle.times
+
+    def counted(bundle, x):
+        columns.append(bundle.N * x.shape[1])
+        return times(bundle, x)
+
+    monkeypatch.setattr(DataBundle, "times", counted)
+    return lambda k: sum(columns) / k

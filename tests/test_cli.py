@@ -89,20 +89,25 @@ class TestSolve:
         assert summary["stop_reason"] == "delta_threshold"
         assert summary["iterations"] <= 2
 
-    def test_divergence_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("alpha, cause", [
         # A step size of 1e200 overflows the adam iterates within a few steps.
+        pytest.param(1e200, "non-finite", id="overflow"),
+        # 1e6 keeps the iterates finite while the MSE runs away past 1e26.
+        pytest.param(1e6, "exceeds", id="runaway"),
+    ])
+    def test_divergence_exit_code(self, tmp_path, capsys, alpha, cause):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
         out = tmp_path / "run"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = run_cli(
                 "solve", "--bundle", bundle_dir, "--method", "adam", "--k", 2,
-                "--adam-alpha", 1e200, "--out", out,
+                "--adam-alpha", alpha, "--out", out,
             )
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert rc == cli.EXIT_DIVERGED
         err = capsys.readouterr().err
-        assert err.startswith("diverged: ") and "non-finite" in err
+        assert err.startswith("diverged: ") and cause in err
         assert err.count("\n") == 1
         assert not (out / "G.txt").exists()
 
@@ -376,6 +381,32 @@ class TestTune:
         assert len(rows) == 1
         assert float(rows[0]["alpha"]) == 0.002
         assert "score" in rows[0]
+
+    def test_runaway_point_scores_inf_and_ranks_last(self, tmp_path, capsys):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        out = tmp_path / "tune.csv"
+        rc = run_cli(
+            "tune", "--suite", bundle_dir, "--runs", 1, "--max-iters", 50,
+            "--point", "1e6,0.5,0.5", "--point", "0.002,0.95,0.995", "--out", out,
+        )
+        assert rc == 0
+        with open(out) as fh:
+            scores = [float(row["score"]) for row in csv.DictReader(fh)]
+        assert scores[0] == float("inf") and scores[1] < float("inf")
+        assert "best: alpha=0.002 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--point", "0.1,1.5,0.9"), ("--point", "x"), ("--point", "0.1,0.5"), ("--k", 0),
+        ("--trials", 0), ("--runs", 0), ("--max-iters", 0),
+    ])
+    def test_bad_tune_argument_is_usage_error(self, tmp_path, flag, value):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
+        out = tmp_path / "tune.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli("tune", "--suite", bundle_dir, "--trials", 1, "--runs", 1,
+                    "--max-iters", 5, flag, value, "--out", out)
+        assert err.value.code == cli.EXIT_USAGE
+        assert not out.exists()
 
     def test_sampling_deterministic(self, tmp_path):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=16, K=2)

@@ -18,6 +18,8 @@ from snmtf.model import (
     mse,
 )
 
+from conftest import assert_one_stack
+
 GOLDEN = Path(__file__).parent / "data" / "golden_bundle"
 
 VALID_R = np.array([[1.0, 0.5, 0.25], [0.5, 2.0, 0.0], [0.25, 0.0, 3.0]])
@@ -156,6 +158,7 @@ class TestBundleIO:
         data.save_bundle(bundle, tmp_path / "b", planted=planted)
         back = data.load_bundle(tmp_path / "b")
         assert back.n == bundle.n and back.N == bundle.N
+        assert_one_stack(back)
         for x, y in zip(back.R, bundle.R):
             assert np.array_equal(x, y)
         assert back.norm_sq_total == bundle.norm_sq_total

@@ -19,7 +19,7 @@ from snmtf.model import (
     se_from_gram,
 )
 
-from conftest import exact_fit_pair, random_bundle, random_native_fact
+from conftest import assert_one_stack, exact_fit_pair, random_bundle, random_native_fact
 
 
 def se_triple_loop(r_list, g, s_list):
@@ -180,6 +180,7 @@ class TestDataBundle:
 
     def test_matrices_are_read_only(self, rng):
         bundle = random_bundle(rng, 4, 2)
+        assert_one_stack(bundle)
         with pytest.raises(ValueError):
             bundle.R[0][0, 0] = 1.0
 
@@ -187,6 +188,7 @@ class TestDataBundle:
         bundle = random_bundle(rng, 4, 2)
         back = pickle.loads(pickle.dumps(bundle))
         assert [r.flags.writeable for r in back.R] == [False, False]
+        assert_one_stack(back)
         assert back.norm_sq_total == bundle.norm_sq_total
         for x, y in zip(back.R, bundle.R):
             np.testing.assert_array_equal(x, y)

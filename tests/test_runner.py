@@ -5,6 +5,8 @@ from snmtf.data import generate_synthetic
 from snmtf.model import DimensionError, SolverConfig, Transform, ValidationError
 from snmtf.runner import build_start, run
 
+from conftest import random_bundle
+
 
 @pytest.fixture(scope="module")
 def planted_bundle():
@@ -98,3 +100,26 @@ class TestRunDispatch:
         _, trace = run(bundle, config, start=planted)
         assert trace.iterations <= 2
         assert trace.stop_reason == "delta_threshold"
+
+
+class TestCostModel:
+    # Data passes per outer iteration in units of N (one pass is one
+    # product R_i @ X with X of k columns); bcd takes two per G step
+    # (R_i G, R_i dG) at its default 10 steps, plus R_i G once.
+    PER_ITERATION = {"fpm": 1, "adam": 1, "gmels": 3, "bcd": 21}
+
+    @pytest.mark.parametrize("method", ["fpm", "bcd", "gmels", "adam"])
+    def test_data_passes_per_iteration(self, rng, data_passes, method):
+        bundle = random_bundle(rng, 12, 3)
+        k = 4
+        counts = []
+        for iterations in (1, 3):
+            before = data_passes(k)
+            config = SolverConfig(method=method, k=k, max_iterations=iterations,
+                                  mse_stop=0.0, delta_stop=0.0)
+            _, trace = run(bundle, config)
+            assert trace.iterations == iterations
+            counts.append(data_passes(k) - before)
+        per_iteration = (counts[1] - counts[0]) / 2
+        assert per_iteration == self.PER_ITERATION[method] * bundle.N
+        assert counts[0] - per_iteration == bundle.N
