@@ -6,25 +6,29 @@ number of projected-gradient steps with exact line search:
 * S-block: for fixed G the problem splits into N independent convex
   quadratics.  Along the gradient direction dS_i the objective is a quadratic
   in t with closed-form minimizer
-  t* = <R_i - G S_i G^T, G dS_i G^T> / ||G dS_i G^T||^2, after which the step
-  is projected onto the non-negative orthant.
-* G-block: along dG the objective is a quartic p(t) whose five coefficients
-  are computed in closed form; p is minimized over [-1, 0].  When the best
-  step is t = 0 or the decrease is smaller than 1e-3, a small uniform random
-  perturbation (scale 1e-5) is added before projecting, to escape flat spots.
+  t_i* = <R_i - G S_i G^T, G dS_i G^T> / ||G dS_i G^T||^2, after which the
+  step is projected onto the non-negative orthant.  All N blocks step at once
+  as one (N, k, k) stack, each with its own t_i*; a block whose denominator
+  is not finite and positive is frozen for the rest of the solve.
+* G-block: along dG the objective is a quartic p(t), the line polynomial of
+  ``gradients._line_poly`` with G(t) = G + t dG and S fixed; ``poly_minimize``
+  minimizes it over [-1, 0].  When the best step is t = 0 or the decrease is
+  smaller than 1e-3, a small uniform random perturbation (scale 1e-5) is
+  added before projecting, to escape flat spots.
 
 All line-search quantities are reduced to k x k products (Frobenius traces),
 so the cost is dominated by the data passes (see ``DataBundle.times``):
-N at the start, then per outer iteration 2 N per G step (R_i G, then R_i dG,
-which needs dG and so cannot share one n x 2k product with R_i G) plus N for
-the next S block, i.e. 21 N at the default 10 inner steps.
+N at the start, then 2 N per G step (R_i dG for the quartic, then R_i G at
+the new point, which also serves the next G step and the trace), i.e. 20 N
+per outer iteration at the default 10 inner steps.  The S block needs
+M_i = G^T R_i G only, which the last G step's products already hold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gradients import _gram_products, _gram_step
+from .gradients import _grad_g, _gram_products, _line_poly
 from .model import (
     DataBundle,
     Factorization,
@@ -32,7 +36,10 @@ from .model import (
     SolverConfig,
     TraceBuilder,
     _require_native,
+    _se_terms,
+    _traces,
     check_compatible,
+    poly_minimize,
     se_from_gram,
 )
 
@@ -42,85 +49,24 @@ PERTURBATION_SCALE = 1e-5
 INITIAL_S_VALUE = 0.5
 
 
-def _vdot(a, b) -> float:
-    return float(np.vdot(a, b))
-
-
-def _traces(x, y) -> np.ndarray:
-    """Frobenius inner products <X_i, Y_i> over a (N, k, k) stack ``x``;
-    ``y`` is a stack too or one k x k matrix shared by every i.  ``np.vecdot``
-    (numpy 2) takes the same dot product as ``np.vdot``, term for term."""
-    return np.vecdot(x.reshape(len(x), -1), y.reshape(*y.shape[:-2], -1))
-
-
-def _quartic_coefficients(bundle: DataBundle, g, s, dg, h) -> np.ndarray:
-    """Ascending coefficients of p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2.
-
-    With Z_i the residual, P_i = dG S_i G^T + G S_i dG^T and
-    Q_i = dG S_i dG^T:
-
-        c0 = sum ||Z_i||^2            c1 = -2 sum <Z_i, P_i>
-        c2 = sum (||P_i||^2 - 2 <Z_i, Q_i>)
-        c3 = 2 sum <P_i, Q_i>         c4 = sum ||Q_i||^2
-
-    evaluated through k x k traces (A = G^T G, B = G^T dG, C = dG^T dG,
-    M_i = G^T R_i G, N_i = G^T R_i dG, O_i = dG^T R_i dG).  ``s`` is the
-    (N, k, k) stack of the S_i and ``h`` the stack of products R_i G that the
-    gradient already took, so the products R_i dG are this function's one
-    data pass.
-    """
-    a = g.T @ g
-    b = g.T @ dg
-    cc = dg.T @ dg
-    j = bundle.times(dg)
-    m = g.T @ h
-    nk = g.T @ j
-    o = dg.T @ j
-    sas = s @ a @ s
-    sbs = s @ b @ s
-    scs = s @ cc @ s
-    y = s @ b.T
-    z_sq = np.asarray(bundle.norms_sq) - 2.0 * _traces(m, s) + _traces(sas, a)
-    zp = 2.0 * _traces(nk, s) - 2.0 * _traces(sas, b)
-    zq = _traces(o, s) - _traces(sbs, b)
-    p_sq = 2.0 * _traces(scs, a) + 2.0 * _traces(y, y.swapaxes(1, 2))
-    pq = _traces(scs, b) + _traces(sbs, cc)
-    q_sq = _traces(scs, cc)
-    terms = np.stack((z_sq, -2.0 * zp, p_sq - 2.0 * zq, 2.0 * pq, q_sq), axis=1)
-    return terms.sum(axis=0)  # an axis-0 sum adds the rows in order of i
-
-
 def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> LinePolynomial:
-    """Quartic step-size polynomial along dG at a native-coordinates point."""
+    """Quartic p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2 along dG at a
+    native-coordinates point: the line polynomial with P = (G, dG), Q = (S,)."""
     _require_native(fact, "quartic_coeffs")
     check_compatible(bundle, fact)
-    g = fact.G
-    c = _quartic_coefficients(bundle, g, np.array(fact.S), np.asarray(dg, float), bundle.times(g))
-    return LinePolynomial(c)
+    g, dg = fact.G, np.asarray(dg, float)
+    rp = (bundle.times(g), bundle.times(dg))
+    return LinePolynomial(_line_poly(bundle, (g, dg), np.array(fact.S)[None], rp))
 
 
-def _minimize_quartic(poly: LinePolynomial, lo: float = SEARCH_INTERVAL[0], hi: float = SEARCH_INTERVAL[1]) -> float:
-    """Global minimum of a quartic on [lo, hi].
-
-    Candidates: the interval endpoints and the real parts of the roots of the
-    cubic p', clipped to [lo, hi].  The real stationary points are among them,
-    so this is the exact global minimum.  Ties keep the earliest candidate, so
-    a flat polynomial returns ``hi`` (= 0 for the descent interval).
-    """
-    roots = np.roots(poly.derivative_coeffs()[::-1])
-    candidates = [hi, lo] + [float(t) for t in np.clip(roots.real, lo, hi)]
-    values = [poly(t) for t in candidates]
-    return candidates[int(np.argmin(values))]
-
-
-def _g_step(bundle: DataBundle, g, s, rng):
-    """One projected-gradient step on G with exact quartic line search."""
-    _, dg, _, h = _gram_step(bundle, g, s)
-    coeffs = _quartic_coefficients(bundle, g, s, dg, h)
-    poly = LinePolynomial(coeffs)
-    t = _minimize_quartic(poly)
+def _g_step(bundle: DataBundle, g, gram, h, s, rng):
+    """One projected-gradient step on G with exact quartic line search, given
+    A = G^T G and the products H_i = R_i G; R_i dG is its one data pass."""
+    dg = _grad_g(g, gram, h, s)
+    poly = LinePolynomial(_line_poly(bundle, (g, dg), s[None], (h, bundle.times(dg))))
+    t = poly_minimize(poly, *SEARCH_INTERVAL)
     g_new = g + t * dg
-    if t == 0.0 or poly(t) - coeffs[0] > -MIN_DECREASE:
+    if t == 0.0 or poly(t) - poly.c[0] > -MIN_DECREASE:
         g_new = g_new + PERTURBATION_SCALE * rng.random(g.shape)
     return np.maximum(g_new, 0.0)
 
@@ -129,7 +75,8 @@ def linesearch_g(bundle: DataBundle, fact: Factorization, rng: np.random.Generat
     """Projected exact-line-search update of G (gradient direction, [-1, 0])."""
     _require_native(fact, "linesearch_g")
     check_compatible(bundle, fact)
-    return _g_step(bundle, fact.G, np.array(fact.S), rng)
+    g = fact.G
+    return _g_step(bundle, g, g.T @ g, bundle.times(g), np.array(fact.S), rng)
 
 
 def linesearch_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
@@ -138,44 +85,42 @@ def linesearch_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
     _require_native(fact, "linesearch_s")
     check_compatible(bundle, fact)
     g = fact.G
-    gram = g.T @ g
     mid = g.T @ (bundle.R[i] @ g)
-    return _s_inner_solve(gram, mid, fact.S[i], 1)
+    return _s_inner_solve(g.T @ g, mid[None], fact.S[i][None], 1)[0]
 
 
-def _s_inner_solve(gram, mid, s, iterations, norm_sq=None, substep_log=None):
-    """Projected-gradient inner solve for one S block at fixed G.
+def _s_inner_solve(gram, mid, s, iterations, norms_sq=None, substep_log=None):
+    """Projected-gradient inner solve for the (N, k, k) stack ``s`` at fixed G.
 
-    ``substep_log``, when given, collects per-step SE values (before the
-    step, at the unprojected line-search point, and after projection) via the
-    trace identity; used to study how the projection interacts with descent.
+    ``mid`` is the stack of M_i = G^T R_i G.  Every block takes its own exact
+    step; a block whose step denominator ||G dS_i G^T||^2 is not finite and
+    positive is frozen from then on.  ``substep_log``, when given, collects
+    one row per block and step with the block's SE before the step, at the
+    unprojected line-search point and after projection (``norms_sq`` holds
+    the ||R_i||^2); used to study how the projection interacts with descent.
     """
-    s = s.copy()
+    s = np.array(s, dtype=float)
+    live = np.ones(len(s), dtype=bool)
     for step in range(iterations):
         asa = gram @ s @ gram
         ds = 2.0 * (asa - mid)
-        adsa = gram @ ds @ gram
-        denom = _vdot(adsa, ds)
-        if not np.isfinite(denom) or denom <= 0.0:
+        denom = _traces(gram @ ds @ gram, ds)
+        live &= np.isfinite(denom) & (denom > 0.0)
+        if not live.any():
             break
-        t = _vdot(mid - asa, ds) / denom
-        raw = s + t * ds
+        ds, m, x, asa = ds[live], mid[live], s[live], asa[live]
+        t = _traces(m - asa, ds) / denom[live]
+        raw = x + t[:, None, None] * ds
         projected = np.maximum(raw, 0.0)
         if substep_log is not None:
-            substep_log.append(
-                {
-                    "step": step,
-                    "se_before": _block_se(norm_sq, gram, mid, s),
-                    "se_unprojected": _block_se(norm_sq, gram, mid, raw),
-                    "se_projected": _block_se(norm_sq, gram, mid, projected),
-                }
+            norms = np.asarray(norms_sq)[live]
+            ses = [_se_terms(norms, m, y, gram @ y @ gram) for y in (x, raw, projected)]
+            substep_log.extend(
+                {"step": step, "se_before": float(a), "se_unprojected": float(b), "se_projected": float(c)}
+                for a, b, c in zip(*ses)
             )
-        s = projected
+        s[live] = projected
     return s
-
-
-def _block_se(norm_sq, gram, mid, s) -> float:
-    return norm_sq - 2.0 * _vdot(mid, s) + _vdot(gram @ s @ gram, s)
 
 
 def bcd_solve(
@@ -205,19 +150,15 @@ def bcd_solve(
     norms = bundle.norms_sq
     tracer = TraceBuilder(bundle, config)
 
-    gram, _, mid = _gram_products(bundle, g)
+    gram, h, mid = _gram_products(bundle, g)
     tracer.start(se_from_gram(norms, gram, mid, s))
 
     stop = None
     for outer in range(1, config.max_iterations + 1):
-        for i in range(bundle.N):
-            s[i] = _s_inner_solve(
-                gram, mid[i], s[i], config.bcd_inner_iterations,
-                norm_sq=norms[i], substep_log=substep_log,
-            )
+        s = _s_inner_solve(gram, mid, s, config.bcd_inner_iterations, norms, substep_log)
         for _ in range(config.bcd_inner_iterations):
-            g = _g_step(bundle, g, s, rng)
-        gram, _, mid = _gram_products(bundle, g)
+            g = _g_step(bundle, g, gram, h, s, rng)
+            gram, h, mid = _gram_products(bundle, g)
         stop = tracer.step(outer, se_from_gram(norms, gram, mid, s))
         if stop is not None:
             break

@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=runner.INIT_KINDS, default="deterministic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--no-save-runs", action="store_true",
                    help="skip per-run factor/trace directories")
     p.add_argument("--out", required=True)

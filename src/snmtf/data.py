@@ -161,9 +161,8 @@ def load_bundle(path, symmetrize: bool = False) -> DataBundle:
     path = Path(path)
     manifest = read_manifest(path)
     names = manifest.get("matrices") or [f"R_{i + 1}.mtx.txt" for i in range(manifest["N"])]
-    mats = [load_matrix(path / name) for name in names]
-    bundle = DataBundle.from_matrices(mats, label=manifest.get("label", path.name),
-                                      symmetrize=symmetrize)
+    bundle = DataBundle._from_iterable((load_matrix(path / name) for name in names), len(names),
+                                       manifest.get("label", path.name), symmetrize)
     if bundle.n != manifest["n"] or bundle.N != manifest["N"]:
         raise ValidationError(
             f"{path}: manifest promises n={manifest['n']}, N={manifest['N']}, "

@@ -12,9 +12,11 @@ quadratic in t, G(t) = P0 + t P1 + t^2 P2 and S_i(t) = Q0 + t Q1 + t^2 Q2, and
     p(t) = sum_i ||R_i||^2 - 2 <G(t)^T R_i G(t), S_i(t)> + <A S_i, (A S_i)^T>(t)
 
 with A(t) = G(t)^T G(t).  Given R_i P0 (the products the gradient already
-needs), only R_i P1 and R_i P2 touch the data; everything else is k x k
-polynomial algebra, so no n x n matrix is ever formed.  Every iteration steps
-all variables by the global minimizer of p, so SE never increases.
+needs), only R_i P1 and R_i P2 touch the data; the coefficients then come
+from the line-polynomial kernel that bcd's quartic shares
+(``gradients._line_poly``), k x k polynomial algebra in which no n x n matrix
+is formed.  Every iteration steps all variables by the global minimizer of p
+(``poly_minimize``, unbounded), so SE never increases.
 
 Data passes (see ``DataBundle.times``): N at the start, 3 N per iteration
 (R_i [P1, P2] as one n x 2k product, then R_i G at the new point).
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradients import _transformed_step
+from .gradients import _line_poly, _transformed_step
 from .model import (
     DataBundle,
     Factorization,
@@ -33,12 +35,8 @@ from .model import (
     TraceBuilder,
     Transform,
     check_compatible,
+    poly_minimize,
 )
-
-# Coefficient below 1e-14 of the largest are treated as zero when the
-# derivative's companion matrix is formed.
-LEADING_COEFF_RTOL = 1e-14
-REAL_ROOT_IMAG_RTOL = 1e-8
 
 SQUARE = Transform.SQUARE
 
@@ -53,29 +51,6 @@ def _square_line(x, d) -> np.ndarray:
     return np.stack((x * x, 2.0 * x * d, d * d))
 
 
-def _poly_matmul(x, y) -> np.ndarray:
-    """Stacked coefficients of the matrix polynomial product X(t) Y(t).
-
-    Axis 0 indexes the power of t; the rest broadcast as in ``matmul``.
-    """
-    shape = np.broadcast_shapes(x.shape[1:-2], y.shape[1:-2]) + (x.shape[-2], y.shape[-1])
-    out = np.zeros((len(x) + len(y) - 1,) + shape)
-    for a, xa in enumerate(x):
-        for b, yb in enumerate(y):
-            out[a + b] += xa @ yb
-    return out
-
-
-def _poly_inner(x, y) -> np.ndarray:
-    """Ascending coefficients of the Frobenius product <X(t), Y(t)>, summed
-    over every axis after the first."""
-    pairs = np.tensordot(x, y, axes=(range(1, x.ndim), range(1, y.ndim)))
-    out = np.zeros(len(x) + len(y) - 1)
-    for a, row in enumerate(pairs):
-        out[a:a + len(y)] += row
-    return out
-
-
 def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h) -> np.ndarray:
     """Ascending coefficients of p(t) = SE(G + t step_G, S_i + t step_S_i).
 
@@ -86,15 +61,8 @@ def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h) -> np.n
     """
     k = g.shape[1]
     p = _square_line(g, step_g)
-    pt = p.transpose(0, 2, 1)
     rp = bundle.times(np.hstack((p[1], p[2])))
-    mid = _poly_matmul(pt, np.stack((h, rp[..., :k], rp[..., k:])))
-    q = _square_line(s, step_s)
-    asq = _poly_matmul(_poly_matmul(pt, p), q)
-    coeffs = _poly_inner(asq, asq.swapaxes(-1, -2))
-    coeffs[:7] -= 2.0 * _poly_inner(mid, q)
-    coeffs[0] += bundle.norm_sq_total
-    return coeffs
+    return _line_poly(bundle, p, _square_line(s, step_s), (h, rp[..., :k], rp[..., k:]))
 
 
 def line_poly_coeffs(bundle: DataBundle, fact: Factorization, grad_g, grad_s) -> LinePolynomial:
@@ -111,33 +79,6 @@ def line_poly_coeffs(bundle: DataBundle, fact: Factorization, grad_g, grad_s) ->
     step_s = -np.asarray(grad_s, dtype=float)
     c = _line_poly_coefficients(bundle, fact.G, np.array(fact.S), step_g, step_s, h)
     return LinePolynomial(c)
-
-
-def poly_minimize(poly: LinePolynomial) -> float:
-    """Global minimizer of p among {0} and the real stationary points.
-
-    Stationary points are the roots of p', found as eigenvalues of the
-    balanced companion matrix after stripping leading coefficients below
-    1e-14 of the largest.  Near-real roots (|imag| <= 1e-8 (1 + |real|)) are
-    kept.  Ties prefer smaller p, then smaller |t|, then the negative sign.
-    """
-    dc = poly.derivative_coeffs()
-    if dc.size == 0:
-        return 0.0
-    scale = float(np.abs(dc).max())
-    if scale == 0.0:
-        return 0.0
-    keep = np.nonzero(np.abs(dc) > LEADING_COEFF_RTOL * scale)[0]
-    dc = dc[: keep[-1] + 1]
-    if len(dc) == 1:
-        # p' is a nonzero constant: p is effectively linear; stay at 0.
-        return 0.0
-    roots = np.roots(dc[::-1])
-    real = [float(r.real) for r in roots if abs(r.imag) <= REAL_ROOT_IMAG_RTOL * (1.0 + abs(r.real))]
-    candidates = np.array([0.0] + real)
-    values = poly(candidates)
-    order = np.lexsort((candidates, np.abs(candidates), values))
-    return float(candidates[order[0]])
 
 
 def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):

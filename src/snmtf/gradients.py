@@ -23,6 +23,10 @@ the chain rule, dX' = f'(X') * dX.  A Gram step is one data pass (see
 on the (N, k, k) stack of the S_i.
 :func:`grad_transformed` evaluates the formulas above from the n x n residuals
 instead and is kept as the independent reference the tests compare against.
+
+Both exact line searches (bcd's quartic in G, gmels' degree-12 polynomial)
+restrict SE to a line G(t) = sum_a t^a P_a, S_i(t) = sum_b t^b Q_b and get
+its coefficients from :func:`_line_poly`, given the products R_i P_a.
 """
 
 from __future__ import annotations
@@ -67,6 +71,12 @@ def _g_terms(gram, h, s):
     return (h @ s).sum(axis=0), (s @ gram @ s).sum(axis=0)
 
 
+def _grad_g(g, gram, h, s):
+    """dG at (G, S) from A = G^T G and the products H_i = R_i G."""
+    num, sas = _g_terms(gram, h, s)
+    return 4.0 * (g @ sas - num)
+
+
 def _gram_step(bundle: DataBundle, g, s):
     """SE and native gradient at (G, S) from the N products H_i = R_i G.
 
@@ -76,10 +86,61 @@ def _gram_step(bundle: DataBundle, g, s):
     """
     gram, h, mid = _gram_products(bundle, g)
     asa = gram @ s @ gram
-    num, sas = _g_terms(gram, h, s)
-    dg = 4.0 * (g @ sas - num)
     ds = 2.0 * (asa - mid)
-    return _se_from_asa(bundle.norms_sq, mid, s, asa), dg, ds, h
+    return _se_from_asa(bundle.norms_sq, mid, s, asa), _grad_g(g, gram, h, s), ds, h
+
+
+def _poly_matmul(x, y) -> np.ndarray:
+    """Stacked coefficients of the matrix polynomial product X(t) Y(t).
+
+    Axis 0 indexes the power of t; the rest broadcast as in ``matmul``.
+    """
+    shape = np.broadcast_shapes(x.shape[1:-2], y.shape[1:-2]) + (x.shape[-2], y.shape[-1])
+    out = np.zeros((len(x) + len(y) - 1,) + shape)
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y):
+            out[a + b] += xa @ yb
+    return out
+
+
+def _poly_inner(x, y) -> np.ndarray:
+    """Ascending coefficients of the Frobenius product <X(t), Y(t)>, summed
+    over every axis after the first."""
+    pairs = np.tensordot(x, y, axes=(range(1, x.ndim), range(1, y.ndim)))
+    out = np.zeros(len(x) + len(y) - 1)
+    for a, row in enumerate(pairs):
+        out[a:a + len(y)] += row
+    return out
+
+
+def _paired_products(p, y) -> np.ndarray:
+    """Stacked coefficients of sum_{a,b} t^(a+b) P_a^T Y_b when
+    P_b^T Y_a = (P_a^T Y_b)^T, as for Y = P or Y_b = R_i P_b: each unordered
+    pair (a, b) is multiplied once and its transpose added."""
+    out = np.zeros((2 * len(p) - 1,) + y[0].shape[:-2] + (p[0].shape[1],) * 2)
+    for a in range(len(p)):
+        for b in range(a, len(p)):
+            x = p[a].T @ y[b]
+            out[a + b] += x if a == b else x + x.swapaxes(-1, -2)
+    return out
+
+
+def _line_poly(bundle: DataBundle, p, q, rp) -> np.ndarray:
+    """Ascending coefficients of SE along G(t) = sum_a t^a P_a,
+    S_i(t) = sum_b t^b Q_b:
+
+        p(t) = sum_i ||R_i||^2 - 2 <G(t)^T R_i G(t), S_i(t)> + <A S_i, (A S_i)^T>(t)
+
+    with A(t) = G(t)^T G(t).  ``p`` holds the n x k matrices P_a, ``q`` the
+    (N, k, k) stacks Q_b and ``rp`` the (N, n, k) data products R_i P_a, so
+    the rest is k x k polynomial algebra and no data pass.
+    """
+    mid = _paired_products(p, rp)
+    asq = _poly_matmul(_paired_products(p, p), q)
+    coeffs = _poly_inner(asq, asq.swapaxes(-1, -2))
+    coeffs[:len(mid) + len(q) - 1] -= 2.0 * _poly_inner(mid, q)
+    coeffs[0] += bundle.norm_sq_total
+    return coeffs
 
 
 def _transformed_step(bundle: DataBundle, fact: Factorization):

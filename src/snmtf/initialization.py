@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from . import bcd
 from .gradients import _gram_products
-from .model import DataBundle, Factorization, Transform, ValidationError
+from .model import DataBundle, DimensionError, Factorization, Transform, ValidationError
 
 # Above this order the dense eigendecomposition of sum_i R_i is replaced by an
 # iterative largest-magnitude eigensolver.
@@ -46,7 +46,7 @@ def deterministic_g(bundle: DataBundle, k: int) -> np.ndarray:
     updates and the transformed-coordinates dynamics.
     """
     if not 1 <= k <= bundle.n:
-        raise ValueError(f"k must be in [1, {bundle.n}], got {k}")
+        raise DimensionError(f"k must be in [1, {bundle.n}], got {k}")
     total = bundle.R.sum(axis=0)
     if bundle.n <= DENSE_EIG_MAX_ORDER:
         w, v = np.linalg.eigh(total)
@@ -91,9 +91,9 @@ def init_s_from_g(bundle: DataBundle, g: np.ndarray, iterations: int = 10) -> li
         raise ValueError(f"G has shape {g.shape}, expected ({bundle.n}, k)")
     if g.size and float(g.min()) < 0.0:
         raise ValueError("G must be non-negative")
-    s0 = np.full((g.shape[1], g.shape[1]), bcd.INITIAL_S_VALUE)
+    s0 = np.full((bundle.N, g.shape[1], g.shape[1]), bcd.INITIAL_S_VALUE)
     gram, _, mid = _gram_products(bundle, g)
-    return [bcd._s_inner_solve(gram, m, s0, iterations) for m in mid]
+    return list(bcd._s_inner_solve(gram, mid, s0, iterations))
 
 
 def lift_to_transformed(fact: Factorization, transform: Transform) -> Factorization:

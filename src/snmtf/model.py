@@ -42,6 +42,12 @@ SYMMETRY_ITERATE_RTOL = 1e-10
 # max(1, MSE_0) has diverged even while its iterates stay finite.
 DIVERGENCE_MSE_FACTOR = 1e6
 
+# poly_minimize treats derivative coefficients below 1e-14 of the largest as
+# zero when it forms the companion matrix, and keeps roots whose imaginary
+# part is at most 1e-8 (1 + |real part|).
+LEADING_COEFF_RTOL = 1e-14
+REAL_ROOT_IMAG_RTOL = 1e-8
+
 
 class DimensionError(ValueError):
     """Shape mismatch between a factorization and a data bundle."""
@@ -109,7 +115,8 @@ def _check_finite(r: np.ndarray, name: str) -> None:
 
 def _check_symmetric(r: np.ndarray, name: str, rtol: float) -> None:
     scale = float(np.abs(r).max()) if r.size else 0.0
-    asym = float(np.abs(r - r.T).max()) if r.size else 0.0
+    diff = r - r.T
+    asym = float(np.abs(diff, out=diff).max()) if r.size else 0.0
     if asym > rtol * scale:
         raise ValidationError(
             f"{name} is not symmetric: max |R - R^T| = {asym:.3e} "
@@ -151,7 +158,17 @@ class DataBundle:
         ordered input.
         """
         matrices = list(matrices)
-        if not matrices:
+        return cls._from_iterable(matrices, len(matrices), label, symmetrize)
+
+    @classmethod
+    def _from_iterable(cls, matrices, count: int, label: str, symmetrize: bool) -> "DataBundle":
+        """:meth:`from_matrices` over an iterable of exactly ``count`` matrices.
+
+        Each matrix is validated and copied into the preallocated stack as it
+        arrives and then dropped, so a lazy iterable (``data.load_bundle``
+        reads one file per item) never holds more than one raw matrix.
+        """
+        if not count:
             raise ValidationError("a bundle needs at least one matrix")
         stack = None
         for i, raw in enumerate(matrices):
@@ -164,12 +181,13 @@ class DataBundle:
             _check_symmetric(r, name, SYMMETRY_INPUT_RTOL)
             _check_nonnegative(r, name)
             if stack is None:
-                stack = np.empty((len(matrices),) + r.shape)
+                stack = np.empty((count,) + r.shape)
             elif r.shape != stack.shape[1:]:
                 raise ValidationError(
                     f"{name} has order {r.shape[0]}, expected {stack.shape[1]}"
                 )
             stack[i] = r
+            del raw, r
         stack.setflags(write=False)
         norm = sum(float(r.ravel() @ r.ravel()) for r in stack)
         return cls(n=stack.shape[1], N=len(stack), R=stack, norm_sq_total=norm, label=label)
@@ -293,9 +311,22 @@ def _se_from_asa(norms_sq, mid, s_list, asa_list) -> float:
     """:func:`se_from_gram` given the products A S_i A, for callers that
     already hold them (the native gradient needs them too)."""
     total = 0.0
-    for nrm, m, s, asa in zip(norms_sq, mid, s_list, asa_list):
-        total += nrm - 2.0 * float(np.vdot(m, s)) + float(np.vdot(asa, s))
-    return max(total, 0.0)
+    for term in _se_terms(norms_sq, np.asarray(mid), np.asarray(s_list), np.asarray(asa_list)):
+        total += term  # in order of i
+    return max(float(total), 0.0)
+
+
+def _se_terms(norms_sq, mid, s, asa) -> np.ndarray:
+    """The per-block terms ||R_i||^2 - 2<M_i, S_i> + <A S_i A, S_i> of SE over
+    (N, k, k) stacks; they sum to SE."""
+    return np.asarray(norms_sq) - 2.0 * _traces(mid, s) + _traces(asa, s)
+
+
+def _traces(x, y) -> np.ndarray:
+    """Frobenius inner products <X_i, Y_i> over two (N, k, k) stacks.
+    ``np.vecdot`` (numpy 2) takes the same dot product as ``np.vdot``, term
+    for term."""
+    return np.vecdot(x.reshape(len(x), -1), y.reshape(len(y), -1))
 
 
 @dataclass(frozen=True)
@@ -477,3 +508,25 @@ class LinePolynomial:
     def derivative_coeffs(self) -> np.ndarray:
         """Ascending coefficients of p'(t)."""
         return np.arange(1, len(self.c)) * self.c[1:]
+
+
+def poly_minimize(poly: LinePolynomial, lo: float = -np.inf, hi: float = np.inf) -> float:
+    """Global minimizer of p on [lo, hi] among 0, the finite bounds and the
+    real stationary points, each clipped to [lo, hi].
+
+    Stationary points are the roots of p', found as eigenvalues of the
+    balanced companion matrix after stripping leading coefficients below
+    1e-14 of the largest.  Near-real roots (|imag| <= 1e-8 (1 + |real|)) are
+    kept, so a root outside [lo, hi] yields the nearer bound.  Ties prefer
+    smaller p, then smaller |t|, then the negative sign: a flat polynomial
+    gives 0 whenever 0 is in range.
+    """
+    dc = poly.derivative_coeffs()
+    keep = np.nonzero(np.abs(dc) > LEADING_COEFF_RTOL * np.abs(dc).max(initial=0.0))[0]
+    roots = np.roots(dc[: keep[-1] + 1][::-1]) if keep.size else []
+    real = [float(r.real) for r in roots if abs(r.imag) <= REAL_ROOT_IMAG_RTOL * (1.0 + abs(r.real))]
+    bounds = [b for b in (lo, hi) if np.isfinite(b)]
+    candidates = np.clip([0.0] + bounds + real, lo, hi)
+    values = poly(candidates)
+    order = np.lexsort((candidates, np.abs(candidates), values))
+    return float(candidates[order[0]])

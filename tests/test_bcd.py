@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from snmtf.bcd import (
+    _s_inner_solve,
     bcd_solve,
     linesearch_g,
     linesearch_s,
     quartic_coeffs,
 )
-from snmtf.gradients import grad_native
+from snmtf.gradients import _gram_products, grad_native
 from snmtf.model import (
     DataBundle,
     Factorization,
@@ -139,6 +140,55 @@ class TestLinesearchS:
         fact = Factorization(np.zeros((3, 2)), [np.full((2, 2), 0.5)])
         s_new = linesearch_s(bundle, fact, 0)
         np.testing.assert_array_equal(s_new, fact.S[0])
+
+
+def per_block_s_solve(gram, mid, s, iterations):
+    """One S block's projected-gradient solve as a scalar loop: the reference
+    for the batched ``_s_inner_solve``."""
+    s = s.copy()
+    for _ in range(iterations):
+        asa = gram @ s @ gram
+        ds = 2.0 * (asa - mid)
+        denom = float(np.vdot(gram @ ds @ gram, ds))
+        if not np.isfinite(denom) or denom <= 0.0:
+            break
+        s = np.maximum(s + float(np.vdot(mid - asa, ds)) / denom * ds, 0.0)
+    return s
+
+
+class TestSInnerSolve:
+    def _blocks(self, rng):
+        # Block 1 is an exact fit of its quadratic: dS_1 = 0, so its step
+        # denominator is 0 and it must stay frozen while the others move.
+        bundle = random_bundle(rng, 8, 3)
+        g = rng.random((8, 3))
+        gram, _, mid = _gram_products(bundle, g)
+        s = np.stack([(x + x.T) / 2.0 for x in rng.random((3, 3, 3))])
+        mid[1] = gram @ s[1] @ gram
+        return bundle, gram, mid, s
+
+    def test_batched_matches_per_block_loop_bit_for_bit(self, rng):
+        _, gram, mid, s = self._blocks(rng)
+        out = _s_inner_solve(gram, mid, s, 10)
+        for i in range(3):
+            np.testing.assert_array_equal(out[i], per_block_s_solve(gram, mid[i], s[i], 10))
+        np.testing.assert_array_equal(out[1], s[1])
+        assert not np.array_equal(out[0], s[0])
+
+    def test_substep_log_rows_match_per_block_runs(self, rng):
+        bundle, gram, mid, s = self._blocks(rng)
+        norms = np.asarray(bundle.norms_sq)
+        batched: list = []
+        _s_inner_solve(gram, mid, s, 10, norms, batched)
+        single: list = []
+        for i in range(3):
+            _s_inner_solve(gram, mid[i:i + 1], s[i:i + 1], 10, norms[i:i + 1], single)
+
+        def rows(log):
+            return sorted((r["step"], r["se_before"], r["se_unprojected"], r["se_projected"]) for r in log)
+
+        assert len(batched) == 20  # the frozen block logs nothing
+        assert rows(batched) == rows(single)
 
 
 class TestSolve:

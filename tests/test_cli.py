@@ -124,6 +124,16 @@ class TestSolve:
         assert rc == cli.EXIT_VALIDATION
         assert not (tmp_path / "run" / "G.txt").exists()
 
+    def test_k_above_n_is_validation_error(self, tmp_path, capsys):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=3)
+        out = tmp_path / "run"
+        rc = run_cli("solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 50, "--out", out)
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k must be in [1, 20], got 50" in err
+        assert err.count("\n") == 1
+        assert not (out / "G.txt").exists()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             run_cli("solve", "--method", "warp")
@@ -296,7 +306,7 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("flag,value", [
         ("--ratios", "x"), ("--ratios", "50,,100"), ("--ratios", "0"), ("--methods", "fpm,warp"),
-        ("--max-iters", 0),
+        ("--max-iters", 0), ("--jobs", 0), ("--jobs", -3),
     ])
     def test_bad_sweep_argument_is_usage_error(self, suite, tmp_path, flag, value):
         with pytest.raises(SystemExit) as err:

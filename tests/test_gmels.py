@@ -105,6 +105,21 @@ class TestPolyMinimize:
         assert poly_minimize(LinePolynomial([5.0])) == 0.0
         assert poly_minimize(LinePolynomial(np.zeros(13))) == 0.0
 
+    def test_bounded_stationary_point_outside_gives_best_endpoint(self):
+        # (t - 3)^2 and (t + 3)^2 have their minimizers outside [-1, 0].
+        assert poly_minimize(LinePolynomial([9.0, -6.0, 1.0]), -1.0, 0.0) == 0.0
+        assert poly_minimize(LinePolynomial([9.0, 6.0, 1.0]), -1.0, 0.0) == -1.0
+        # p(t) = t is linear: no stationary point, the lower bound wins.
+        assert poly_minimize(LinePolynomial([0.0, 1.0]), -1.0, 0.0) == -1.0
+        # (t + 1/2)^2 has its minimizer inside.
+        assert poly_minimize(LinePolynomial([0.25, 1.0, 1.0]), -1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
+        # t^4 - 2 t^2 on [0, 2]: only the well at +1 is in range.
+        assert poly_minimize(LinePolynomial([0.0, 0.0, -2.0, 0.0, 1.0]), 0.0, 2.0) == pytest.approx(1.0, abs=1e-10)
+
+    def test_bounded_flat_polynomial_returns_zero(self):
+        assert poly_minimize(LinePolynomial([5.0]), -1.0, 0.0) == 0.0
+        assert poly_minimize(LinePolynomial(np.zeros(5)), -1.0, 0.0) == 0.0
+
     def test_random_degree_12_against_grid(self, rng):
         for _ in range(5):
             c = rng.standard_normal(13)
