@@ -1,6 +1,6 @@
 """Adaptive moment estimation on the absolute-value-transformed objective.
 
-Per step and per variable matrix X (X ranges over G' and every S_i'):
+Per step and per variable X (X ranges over G' and the stack of the S_i'):
 
     M_X <- beta1 M_X + (1 - beta1) dX
     V_X <- beta2 V_X + (1 - beta2) dX * dX
@@ -45,12 +45,12 @@ TUNE_RUNS_PER_PROBLEM = 3
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per variable matrix."""
+    """First/second moment accumulators for G and for the (N, k, k) S stack."""
 
     m_g: np.ndarray
     v_g: np.ndarray
-    m_s: list[np.ndarray]
-    v_s: list[np.ndarray]
+    m_s: np.ndarray
+    v_s: np.ndarray
     step_index: int = 0
 
     @classmethod
@@ -58,8 +58,8 @@ class AdamState:
         return cls(
             m_g=np.zeros_like(fact.G),
             v_g=np.zeros_like(fact.G),
-            m_s=[np.zeros_like(s) for s in fact.S],
-            v_s=[np.zeros_like(s) for s in fact.S],
+            m_s=np.zeros_like(fact.S),
+            v_s=np.zeros_like(fact.S),
         )
 
 
@@ -83,13 +83,13 @@ def adam_step(state: AdamState, fact: Factorization, grads, eta: float,
               beta1: float, beta2: float, eps: float):
     """Advance moments and variables one step, in place.
 
-    ``grads`` is the (dG, [dS_i]) pair at the current point.  Returns the
-    mutated (state, fact) for convenience.
+    ``grads`` is the (dG, dS) pair at the current point, dS an (N, k, k)
+    stack or a sequence of the dS_i.  Returns the mutated (state, fact) for
+    convenience.
     """
     dg, ds = grads
     _moment_update(state.m_g, state.v_g, dg, eta, beta1, beta2, eps, fact.G)
-    for m, v, d, s in zip(state.m_s, state.v_s, ds, fact.S):
-        _moment_update(m, v, d, eta, beta1, beta2, eps, s)
+    _moment_update(state.m_s, state.v_s, np.asarray(ds), eta, beta1, beta2, eps, fact.S)
     state.step_index += 1
     return state, fact
 

@@ -56,7 +56,7 @@ def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> L
     check_compatible(bundle, fact)
     g, dg = fact.G, np.asarray(dg, float)
     rp = (bundle.times(g), bundle.times(dg))
-    return LinePolynomial(_line_poly(bundle, (g, dg), np.array(fact.S)[None], rp))
+    return LinePolynomial(_line_poly(bundle, (g, dg), fact.S[None], rp))
 
 
 def _g_step(bundle: DataBundle, g, gram, h, s, rng):
@@ -76,7 +76,7 @@ def linesearch_g(bundle: DataBundle, fact: Factorization, rng: np.random.Generat
     _require_native(fact, "linesearch_g")
     check_compatible(bundle, fact)
     g = fact.G
-    return _g_step(bundle, g, g.T @ g, bundle.times(g), np.array(fact.S), rng)
+    return _g_step(bundle, g, g.T @ g, bundle.times(g), fact.S, rng)
 
 
 def linesearch_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
@@ -162,4 +162,4 @@ def bcd_solve(
         stop = tracer.step(outer, se_from_gram(norms, gram, mid, s))
         if stop is not None:
             break
-    return Factorization(g, list(s)), tracer.finish(stop)
+    return Factorization(g, s), tracer.finish(stop)

@@ -55,6 +55,8 @@ def generate_synthetic(n: int, K: int, N: int = 5, density: float = 0.65, seed: 
     """
     if not 1 <= K <= n:
         raise ValidationError(f"K must be in [1, {n}], got {K}")
+    if N < 1:
+        raise ValidationError(f"N must be a positive integer, got {N}")
     if not 0.0 < density <= 1.0:
         raise ValidationError(f"density must be in (0, 1], got {density}")
     rng = np.random.default_rng(seed)
@@ -78,7 +80,7 @@ def generate_synthetic(n: int, K: int, N: int = 5, density: float = 0.65, seed: 
 
     label = f"synthetic-n{n}-K{K}-N{N}-seed{seed}"
     bundle = DataBundle.from_matrices(g @ s @ g.T, label=label)
-    return bundle, Factorization(g, list(s))
+    return bundle, Factorization(g, s)
 
 
 def save_dense_matrix(path, x) -> None:

@@ -46,7 +46,7 @@ def fpm_step_g(bundle: DataBundle, fact: Factorization) -> np.ndarray:
     _require_native(fact, "fpm_step_g")
     check_compatible(bundle, fact)
     g = fact.G
-    return _update_g(g, g.T @ g, bundle.times(g), np.array(fact.S))
+    return _update_g(g, g.T @ g, bundle.times(g), fact.S)
 
 
 def fpm_step_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
@@ -71,8 +71,7 @@ def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
         raise ValueError(f"config.method is {config.method!r}, expected 'fpm'")
     _require_native(start, "fpm_solve")
     check_compatible(bundle, start)
-    g = start.G.copy()
-    s = np.array(start.S)
+    g, s = start.G, start.S
     norms = bundle.norms_sq
 
     tracer = TraceBuilder(bundle, config)
@@ -87,4 +86,4 @@ def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
         stop = tracer.step(it, se_from_gram(norms, gram, mid, s))
         if stop is not None:
             break
-    return Factorization(g, list(s)), tracer.finish(stop)
+    return Factorization(g, s), tracer.finish(stop)

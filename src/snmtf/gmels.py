@@ -77,7 +77,7 @@ def line_poly_coeffs(bundle: DataBundle, fact: Factorization, grad_g, grad_s) ->
     h = bundle.times(SQUARE.apply(fact.G))
     step_g = -np.asarray(grad_g, dtype=float)
     step_s = -np.asarray(grad_s, dtype=float)
-    c = _line_poly_coefficients(bundle, fact.G, np.array(fact.S), step_g, step_s, h)
+    c = _line_poly_coefficients(bundle, fact.G, fact.S, step_g, step_s, h)
     return LinePolynomial(c)
 
 
@@ -99,14 +99,11 @@ def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
 
     stop = None
     for it in range(1, config.max_iterations + 1):
-        poly = LinePolynomial(_line_poly_coefficients(
-            bundle, fact.G, np.array(fact.S), -dg, -ds, h
-        ))
+        poly = LinePolynomial(_line_poly_coefficients(bundle, fact.G, fact.S, -dg, -ds, h))
         t = poly_minimize(poly)
         if t != 0.0:
             fact.G -= t * dg
-            for s, d in zip(fact.S, ds):
-                s -= t * d
+            fact.S -= t * ds
         se_value, dg, ds, h = _transformed_step(bundle, fact)
         stop = tracer.step(it, se_value)
         if stop is not None:

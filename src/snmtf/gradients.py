@@ -49,12 +49,13 @@ __all__ = ["Transform", "grad_native", "grad_transformed"]
 def grad_native(bundle: DataBundle, fact: Factorization):
     """Gradient of SE with respect to G and each S_i at a native point.
 
-    Returns (dG, [dS_1 .. dS_N]).  Every dS_i is symmetric whenever S_i is.
+    Returns (dG, dS) with dS the (N, k, k) stack of the dS_i.  Every dS_i is
+    symmetric whenever S_i is.
     """
     _require_native(fact, "grad_native")
     check_compatible(bundle, fact)
-    _, dg, ds, _ = _gram_step(bundle, fact.G, np.array(fact.S))
-    return dg, list(ds)
+    _, dg, ds, _ = _gram_step(bundle, fact.G, fact.S)
+    return dg, ds
 
 
 def _gram_products(bundle: DataBundle, g):
@@ -146,29 +147,29 @@ def _line_poly(bundle: DataBundle, p, q, rp) -> np.ndarray:
 def _transformed_step(bundle: DataBundle, fact: Factorization):
     """SE and the gradient in the stored variables, f = fact.coords.
 
-    Runs :func:`_gram_step` at the native point (f(G'), [f(S_i')]) and applies
+    Runs :func:`_gram_step` at the native point (f(G'), f(S')) and applies
     the chain rule dX' = f'(X') * dX.  Returns (SE, dG', dS', H) with dS' and
     H = R_i f(G') as stacks.
     """
     f = fact.coords
-    s = np.array(fact.S)
-    se_value, dg, ds, h = _gram_step(bundle, f.apply(fact.G), f.apply(s))
-    return se_value, f.derivative(fact.G) * dg, f.derivative(s) * ds, h
+    se_value, dg, ds, h = _gram_step(bundle, f.apply(fact.G), f.apply(fact.S))
+    return se_value, f.derivative(fact.G) * dg, f.derivative(fact.S) * ds, h
 
 
 def grad_transformed(bundle: DataBundle, fact: Factorization):
     """Gradient of the transformed SE with respect to the raw variables.
 
     Built from the n x n residuals Z_i; the reference for the Gram-space
-    kernel.  In IDENTITY coordinates this reduces to :func:`grad_native`.
+    kernel.  Returns (dG', dS') with dS' as an (N, k, k) stack.  In IDENTITY
+    coordinates this reduces to :func:`grad_native`.
     """
     f = fact.coords
     fg = f.apply(fact.G)
     acc = np.zeros_like(fact.G)
-    ds = []
-    for z, s in zip(residuals(bundle, fact), fact.S):
+    ds = np.empty_like(fact.S)
+    for i, (z, s) in enumerate(zip(residuals(bundle, fact), fact.S)):
         fs = f.apply(s)
         acc += (z @ fg) @ fs.T
-        ds.append(-2.0 * f.derivative(s) * (fg.T @ z @ fg))
+        ds[i] = -2.0 * f.derivative(s) * (fg.T @ z @ fg)
     dg = -4.0 * f.derivative(fact.G) * acc
     return dg, ds

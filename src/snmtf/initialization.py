@@ -64,24 +64,23 @@ def deterministic_g(bundle: DataBundle, k: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def random_symmetric_list(rng: np.random.Generator, k: int, count: int) -> list[np.ndarray]:
-    """``count`` symmetric k x k matrices, uniform(0,1) entries symmetrized."""
-    out = []
-    for _ in range(count):
-        s = rng.random((k, k))
-        out.append((s + s.T) / 2.0)
-    return out
+def random_symmetric_stack(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
+    """(count, k, k) stack of symmetric matrices, uniform(0,1) entries
+    symmetrized; one draw, in the order of ``count`` separate k x k draws."""
+    s = rng.random((count, k, k))
+    return (s + s.swapaxes(1, 2)) / 2.0
 
 
 def random_init(n: int, k: int, N: int, seed: int) -> Factorization:
     """Uniform(0,1) starting factors; S_i symmetrized as (S + S^T)/2."""
     rng = np.random.default_rng(seed)
     g = rng.random((n, k))
-    return Factorization(g, random_symmetric_list(rng, k, N))
+    return Factorization(g, random_symmetric_stack(rng, k, N))
 
 
-def init_s_from_g(bundle: DataBundle, g: np.ndarray, iterations: int = 10) -> list[np.ndarray]:
-    """S blocks fitted to a fixed G by the projected-gradient inner solve.
+def init_s_from_g(bundle: DataBundle, g: np.ndarray, iterations: int = 10) -> np.ndarray:
+    """(N, k, k) stack of S blocks fitted to a fixed G by the projected-gradient
+    inner solve.
 
     Starts every S_i from a constant matrix (entries 0.5).  With G = 0 the
     gradient vanishes and the constant start is returned unchanged.
@@ -93,7 +92,7 @@ def init_s_from_g(bundle: DataBundle, g: np.ndarray, iterations: int = 10) -> li
         raise ValueError("G must be non-negative")
     s0 = np.full((bundle.N, g.shape[1], g.shape[1]), bcd.INITIAL_S_VALUE)
     gram, _, mid = _gram_products(bundle, g)
-    return list(bcd._s_inner_solve(gram, mid, s0, iterations))
+    return bcd._s_inner_solve(gram, mid, s0, iterations)
 
 
 def lift_to_transformed(fact: Factorization, transform: Transform) -> Factorization:
@@ -104,12 +103,9 @@ def lift_to_transformed(fact: Factorization, transform: Transform) -> Factorizat
     """
     if fact.coords is not Transform.IDENTITY:
         raise ValueError("lift_to_transformed expects native coordinates")
-    mats = [fact.G] + list(fact.S)
-    for name, m in zip(["G"] + [f"S_{i + 1}" for i in range(len(fact.S))], mats):
+    names = ["G"] + [f"S_{i + 1}" for i in range(fact.N)]
+    for name, m in zip(names, [fact.G, *fact.S]):
         if m.size and float(m.min()) < 0.0:
             raise ValidationError(f"{name} has a negative entry; cannot lift")
-    if transform is Transform.IDENTITY:
-        return fact.copy()
-    if transform is Transform.ABS:
-        return Factorization(fact.G.copy(), [s.copy() for s in fact.S], Transform.ABS)
-    return Factorization(np.sqrt(fact.G), [np.sqrt(s) for s in fact.S], Transform.SQUARE)
+    lift = np.sqrt if transform is Transform.SQUARE else np.copy
+    return Factorization(lift(fact.G), lift(fact.S), transform)

@@ -110,18 +110,17 @@ def _check_finite(r: np.ndarray, name: str) -> None:
     bad = np.argwhere(~np.isfinite(r))
     if bad.size:
         i, j = bad[0]
-        raise ValidationError(f"{name} has non-finite entry {r[i, j]!r} at ({i}, {j})")
+        raise ValidationError(f"{name} has non-finite entry {float(r[i, j])!r} at ({i}, {j})")
 
 
-def _check_symmetric(r: np.ndarray, name: str, rtol: float) -> None:
+def _check_symmetric(r: np.ndarray, name: str, rtol: float, hint: str = "") -> None:
     scale = float(np.abs(r).max()) if r.size else 0.0
     diff = r - r.T
     asym = float(np.abs(diff, out=diff).max()) if r.size else 0.0
     if asym > rtol * scale:
         raise ValidationError(
-            f"{name} is not symmetric: max |R - R^T| = {asym:.3e} "
-            f"exceeds {rtol:g} * max|R| = {rtol * scale:.3e} "
-            "(pass symmetrize=True to average with the transpose)"
+            f"{name} is not symmetric: max |X - X^T| = {asym:.3e} "
+            f"exceeds {rtol:g} * max|X| = {rtol * scale:.3e}{hint}"
         )
 
 
@@ -129,7 +128,7 @@ def _check_nonnegative(r: np.ndarray, name: str) -> None:
     if r.size and float(r.min()) < 0.0:
         i, j = np.unravel_index(int(np.argmin(r)), r.shape)
         raise ValidationError(
-            f"{name} has negative entry {r[i, j]!r} at ({i}, {j})"
+            f"{name} has negative entry {float(r[i, j])!r} at ({i}, {j})"
         )
 
 
@@ -178,7 +177,8 @@ class DataBundle:
             _check_finite(r, name)
             if symmetrize:
                 r = (r + r.T) / 2.0
-            _check_symmetric(r, name, SYMMETRY_INPUT_RTOL)
+            _check_symmetric(r, name, SYMMETRY_INPUT_RTOL,
+                             " (pass symmetrize=True to average with the transpose)")
             _check_nonnegative(r, name)
             if stack is None:
                 stack = np.empty((count,) + r.shape)
@@ -214,22 +214,33 @@ class DataBundle:
 
 @dataclass
 class Factorization:
-    """Factor pair (G, [S_1 .. S_N]) in native or transformed coordinates.
+    """Factor pair (G, S) in native or transformed coordinates.
+
+    ``S`` is one C-contiguous (N, k, k) float stack of the S_i, copied from
+    whatever sequence of blocks the constructor is given; DimensionError
+    unless G is 2-D and every S_i is k x k.
 
     ``coords`` records the transform mapping the stored variables back to the
     native factors: the native pair is ``coords.apply(G)``,
-    ``[coords.apply(S_i)]``.  In native coordinates all entries are
-    non-negative; in transformed coordinates they are unrestricted, but every
-    S_i stays symmetric either way.
+    ``coords.apply(S)``.  In native coordinates all entries are non-negative;
+    in transformed coordinates they are unrestricted, but every S_i stays
+    symmetric either way.
     """
 
     G: np.ndarray
-    S: list[np.ndarray]
+    S: np.ndarray
     coords: Transform = Transform.IDENTITY
 
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=float)
-        self.S = [np.asarray(s, dtype=float) for s in self.S]
+        if self.G.ndim != 2:
+            raise DimensionError(f"G has shape {self.G.shape}, expected (n, k)")
+        k = self.G.shape[1]
+        blocks = [np.asarray(s, dtype=float) for s in self.S]
+        for i, s in enumerate(blocks):
+            if s.shape != (k, k):
+                raise DimensionError(f"S_{i + 1} has shape {s.shape}, expected ({k}, {k})")
+        self.S = np.array(blocks).reshape(len(blocks), k, k)
 
     @property
     def k(self) -> int:
@@ -240,30 +251,19 @@ class Factorization:
         return len(self.S)
 
     def copy(self) -> "Factorization":
-        return Factorization(self.G.copy(), [s.copy() for s in self.S], self.coords)
+        return Factorization(self.G.copy(), self.S, self.coords)
 
     def to_native(self) -> "Factorization":
         """Apply the coordinate transform, yielding non-negative factors."""
-        f = self.coords
-        return Factorization(f.apply(self.G), [f.apply(s) for s in self.S])
+        return Factorization(self.coords.apply(self.G), self.coords.apply(self.S))
 
 
 def check_compatible(bundle: DataBundle, fact: Factorization) -> None:
-    """Raise DimensionError naming the offending matrix on any shape clash."""
-    if fact.G.ndim != 2 or fact.G.shape[0] != bundle.n:
-        raise DimensionError(
-            f"G has shape {fact.G.shape}, expected ({bundle.n}, k)"
-        )
-    if len(fact.S) != bundle.N:
-        raise DimensionError(
-            f"factorization has {len(fact.S)} S matrices, bundle has N = {bundle.N}"
-        )
-    k = fact.G.shape[1]
-    for i, s in enumerate(fact.S):
-        if s.shape != (k, k):
-            raise DimensionError(
-                f"S_{i + 1} has shape {s.shape}, expected ({k}, {k})"
-            )
+    """Raise DimensionError unless the factorization has the bundle's n and N."""
+    if fact.G.shape[0] != bundle.n:
+        raise DimensionError(f"G has shape {fact.G.shape}, expected ({bundle.n}, k)")
+    if fact.N != bundle.N:
+        raise DimensionError(f"factorization has {fact.N} S matrices, bundle has N = {bundle.N}")
 
 
 def _require_native(fact: Factorization, what: str) -> None:
@@ -449,8 +449,9 @@ class SolverConfig:
     conventional beta^i form.
 
     Raises ValueError on an unknown method, a non-positive integer knob,
-    a negative stopping threshold, ``adam_alpha <= 0`` or an adam beta
-    outside the open interval (0, 1).
+    a negative stopping threshold, ``adam_alpha <= 0``, an ``adam_epsilon``
+    that is not finite and positive, or an adam beta outside the open
+    interval (0, 1).
     """
 
     method: str
@@ -480,6 +481,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be non-negative")
         if not self.adam_alpha > 0.0:
             raise ValueError("adam_alpha must be positive")
+        if not 0.0 < self.adam_epsilon < np.inf:
+            raise ValueError("adam_epsilon must be finite and positive")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in the open interval (0, 1)")

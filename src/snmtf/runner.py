@@ -12,12 +12,15 @@ import numpy as np
 
 from . import adam, bcd, fpm, gmels, initialization
 from .model import (
+    SYMMETRY_ITERATE_RTOL,
     DataBundle,
     DimensionError,
     Factorization,
     SolverConfig,
     Transform,
+    _check_finite,
     _check_nonnegative,
+    _check_symmetric,
     check_compatible,
 )
 
@@ -40,8 +43,7 @@ def build_start(bundle: DataBundle, config: SolverConfig, init: str = "determini
         g = initialization.deterministic_g(bundle, config.k)
     else:
         g = rng.random((bundle.n, config.k))
-    s_list = initialization.random_symmetric_list(rng, config.k, bundle.N)
-    return Factorization(g, s_list)
+    return Factorization(g, initialization.random_symmetric_stack(rng, config.k, bundle.N))
 
 
 def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
@@ -49,9 +51,10 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     """Run the configured solver; returns (native factorization, trace).
 
     ``start`` overrides the built starting point; it must be in native
-    coordinates, match ``config.k`` and be non-negative (DimensionError and
-    ValidationError otherwise), and is lifted as needed for the
-    transformed-space methods.
+    coordinates and match ``config.k`` (DimensionError otherwise), every
+    block must be finite and non-negative and every S_i symmetric to the
+    iterate tolerance (ValidationError otherwise), and it is lifted as
+    needed for the transformed-space methods.
     """
     rng = np.random.default_rng(config.seed)
     if start is None:
@@ -61,9 +64,12 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     check_compatible(bundle, start)
     if start.k != config.k:
         raise DimensionError(f"start has k = {start.k} columns, config.k = {config.k}")
-    _check_nonnegative(start.G, "start G")
-    for i, s in enumerate(start.S):
-        _check_nonnegative(s, f"start S_{i + 1}")
+    names = ["start G"] + [f"start S_{i + 1}" for i in range(start.N)]
+    for name, x in zip(names, [start.G, *start.S]):
+        _check_finite(x, name)
+        _check_nonnegative(x, name)
+    for name, s in zip(names[1:], start.S):
+        _check_symmetric(s, name, SYMMETRY_ITERATE_RTOL)
 
     # Overflow and NaN are detected explicitly (a non-finite SE or adam
     # gradient raises SolverDivergedError), so numpy's warnings would only

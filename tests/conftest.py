@@ -44,6 +44,14 @@ def assert_one_stack(bundle):
     assert bundle.R.flags.c_contiguous and not bundle.R.flags.writeable
 
 
+def assert_block_stack(s, N, k):
+    """``s`` holds N blocks of order k as one C-contiguous float (N, k, k)
+    array, not as a list of matrices."""
+    assert isinstance(s, np.ndarray)
+    assert s.dtype == np.float64 and s.shape == (N, k, k)
+    assert s.flags.c_contiguous
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -19,7 +19,7 @@ from snmtf.model import (
     Transform,
 )
 
-from conftest import random_bundle
+from conftest import assert_block_stack, random_bundle
 
 
 class TestEta:
@@ -55,6 +55,22 @@ class TestStep:
         s = rng.standard_normal((2, 2))
         s = (s + s.T) / 2.0
         return Factorization(g, [s], Transform.ABS)
+
+    def test_moments_are_stacks(self, rng):
+        fact = Factorization(rng.random((4, 2)), rng.random((3, 2, 2)), Transform.ABS)
+        state = AdamState.zeros_like(fact)
+        assert_block_stack(state.m_s, 3, 2)
+        assert_block_stack(state.v_s, 3, 2)
+
+    def test_stacked_step_matches_per_block_steps(self, rng):
+        fact = Factorization(rng.random((4, 2)), rng.random((3, 2, 2)), Transform.ABS)
+        grads = (rng.standard_normal((4, 2)), rng.standard_normal((3, 2, 2)))
+        expected = []
+        for s, d in zip(fact.S, grads[1]):
+            m, v = (1.0 - 0.9) * d, (1.0 - 0.99) * d * d
+            expected.append(s - 0.05 * m / (np.sqrt(v) + 1e-8))
+        adam_step(AdamState.zeros_like(fact), fact, grads, 0.05, 0.9, 0.99, 1e-8)
+        np.testing.assert_array_equal(fact.S, expected)
 
     def test_zero_gradient_zero_state_moves_nothing(self, rng):
         fact = self._point(rng)

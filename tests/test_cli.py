@@ -66,6 +66,11 @@ class TestGenerate:
         rc = run_cli("generate", "--n", 10, "--K", 200, "--out", tmp_path / "bad")
         assert rc == cli.EXIT_VALIDATION
 
+    def test_negative_n_blocks_is_validation_error(self, tmp_path, capsys):
+        rc = run_cli("generate", "--n", 20, "--K", 3, "--N", -1, "--out", tmp_path / "bad")
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: N must be a positive integer, got -1\n"
+
 
 class TestSolve:
     def test_planted_adam_reaches_threshold(self, tmp_path):
@@ -124,6 +129,21 @@ class TestSolve:
         assert rc == cli.EXIT_VALIDATION
         assert not (tmp_path / "run" / "G.txt").exists()
 
+    @pytest.mark.parametrize("method", ["gmels", "adam"])
+    def test_asymmetric_start_is_validation_error(self, tmp_path, capsys, method):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=3)
+        fact = data.load_factors(bundle_dir / "planted")
+        fact.S[0, 0, 1] += 0.17
+        start = tmp_path / "start"
+        data.save_factors(fact, start)
+        rc = run_cli(
+            "solve", "--bundle", bundle_dir, "--method", method, "--k", 3,
+            "--start-from", start, "--out", tmp_path / "run",
+        )
+        assert rc == cli.EXIT_VALIDATION
+        assert "start S_1 is not symmetric" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "G.txt").exists()
+
     def test_k_above_n_is_validation_error(self, tmp_path, capsys):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=3)
         out = tmp_path / "run"
@@ -139,7 +159,10 @@ class TestSolve:
             run_cli("solve", "--method", "warp")
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("flag,value", [("--adam-beta1", 1.5), ("--k", 0), ("--mse-stop", -1)])
+    @pytest.mark.parametrize("flag,value", [
+        ("--adam-beta1", 1.5), ("--k", 0), ("--mse-stop", -1),
+        ("--adam-eps", -1), ("--adam-eps", 0),
+    ])
     def test_out_of_range_knob_is_usage_error(self, tmp_path, flag, value):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
         argv = ["solve", "--bundle", bundle_dir, "--method", "adam", "--k", 2,

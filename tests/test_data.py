@@ -19,7 +19,7 @@ from snmtf.model import (
     mse,
 )
 
-from conftest import assert_one_stack
+from conftest import assert_block_stack, assert_one_stack
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bundle"
 
@@ -85,6 +85,15 @@ class TestGenerateSynthetic:
         for x, y in zip(a.R, b.R):
             assert np.array_equal(x, y)
         assert np.array_equal(fa.G, fb.G)
+
+    def test_planted_s_is_one_stack(self):
+        _, planted = data.generate_synthetic(n=20, K=4, N=3, seed=7)
+        assert_block_stack(planted.S, 3, 4)
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_rejects_nonpositive_n_blocks(self, N):
+        with pytest.raises(ValidationError, match=f"N must be a positive integer, got {N}"):
+            data.generate_synthetic(n=20, K=3, N=N)
 
     def test_s_density_tracks_target(self):
         # Mean nonzero fraction over 100 seeds for K = 50.
@@ -272,6 +281,11 @@ class TestFactorizationIO:
         assert np.array_equal(back.G, fact.G)
         for x, y in zip(back.S, fact.S):
             assert np.array_equal(x, y)
+
+    def test_loaded_s_is_one_stack(self, rng, tmp_path):
+        fact = Factorization(rng.random((5, 2)), rng.random((3, 2, 2)))
+        data.save_factors(fact, tmp_path / "f")
+        assert_block_stack(data.load_factors(tmp_path / "f").S, 3, 2)
 
     def test_trace_row_count(self, rng, tmp_path):
         fact = Factorization(rng.random((3, 1)), [rng.random((1, 1))])

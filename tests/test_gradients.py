@@ -4,7 +4,7 @@ import pytest
 from snmtf.gradients import _gram_step, _transformed_step, grad_native, grad_transformed
 from snmtf.model import DataBundle, Factorization, Transform, residuals, se_from_gram
 
-from conftest import exact_fit_pair, random_bundle, random_native_fact
+from conftest import assert_block_stack, exact_fit_pair, random_bundle, random_native_fact
 
 
 def transformed_se(bundle, fact):
@@ -111,6 +111,14 @@ class TestGradNative:
         np.testing.assert_array_equal(dg, 4.0 * (g @ sas - num))
         np.testing.assert_array_equal(ds, [2.0 * (gram @ s @ gram - m) for s, m in zip(fact.S, mid)])
         assert se_value == se_from_gram(bundle.norms_sq, gram, mid, fact.S)
+
+    @pytest.mark.parametrize("coords", [Transform.IDENTITY, Transform.ABS, Transform.SQUARE])
+    def test_ds_is_one_stack(self, rng, coords):
+        bundle = random_bundle(rng, 7, 3)
+        fact = random_native_fact(rng, 7, 2, 3)
+        assert_block_stack(grad_transformed(bundle, Factorization(fact.G, fact.S, coords))[1], 3, 2)
+        if coords is Transform.IDENTITY:
+            assert_block_stack(grad_native(bundle, fact)[1], 3, 2)
 
     def test_ds_symmetric(self, rng):
         bundle = random_bundle(rng, 7, 3)

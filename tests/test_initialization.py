@@ -8,6 +8,7 @@ from snmtf.initialization import (
     init_s_from_g,
     lift_to_transformed,
     random_init,
+    random_symmetric_stack,
 )
 from snmtf.model import (
     DataBundle,
@@ -17,7 +18,7 @@ from snmtf.model import (
     mse,
 )
 
-from conftest import random_bundle
+from conftest import assert_block_stack, random_bundle
 
 
 class TestDeterministicG:
@@ -108,6 +109,18 @@ class TestRandomInit:
         for x, y in zip(a.S, b.S):
             assert np.array_equal(x, y)
 
+    def test_s_is_one_stack(self):
+        assert_block_stack(random_init(7, 3, 4, seed=5).S, 4, 3)
+
+    def test_stack_draws_blocks_in_order(self):
+        # One (count, k, k) draw takes the stream in the order of count
+        # separate k x k draws.
+        stack = random_symmetric_stack(np.random.default_rng(3), 4, 5)
+        rng = np.random.default_rng(3)
+        for block in stack:
+            s = rng.random((4, 4))
+            np.testing.assert_array_equal(block, (s + s.T) / 2.0)
+
     def test_s_exactly_symmetric(self):
         fact = random_init(5, 4, 3, seed=9)
         for s in fact.S:
@@ -127,6 +140,10 @@ class TestInitSFromG:
         s_list = init_s_from_g(bundle, planted.G, iterations=50)
         fact = Factorization(planted.G, s_list)
         assert mse(bundle, fact) <= 1e-4
+
+    def test_returns_one_stack(self, rng):
+        bundle = random_bundle(rng, 6, 3)
+        assert_block_stack(init_s_from_g(bundle, rng.random((6, 2)), iterations=2), 3, 2)
 
     def test_zero_g_returns_constant_start(self, rng):
         bundle = random_bundle(rng, 5, 2)

@@ -19,7 +19,13 @@ from snmtf.model import (
     se_from_gram,
 )
 
-from conftest import assert_one_stack, exact_fit_pair, random_bundle, random_native_fact
+from conftest import (
+    assert_block_stack,
+    assert_one_stack,
+    exact_fit_pair,
+    random_bundle,
+    random_native_fact,
+)
 
 
 def se_triple_loop(r_list, g, s_list):
@@ -70,9 +76,8 @@ class TestSE:
 
     def test_dimension_mismatch_names_matrix(self, rng):
         bundle = random_bundle(rng, 6, 2)
-        bad = Factorization(np.zeros((6, 2)), [np.zeros((2, 2)), np.zeros((3, 3))])
         with pytest.raises(DimensionError, match="S_2"):
-            se(bundle, bad)
+            se(bundle, Factorization(np.zeros((6, 2)), [np.zeros((2, 2)), np.zeros((3, 3))]))
         with pytest.raises(DimensionError, match="G"):
             se(bundle, Factorization(np.zeros((5, 2)), [np.zeros((2, 2))] * 2))
 
@@ -194,6 +199,39 @@ class TestDataBundle:
             np.testing.assert_array_equal(x, y)
 
 
+class TestFactorLayout:
+    """Factorization.S is one (N, k, k) stack wherever a factorization is made."""
+
+    def test_constructor_copies_blocks_into_one_stack(self, rng):
+        s = [np.eye(3), np.ones((3, 3), dtype=int)]
+        fact = Factorization(rng.random((5, 3)), s)
+        assert_block_stack(fact.S, 2, 3)
+        fact.S[0] = 7.0
+        fact.S[1, 0, 0] = 7.0
+        np.testing.assert_array_equal(s[0], np.eye(3))
+        assert s[1][0, 0] == 1
+
+    def test_constructor_copies_a_given_stack(self, rng):
+        s = rng.random((2, 3, 3))
+        before = s.copy()
+        fact = Factorization(rng.random((5, 3)), s)
+        fact.S[0] = 0.0
+        np.testing.assert_array_equal(s, before)
+
+    def test_copy_and_to_native_keep_the_stack(self, rng):
+        fact = random_native_fact(rng, 6, 3, 4)
+        assert_block_stack(fact.copy().S, 4, 3)
+        lifted = Factorization(fact.G, -fact.S, Transform.ABS)
+        assert_block_stack(lifted.to_native().S, 4, 3)
+        np.testing.assert_array_equal(lifted.to_native().S, fact.S)
+
+    def test_constructor_checks_shapes(self, rng):
+        with pytest.raises(DimensionError, match="G has shape"):
+            Factorization(rng.random(5), [np.eye(1)])
+        with pytest.raises(DimensionError, match=r"S_2 has shape \(2, 3\), expected \(3, 3\)"):
+            Factorization(rng.random((5, 3)), [np.eye(3), np.ones((2, 3))])
+
+
 class TestTransform:
     def test_apply(self):
         x = np.array([[-2.0, 0.0, 3.0]])
@@ -237,6 +275,8 @@ class TestSolverConfig:
             ("adam_beta2", -0.1), ("adam_beta2", 1.0),
             ("mse_stop", -1e-3), ("delta_stop", -1e-12), ("mse_stop", float("nan")),
             ("adam_alpha", 0.0), ("adam_alpha", -0.002),
+            ("adam_epsilon", 0.0), ("adam_epsilon", -1.0),
+            ("adam_epsilon", float("inf")), ("adam_epsilon", float("nan")),
         ],
     )
     def test_rejects_out_of_range_knobs(self, field, value):

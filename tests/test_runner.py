@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from snmtf.data import generate_synthetic
-from snmtf.model import DimensionError, SolverConfig, Transform, ValidationError
+from snmtf.model import (
+    SYMMETRY_ITERATE_RTOL,
+    DimensionError,
+    SolverConfig,
+    Transform,
+    ValidationError,
+)
 from snmtf.runner import build_start, run
 
-from conftest import random_bundle
+from conftest import assert_block_stack, random_bundle
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +73,13 @@ class TestRunDispatch:
         assert float(fact.G.min()) >= 0.0
         assert trace.records[0].iteration == 0
 
+    @pytest.mark.parametrize("method", ["fpm", "bcd", "gmels", "adam"])
+    @pytest.mark.parametrize("init", ["deterministic", "random"])
+    def test_s_is_one_stack(self, planted_bundle, method, init):
+        config = SolverConfig(method=method, k=2, seed=0, max_iterations=3)
+        fact, _ = run(planted_bundle, config, init=init)
+        assert_block_stack(fact.S, 3, 2)
+
     def test_explicit_start_must_be_native(self, rng, planted_bundle):
         from snmtf.model import Factorization
 
@@ -91,6 +104,33 @@ class TestRunDispatch:
         config = SolverConfig(method=method, k=3, seed=0)
         with pytest.raises(ValidationError, match=f"start {block} has negative entry"):
             run(planted_bundle, config, start=start)
+
+    @pytest.mark.parametrize("method", ["fpm", "bcd", "gmels", "adam"])
+    @pytest.mark.parametrize("case, message", [
+        pytest.param("nan G", "start G has non-finite entry nan at", id="nan-G"),
+        pytest.param("inf S_3", "start S_3 has non-finite entry inf at", id="inf-S_3"),
+        pytest.param("asymmetric S_1", "start S_1 is not symmetric", id="asymmetric-S_1"),
+    ])
+    def test_explicit_malformed_start_rejected(self, planted_bundle, method, case, message):
+        _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
+        start = planted.copy()
+        if case == "nan G":
+            start.G[2, 0] = np.nan
+        elif case == "inf S_3":
+            start.S[2, 0, 1] = start.S[2, 1, 0] = np.inf
+        else:
+            start.S[0, 0, 1] += 0.17
+        config = SolverConfig(method=method, k=3, seed=0)
+        with pytest.raises(ValidationError, match=message) as err:
+            run(planted_bundle, config, start=start)
+        assert "symmetrize" not in str(err.value)
+
+    def test_start_within_iterate_symmetry_tolerance_accepted(self, planted_bundle):
+        # A previous run's output, symmetric up to rounding, chains in.
+        _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
+        start = planted.copy()
+        start.S[0, 0, 1] += 0.5 * SYMMETRY_ITERATE_RTOL * np.abs(start.S[0]).max()
+        run(planted_bundle, SolverConfig(method="adam", k=3, max_iterations=2), start=start)
 
     def test_explicit_start_used(self, planted_bundle):
         from snmtf.data import generate_synthetic
