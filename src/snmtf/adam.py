@@ -1,5 +1,10 @@
 """Adaptive moment estimation on the absolute-value-transformed objective.
 
+The solver substitutes G = |G'| and S_i = |S_i'| element-wise
+(``Transform.ABS``): a native start is already a valid point in the raw
+variables G' and the stack of the S_i', which are held as plain arrays, and
+the result is their element-wise absolute value.
+
 Per step and per variable X (X ranges over G' and the stack of the S_i'):
 
     M_X <- beta1 M_X + (1 - beta1) dX
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradients import _transformed_step
-from .initialization import lift_to_transformed, random_init
+from .initialization import random_init
 from .model import (
     DataBundle,
     Factorization,
@@ -36,6 +41,8 @@ from .model import (
     Transform,
     check_compatible,
 )
+
+ABS = Transform.ABS
 
 TUNE_ALPHA_RANGE = (1e-4, 1e-1)
 TUNE_BETA1_RANGE = (0.2, 0.999)
@@ -54,12 +61,13 @@ class AdamState:
     step_index: int = 0
 
     @classmethod
-    def zeros_like(cls, fact: Factorization) -> "AdamState":
+    def zeros_like(cls, g: np.ndarray, s: np.ndarray) -> "AdamState":
+        """Zero moments shaped like G' and the (N, k, k) stack S'."""
         return cls(
-            m_g=np.zeros_like(fact.G),
-            v_g=np.zeros_like(fact.G),
-            m_s=np.zeros_like(fact.S),
-            v_s=np.zeros_like(fact.S),
+            m_g=np.zeros_like(g),
+            v_g=np.zeros_like(g),
+            m_s=np.zeros_like(s),
+            v_s=np.zeros_like(s),
         )
 
 
@@ -79,38 +87,36 @@ def _moment_update(m, v, grad, eta, beta1, beta2, eps, x):
     x -= eta * m / (np.sqrt(v) + eps)
 
 
-def adam_step(state: AdamState, fact: Factorization, grads, eta: float,
-              beta1: float, beta2: float, eps: float):
-    """Advance moments and variables one step, in place.
+def adam_step(state: AdamState, g: np.ndarray, s: np.ndarray, grads, eta: float,
+              beta1: float, beta2: float, eps: float) -> None:
+    """Advance the moments and the raw variables one step, in place.
 
-    ``grads`` is the (dG, dS) pair at the current point, dS an (N, k, k)
-    stack or a sequence of the dS_i.  Returns the mutated (state, fact) for
-    convenience.
+    ``g`` is G' and ``s`` the (N, k, k) float stack of the S_i'; both are
+    updated in place.  ``grads`` is the (dG, dS) pair at the current point,
+    dS an (N, k, k) stack or a sequence of the dS_i.
     """
     dg, ds = grads
-    _moment_update(state.m_g, state.v_g, dg, eta, beta1, beta2, eps, fact.G)
-    _moment_update(state.m_s, state.v_s, np.asarray(ds), eta, beta1, beta2, eps, fact.S)
+    _moment_update(state.m_g, state.v_g, dg, eta, beta1, beta2, eps, g)
+    _moment_update(state.m_s, state.v_s, np.asarray(ds), eta, beta1, beta2, eps, s)
     state.step_index += 1
-    return state, fact
 
 
 def adam_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
-    """Run adam from an ABS-coordinates starting point.
+    """Run adam from a native starting point.
 
-    Returns (native factorization, trace); the native factors are the
-    element-wise absolute values of the final variables.  A non-finite
+    Returns (native factorization, trace).  The start is copied into the raw
+    variables (ValidationError on a negative entry) and the result is the
+    element-wise absolute value of the final raw variables.  A non-finite
     gradient aborts with the partial trace attached to the raised error.
     """
     if config.method != "adam":
         raise ValueError(f"config.method is {config.method!r}, expected 'adam'")
-    if start.coords is not Transform.ABS:
-        raise ValueError(f"adam_solve expects abs-transform coordinates, got {start.coords.value}")
     check_compatible(bundle, start)
 
-    fact = start.copy()
-    state = AdamState.zeros_like(fact)
+    g, s = ABS.lift(start.G), ABS.lift(start.S)
+    state = AdamState.zeros_like(g, s)
     tracer = TraceBuilder(bundle, config)
-    se_value, dg, ds, _ = _transformed_step(bundle, fact)
+    se_value, dg, ds, _ = _transformed_step(bundle, ABS, g, s)
     tracer.start(se_value)
 
     stop = None
@@ -123,13 +129,13 @@ def adam_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
             raise SolverDivergedError(
                 f"gradient became non-finite at iteration {it}", records=tracer.records
             )
-        adam_step(state, fact, (dg, ds), eta, config.adam_beta1,
+        adam_step(state, g, s, (dg, ds), eta, config.adam_beta1,
                   config.adam_beta2, config.adam_epsilon)
-        se_value, dg, ds, _ = _transformed_step(bundle, fact)
+        se_value, dg, ds, _ = _transformed_step(bundle, ABS, g, s)
         stop = tracer.step(it, se_value)
         if stop is not None:
             break
-    return fact.to_native(), tracer.finish(stop)
+    return Factorization(ABS.apply(g), ABS.apply(s)), tracer.finish(stop)
 
 
 def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_stop):
@@ -144,8 +150,7 @@ def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_s
                 adam_alpha=alpha, adam_beta1=beta1, adam_beta2=beta2,
                 max_iterations=max_iterations, mse_stop=mse_stop,
             )
-            native = random_init(bundle.n, k, bundle.N, int(seed))
-            start = lift_to_transformed(native, Transform.ABS)
+            start = random_init(bundle.n, k, bundle.N, int(seed))
             try:
                 finals.append(adam_solve(bundle, config, start)[1].final.mse)
             except SolverDivergedError:  # a diverging triple ranks last

@@ -9,7 +9,9 @@ number of projected-gradient steps with exact line search:
   t_i* = <R_i - G S_i G^T, G dS_i G^T> / ||G dS_i G^T||^2, after which the
   step is projected onto the non-negative orthant.  All N blocks step at once
   as one (N, k, k) stack, each with its own t_i*; a block whose denominator
-  is not finite and positive is frozen for the rest of the solve.
+  is not finite and positive is frozen for the rest of the solve.  Each
+  projected step is averaged with its transpose, so every S_i stays exactly
+  symmetric.
 * G-block: along dG the objective is a quartic p(t), the line polynomial of
   ``gradients._line_poly`` with G(t) = G + t dG and S fixed; ``poly_minimize``
   minimizes it over [-1, 0].  When the best step is t = 0 or the decrease is
@@ -35,7 +37,6 @@ from .model import (
     LinePolynomial,
     SolverConfig,
     TraceBuilder,
-    _require_native,
     _se_terms,
     _traces,
     check_compatible,
@@ -50,9 +51,8 @@ INITIAL_S_VALUE = 0.5
 
 
 def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> LinePolynomial:
-    """Quartic p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2 along dG at a
-    native-coordinates point: the line polynomial with P = (G, dG), Q = (S,)."""
-    _require_native(fact, "quartic_coeffs")
+    """Quartic p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2 along dG: the
+    line polynomial with P = (G, dG), Q = (S,)."""
     check_compatible(bundle, fact)
     g, dg = fact.G, np.asarray(dg, float)
     rp = (bundle.times(g), bundle.times(dg))
@@ -73,7 +73,6 @@ def _g_step(bundle: DataBundle, g, gram, h, s, rng):
 
 def linesearch_g(bundle: DataBundle, fact: Factorization, rng: np.random.Generator) -> np.ndarray:
     """Projected exact-line-search update of G (gradient direction, [-1, 0])."""
-    _require_native(fact, "linesearch_g")
     check_compatible(bundle, fact)
     g = fact.G
     return _g_step(bundle, g, g.T @ g, bundle.times(g), fact.S, rng)
@@ -82,7 +81,6 @@ def linesearch_g(bundle: DataBundle, fact: Factorization, rng: np.random.Generat
 def linesearch_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
     """Projected exact-line-search update of S_i at fixed G; it needs only R_i G,
     so it indexes ``bundle.R[i]`` instead of taking a full data pass."""
-    _require_native(fact, "linesearch_s")
     check_compatible(bundle, fact)
     g = fact.G
     mid = g.T @ (bundle.R[i] @ g)
@@ -98,6 +96,12 @@ def _s_inner_solve(gram, mid, s, iterations, norms_sq=None, substep_log=None):
     one row per block and step with the block's SE before the step, at the
     unprojected line-search point and after projection (``norms_sq`` holds
     the ||R_i||^2); used to study how the projection interacts with descent.
+
+    Each projected step is averaged with its transpose: the steps are
+    symmetric only up to the rounding of A S_i A and M_i, which would
+    otherwise build up over the outer iterations and break the output
+    contract's symmetry.  Averaging per step keeps ``iterations`` steps equal
+    to as many one-step solves (:func:`linesearch_s`).
     """
     s = np.array(s, dtype=float)
     live = np.ones(len(s), dtype=bool)
@@ -112,6 +116,7 @@ def _s_inner_solve(gram, mid, s, iterations, norms_sq=None, substep_log=None):
         t = _traces(m - asa, ds) / denom[live]
         raw = x + t[:, None, None] * ds
         projected = np.maximum(raw, 0.0)
+        projected = (projected + projected.swapaxes(1, 2)) / 2.0
         if substep_log is not None:
             norms = np.asarray(norms_sq)[live]
             ses = [_se_terms(norms, m, y, gram @ y @ gram) for y in (x, raw, projected)]

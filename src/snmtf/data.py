@@ -24,7 +24,6 @@ from .model import (
     Factorization,
     SolverConfig,
     TraceRecord,
-    Transform,
     ValidationError,
 )
 
@@ -206,11 +205,7 @@ def read_manifest(path) -> dict:
 
 
 def save_factors(fact: Factorization, path) -> None:
-    """Write G.txt and S_i.txt for a native-coordinates factorization."""
-    if fact.coords is not Transform.IDENTITY:
-        raise ValidationError(
-            f"only native-coordinates factorizations are persisted, got {fact.coords.value}"
-        )
+    """Write G.txt and S_i.txt for a factorization."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     save_dense_matrix(path / "G.txt", fact.G)

@@ -23,7 +23,6 @@ from .model import (
     Factorization,
     SolverConfig,
     TraceBuilder,
-    _require_native,
     check_compatible,
     se_from_gram,
 )
@@ -43,7 +42,6 @@ def _update_s(gram, mid, s) -> np.ndarray:
 
 def fpm_step_g(bundle: DataBundle, fact: Factorization) -> np.ndarray:
     """One multiplicative update of G (S blocks held fixed)."""
-    _require_native(fact, "fpm_step_g")
     check_compatible(bundle, fact)
     g = fact.G
     return _update_g(g, g.T @ g, bundle.times(g), fact.S)
@@ -52,14 +50,13 @@ def fpm_step_g(bundle: DataBundle, fact: Factorization) -> np.ndarray:
 def fpm_step_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
     """One multiplicative update of S_i (G held fixed); it needs only R_i G,
     so it indexes ``bundle.R[i]`` instead of taking a full data pass."""
-    _require_native(fact, "fpm_step_s")
     check_compatible(bundle, fact)
     g = fact.G
     return _update_s(g.T @ g, g.T @ (bundle.R[i] @ g), fact.S[i])
 
 
 def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
-    """Iterate the multiplicative updates from a native starting point.
+    """Iterate the multiplicative updates from a starting point.
 
     Returns (native factorization, trace).  Per iteration the data is touched
     once, by the N products H_i = R_i G of the new G: they give the S updates'
@@ -69,7 +66,6 @@ def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
     """
     if config.method != "fpm":
         raise ValueError(f"config.method is {config.method!r}, expected 'fpm'")
-    _require_native(start, "fpm_solve")
     check_compatible(bundle, start)
     g, s = start.G, start.S
     norms = bundle.norms_sq

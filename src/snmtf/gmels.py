@@ -1,6 +1,9 @@
 """Gradient descent with exact line search on the squared-variable objective.
 
-In SQUARE coordinates the objective
+The solver substitutes G = G'^2 and S_i = S_i'^2 element-wise
+(``Transform.SQUARE``): it lifts a native start to the raw variables G' and
+the stack of the S_i' by element-wise square roots, works on those plain
+arrays, and squares them back at the end.  In the raw variables the objective
 
     SE = sum_i || R_i - G'^2 S_i'^2 G'^2T ||^2        (squares element-wise)
 
@@ -41,11 +44,6 @@ from .model import (
 SQUARE = Transform.SQUARE
 
 
-def _require_square_coords(fact: Factorization, what: str) -> None:
-    if fact.coords is not SQUARE:
-        raise ValueError(f"{what} expects square-transform coordinates, got {fact.coords.value}")
-
-
 def _square_line(x, d) -> np.ndarray:
     """Stacked coefficients of (x + t d)^2 = x^2 + 2t x*d + t^2 d^2, element-wise."""
     return np.stack((x * x, 2.0 * x * d, d * d))
@@ -54,7 +52,7 @@ def _square_line(x, d) -> np.ndarray:
 def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h) -> np.ndarray:
     """Ascending coefficients of p(t) = SE(G + t step_G, S_i + t step_S_i).
 
-    ``g`` and the (N, k, k) stack ``s`` are the SQUARE-coordinates variables
+    ``g`` and the (N, k, k) stack ``s`` are the raw variables G' and S_i'
     and ``h`` holds the stack R_i P0 = R_i (G * G), the native products at
     the current point.  The products R_i [P1, P2] are this function's one
     n x 2k data pass.
@@ -65,47 +63,49 @@ def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h) -> np.n
     return _line_poly(bundle, p, _square_line(s, step_s), (h, rp[..., :k], rp[..., k:]))
 
 
-def line_poly_coeffs(bundle: DataBundle, fact: Factorization, grad_g, grad_s) -> LinePolynomial:
-    """Degree-12 polynomial p(t) = SE(G - t dG, S_i - t dS_i).
+def line_poly_coeffs(bundle: DataBundle, g, s, grad_g, grad_s) -> LinePolynomial:
+    """Degree-12 polynomial p(t) = SE((G' - t dG')^2, (S_i' - t dS_i')^2).
 
-    ``grad_g`` / ``grad_s`` are the gradients at the current point; the sign
-    flip to the descent direction happens here, so p describes exactly the
-    trial step the solver takes.
+    ``g`` and ``s`` (a stack or sequence of the S_i') are the raw variables
+    and ``grad_g`` / ``grad_s`` the gradients there; the sign flip to the
+    descent direction happens here, so p describes exactly the trial step
+    the solver takes.
     """
-    _require_square_coords(fact, "line_poly_coeffs")
-    check_compatible(bundle, fact)
-    h = bundle.times(SQUARE.apply(fact.G))
+    g = np.asarray(g, dtype=float)
+    s = np.asarray(s, dtype=float)
+    native = Factorization(SQUARE.apply(g), SQUARE.apply(s))
+    check_compatible(bundle, native)
+    h = bundle.times(native.G)
     step_g = -np.asarray(grad_g, dtype=float)
     step_s = -np.asarray(grad_s, dtype=float)
-    c = _line_poly_coefficients(bundle, fact.G, fact.S, step_g, step_s, h)
-    return LinePolynomial(c)
+    return LinePolynomial(_line_poly_coefficients(bundle, g, s, step_g, step_s, h))
 
 
 def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
-    """Run the exact line search from a SQUARE-coordinates starting point.
+    """Run the exact line search from a native starting point.
 
-    Returns (native factorization, trace); the native factors are the
-    element-wise squares of the final variables.
+    Returns (native factorization, trace).  The start is lifted by
+    element-wise square roots (ValidationError on a negative entry) and the
+    result is the element-wise square of the final raw variables.
     """
     if config.method != "gmels":
         raise ValueError(f"config.method is {config.method!r}, expected 'gmels'")
-    _require_square_coords(start, "gmels_solve")
     check_compatible(bundle, start)
 
-    fact = start.copy()
+    g, s = SQUARE.lift(start.G), SQUARE.lift(start.S)
     tracer = TraceBuilder(bundle, config)
-    se_value, dg, ds, h = _transformed_step(bundle, fact)
+    se_value, dg, ds, h = _transformed_step(bundle, SQUARE, g, s)
     tracer.start(se_value)
 
     stop = None
     for it in range(1, config.max_iterations + 1):
-        poly = LinePolynomial(_line_poly_coefficients(bundle, fact.G, fact.S, -dg, -ds, h))
+        poly = LinePolynomial(_line_poly_coefficients(bundle, g, s, -dg, -ds, h))
         t = poly_minimize(poly)
         if t != 0.0:
-            fact.G -= t * dg
-            fact.S -= t * ds
-        se_value, dg, ds, h = _transformed_step(bundle, fact)
+            g -= t * dg
+            s -= t * ds
+        se_value, dg, ds, h = _transformed_step(bundle, SQUARE, g, s)
         stop = tracer.step(it, se_value)
         if stop is not None:
             break
-    return fact.to_native(), tracer.finish(stop)
+    return Factorization(SQUARE.apply(g), SQUARE.apply(s)), tracer.finish(stop)

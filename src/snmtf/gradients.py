@@ -1,11 +1,12 @@
 """Exact objective gradients in native and transformed coordinates.
 
-Native coordinates (G, S_i >= 0):
+Native factors (G, S_i >= 0):
 
     dG   = -4 sum_i R_i G S_i + 4 sum_i G S_i (G^T G) S_i
     dS_i = -2 G^T R_i G + 2 (G^T G) S_i (G^T G)
 
-Transformed coordinates X = f(X') with Z_i = R_i - f(G') f(S_i') f(G')^T:
+Raw variables X' of a substitution X = f(X') (``Transform``), with
+Z_i = R_i - f(G') f(S_i') f(G')^T:
 
     dG'   = -4 sum_i f'(G') * (Z_i f(G') f(S_i')^T)
     dS_i' = -2 f'(S_i') * (f(G')^T Z_i f(G'))
@@ -17,8 +18,8 @@ oracle in the test suite pins this down).
 The native gradient needs no residual: with H_i = R_i G it is k x k algebra
 on A = G^T G and M_i = G^T H_i, and so is SE (``se_from_gram``), which shares
 the products A S_i A with dS_i.  Every solver gets its objective and gradient
-from that one Gram step; in transformed coordinates the gradient follows by
-the chain rule, dX' = f'(X') * dX.  A Gram step is one data pass (see
+from that one Gram step; in raw variables the gradient follows by the chain
+rule, dX' = f'(X') * dX.  A Gram step is one data pass (see
 ``DataBundle.times``), R_i G for every i; the rest is batched k x k algebra
 on the (N, k, k) stack of the S_i.
 :func:`grad_transformed` evaluates the formulas above from the n x n residuals
@@ -37,7 +38,6 @@ from .model import (
     DataBundle,
     Factorization,
     Transform,
-    _require_native,
     _se_from_asa,
     check_compatible,
     residuals,
@@ -47,12 +47,11 @@ __all__ = ["Transform", "grad_native", "grad_transformed"]
 
 
 def grad_native(bundle: DataBundle, fact: Factorization):
-    """Gradient of SE with respect to G and each S_i at a native point.
+    """Gradient of SE with respect to G and each S_i.
 
     Returns (dG, dS) with dS the (N, k, k) stack of the dS_i.  Every dS_i is
     symmetric whenever S_i is.
     """
-    _require_native(fact, "grad_native")
     check_compatible(bundle, fact)
     _, dg, ds, _ = _gram_step(bundle, fact.G, fact.S)
     return dg, ds
@@ -144,32 +143,35 @@ def _line_poly(bundle: DataBundle, p, q, rp) -> np.ndarray:
     return coeffs
 
 
-def _transformed_step(bundle: DataBundle, fact: Factorization):
-    """SE and the gradient in the stored variables, f = fact.coords.
+def _transformed_step(bundle: DataBundle, transform: Transform, g, s):
+    """SE and the gradient in the raw variables G' and the (N, k, k) stack S'
+    of the substitution X = f(X'), f = ``transform``.
 
     Runs :func:`_gram_step` at the native point (f(G'), f(S')) and applies
     the chain rule dX' = f'(X') * dX.  Returns (SE, dG', dS', H) with dS' and
     H = R_i f(G') as stacks.
     """
-    f = fact.coords
-    se_value, dg, ds, h = _gram_step(bundle, f.apply(fact.G), f.apply(fact.S))
-    return se_value, f.derivative(fact.G) * dg, f.derivative(fact.S) * ds, h
+    f = transform
+    se_value, dg, ds, h = _gram_step(bundle, f.apply(g), f.apply(s))
+    return se_value, f.derivative(g) * dg, f.derivative(s) * ds, h
 
 
-def grad_transformed(bundle: DataBundle, fact: Factorization):
-    """Gradient of the transformed SE with respect to the raw variables.
+def grad_transformed(bundle: DataBundle, transform: Transform, g, s):
+    """Gradient of SE(f(G'), f(S')) with respect to the raw variables G' and
+    S' (a stack or sequence of the S_i'), f = ``transform``.
 
     Built from the n x n residuals Z_i; the reference for the Gram-space
-    kernel.  Returns (dG', dS') with dS' as an (N, k, k) stack.  In IDENTITY
-    coordinates this reduces to :func:`grad_native`.
+    kernel.  Returns (dG', dS') with dS' as an (N, k, k) stack.
     """
-    f = fact.coords
-    fg = f.apply(fact.G)
-    acc = np.zeros_like(fact.G)
-    ds = np.empty_like(fact.S)
-    for i, (z, s) in enumerate(zip(residuals(bundle, fact), fact.S)):
-        fs = f.apply(s)
+    f = transform
+    g = np.asarray(g, dtype=float)
+    s = np.asarray(s, dtype=float)
+    fg = f.apply(g)
+    acc = np.zeros_like(g)
+    ds = np.empty(s.shape)
+    for i, (z, si) in enumerate(zip(residuals(bundle, Factorization(fg, f.apply(s))), s)):
+        fs = f.apply(si)
         acc += (z @ fg) @ fs.T
-        ds[i] = -2.0 * f.derivative(s) * (fg.T @ z @ fg)
-    dg = -4.0 * f.derivative(fact.G) * acc
+        ds[i] = -2.0 * f.derivative(si) * (fg.T @ z @ fg)
+    dg = -4.0 * f.derivative(g) * acc
     return dg, ds

@@ -1,4 +1,4 @@
-"""Starting points: spectral deterministic G, seeded random factors, lifts."""
+"""Starting points: spectral deterministic G and seeded random factors."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from . import bcd
 from .gradients import _gram_products
-from .model import DataBundle, DimensionError, Factorization, Transform, ValidationError
+from .model import DataBundle, DimensionError, Factorization
 
 # Above this order the dense eigendecomposition of sum_i R_i is replaced by an
 # iterative largest-magnitude eigensolver.
@@ -94,18 +94,3 @@ def init_s_from_g(bundle: DataBundle, g: np.ndarray, iterations: int = 10) -> np
     gram, _, mid = _gram_products(bundle, g)
     return bcd._s_inner_solve(gram, mid, s0, iterations)
 
-
-def lift_to_transformed(fact: Factorization, transform: Transform) -> Factorization:
-    """Re-express a native factorization so ``transform.apply`` recovers it.
-
-    ABS keeps the entries (they are already the non-negative representatives);
-    SQUARE takes element-wise square roots and rejects negative input.
-    """
-    if fact.coords is not Transform.IDENTITY:
-        raise ValueError("lift_to_transformed expects native coordinates")
-    names = ["G"] + [f"S_{i + 1}" for i in range(fact.N)]
-    for name, m in zip(names, [fact.G, *fact.S]):
-        if m.size and float(m.min()) < 0.0:
-            raise ValidationError(f"{name} has a negative entry; cannot lift")
-    lift = np.sqrt if transform is Transform.SQUARE else np.copy
-    return Factorization(lift(fact.G), lift(fact.S), transform)

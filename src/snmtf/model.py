@@ -73,32 +73,36 @@ class SolverDivergedError(RuntimeError):
 class Transform(enum.Enum):
     """Element-wise change of variables that absorbs the sign constraint.
 
-    ``IDENTITY`` means native (non-negative) coordinates.  ``ABS`` substitutes
-    X = |X'| and ``SQUARE`` substitutes X = X' * X' element-wise; under either
-    substitution the feasible set becomes all real matrices and the objective
-    is minimized without projections.
+    ``ABS`` substitutes X = |X'| (adam) and ``SQUARE`` substitutes
+    X = X' * X' (gmels) element-wise; under either substitution the feasible
+    set becomes all real matrices and the objective is minimized without
+    projections.  Only those two solvers hold raw variables X'; every
+    :class:`Factorization` holds native factors.
     """
 
-    IDENTITY = "identity"
     ABS = "abs"
     SQUARE = "square"
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """Native factor f(X') from raw variables X'."""
         x = np.asarray(x, dtype=float)
-        if self is Transform.IDENTITY:
-            return x.copy()
-        if self is Transform.ABS:
-            return np.abs(x)
-        return x * x
+        return np.abs(x) if self is Transform.ABS else x * x
 
     def derivative(self, x: np.ndarray) -> np.ndarray:
         """Element-wise derivative; the ABS subgradient at 0 is taken as 0."""
         x = np.asarray(x, dtype=float)
-        if self is Transform.IDENTITY:
-            return np.ones_like(x)
-        if self is Transform.ABS:
-            return np.sign(x)
-        return 2.0 * x
+        return np.sign(x) if self is Transform.ABS else 2.0 * x
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """Raw variables X' with ``apply(X') == X`` for a native factor X: the
+        element-wise square root for SQUARE, a copy for ABS.
+
+        Raises ValidationError on a negative entry.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.size and float(x.min()) < 0.0:
+            raise ValidationError(f"cannot lift a negative entry ({float(x.min())!r})")
+        return np.sqrt(x) if self is Transform.SQUARE else x.copy()
 
 
 def _check_square(r: np.ndarray, name: str) -> None:
@@ -214,22 +218,18 @@ class DataBundle:
 
 @dataclass
 class Factorization:
-    """Factor pair (G, S) in native or transformed coordinates.
+    """Native factor pair (G, S): G and every S_i non-negative, every S_i
+    symmetric.
 
     ``S`` is one C-contiguous (N, k, k) float stack of the S_i, copied from
     whatever sequence of blocks the constructor is given; DimensionError
-    unless G is 2-D and every S_i is k x k.
-
-    ``coords`` records the transform mapping the stored variables back to the
-    native factors: the native pair is ``coords.apply(G)``,
-    ``coords.apply(S)``.  In native coordinates all entries are non-negative;
-    in transformed coordinates they are unrestricted, but every S_i stays
-    symmetric either way.
+    unless G is 2-D and every S_i is k x k.  Every solver takes and returns
+    native factors; gmels and adam change variables (:class:`Transform`)
+    internally.
     """
 
     G: np.ndarray
     S: np.ndarray
-    coords: Transform = Transform.IDENTITY
 
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=float)
@@ -251,11 +251,7 @@ class Factorization:
         return len(self.S)
 
     def copy(self) -> "Factorization":
-        return Factorization(self.G.copy(), self.S, self.coords)
-
-    def to_native(self) -> "Factorization":
-        """Apply the coordinate transform, yielding non-negative factors."""
-        return Factorization(self.coords.apply(self.G), self.coords.apply(self.S))
+        return Factorization(self.G.copy(), self.S)
 
 
 def check_compatible(bundle: DataBundle, fact: Factorization) -> None:
@@ -266,14 +262,8 @@ def check_compatible(bundle: DataBundle, fact: Factorization) -> None:
         raise DimensionError(f"factorization has {fact.N} S matrices, bundle has N = {bundle.N}")
 
 
-def _require_native(fact: Factorization, what: str) -> None:
-    if fact.coords is not Transform.IDENTITY:
-        raise ValueError(f"{what} expects native coordinates, got {fact.coords.value}")
-
-
 def se(bundle: DataBundle, fact: Factorization) -> float:
-    """Objective sum_i ||R_i - G S_i G^T||_F^2 at a native-coordinates point."""
-    _require_native(fact, "se")
+    """Objective sum_i ||R_i - G S_i G^T||_F^2."""
     check_compatible(bundle, fact)
     total = 0.0
     for r, s in zip(bundle.R, fact.S):
@@ -290,11 +280,9 @@ def mse(bundle: DataBundle, fact: Factorization) -> float:
 
 
 def residuals(bundle: DataBundle, fact: Factorization):
-    """Residual matrices Z_i = R_i - f(G) f(S_i) f(G)^T, f = fact.coords."""
+    """Residual matrices Z_i = R_i - G S_i G^T."""
     check_compatible(bundle, fact)
-    f = fact.coords
-    fg = f.apply(fact.G)
-    return [r - (fg @ f.apply(s)) @ fg.T for r, s in zip(bundle.R, fact.S)]
+    return [r - (fact.G @ s) @ fact.G.T for r, s in zip(bundle.R, fact.S)]
 
 
 def se_from_gram(norms_sq, gram, mid, s_list) -> float:

@@ -1,8 +1,8 @@
 """One front door for running any of the four solvers on a bundle.
 
-Builds the method-appropriate starting point (deterministic spectral G or
-seeded random G, seeded random symmetric S blocks, lifted into the solver's
-coordinate system) and dispatches.  Everything downstream of (bundle, config,
+Builds the starting point (deterministic spectral G or seeded random G,
+seeded random symmetric S blocks) and dispatches; every solver takes and
+returns native factors.  Everything downstream of (bundle, config,
 init kind) is deterministic.
 """
 
@@ -17,7 +17,6 @@ from .model import (
     DimensionError,
     Factorization,
     SolverConfig,
-    Transform,
     _check_finite,
     _check_nonnegative,
     _check_symmetric,
@@ -29,7 +28,7 @@ INIT_KINDS = ("deterministic", "random")
 
 def build_start(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
                 rng: np.random.Generator | None = None) -> Factorization:
-    """Native-coordinates starting factorization for a run.
+    """Starting factorization for a run.
 
     ``deterministic`` pairs the spectral G with seeded random symmetric S
     blocks (the S blocks have no deterministic counterpart; bcd ignores them
@@ -50,17 +49,14 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
         start: Factorization | None = None):
     """Run the configured solver; returns (native factorization, trace).
 
-    ``start`` overrides the built starting point; it must be in native
-    coordinates and match ``config.k`` (DimensionError otherwise), every
-    block must be finite and non-negative and every S_i symmetric to the
-    iterate tolerance (ValidationError otherwise), and it is lifted as
-    needed for the transformed-space methods.
+    ``start`` overrides the built starting point; it must match ``config.k``
+    (DimensionError otherwise), every block must be finite and non-negative
+    and every S_i symmetric to the iterate tolerance (ValidationError
+    otherwise).
     """
     rng = np.random.default_rng(config.seed)
     if start is None:
         start = build_start(bundle, config, init, rng)
-    elif start.coords is not Transform.IDENTITY:
-        raise ValueError("explicit start must be in native coordinates")
     check_compatible(bundle, start)
     if start.k != config.k:
         raise DimensionError(f"start has k = {start.k} columns, config.k = {config.k}")
@@ -80,7 +76,5 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
         if config.method == "bcd":
             return bcd.bcd_solve(bundle, config, start.G, rng=rng)
         if config.method == "gmels":
-            lifted = initialization.lift_to_transformed(start, Transform.SQUARE)
-            return gmels.gmels_solve(bundle, config, lifted)
-        lifted = initialization.lift_to_transformed(start, Transform.ABS)
-        return adam.adam_solve(bundle, config, lifted)
+            return gmels.gmels_solve(bundle, config, start)
+        return adam.adam_solve(bundle, config, start)

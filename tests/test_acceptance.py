@@ -21,7 +21,7 @@ from snmtf.adam import tune_adam
 from snmtf.bcd import bcd_solve, quartic_coeffs
 from snmtf.gmels import line_poly_coeffs
 from snmtf.gradients import grad_native, grad_transformed
-from snmtf.initialization import lift_to_transformed, random_init
+from snmtf.initialization import random_init
 from snmtf.model import (
     Factorization,
     SolverConfig,
@@ -134,22 +134,25 @@ class TestProperties:
         bundle = random_bundle(rng, 8, 2)
         h, rtol = 1e-6, 1e-5
         worst = 0.0
-        for transform in (Transform.IDENTITY, Transform.ABS, Transform.SQUARE):
+        # transform None is the native objective
+        for transform in (None, Transform.ABS, Transform.SQUARE):
+            def point(x, ss, transform=transform):
+                if transform is None:
+                    return Factorization(x, ss)
+                return Factorization(transform.apply(x), transform.apply(ss))
+
             for _ in range(20):
-                if transform is Transform.IDENTITY:
+                if transform is None:
                     g = rng.uniform(0.1, 1.0, (8, 3))
                     s_list = [(lambda s: (s + s.T) / 2)(rng.uniform(0.1, 1.0, (3, 3))) for _ in range(2)]
+                    dg, ds = grad_native(bundle, Factorization(g, s_list))
                 else:
                     g = rng.standard_normal((8, 3)) * 0.8
                     s_list = [(lambda s: (s + s.T) / 2)(rng.standard_normal((3, 3)) * 0.8) for _ in range(2)]
-                fact = Factorization(g, s_list, transform)
-                if transform is Transform.IDENTITY:
-                    dg, ds = grad_native(bundle, fact)
-                else:
-                    dg, ds = grad_transformed(bundle, fact)
+                    dg, ds = grad_transformed(bundle, transform, g, s_list)
 
                 def obj_g(x):
-                    return sum(float(np.sum(z * z)) for z in residuals(bundle, Factorization(x, s_list, transform)))
+                    return sum(float(np.sum(z * z)) for z in residuals(bundle, point(x, s_list)))
 
                 fd = _fd(obj_g, g, h)
                 mask = np.abs(g) > 1e-4 if transform is Transform.ABS else np.ones_like(g, bool)
@@ -158,7 +161,7 @@ class TestProperties:
                     def obj_s(x, i=i):
                         ss = [y.copy() for y in s_list]
                         ss[i] = x
-                        return sum(float(np.sum(z * z)) for z in residuals(bundle, Factorization(g, ss, transform)))
+                        return sum(float(np.sum(z * z)) for z in residuals(bundle, point(g, ss)))
 
                     fd_s = _fd(obj_s, s_list[i], h)
                     smask = np.abs(s_list[i]) > 1e-4 if transform is Transform.ABS else np.ones_like(s_list[i], bool)
@@ -179,16 +182,13 @@ class TestProperties:
             bundle = random_bundle(rng, 6, 2)
             g = rng.standard_normal((6, 2)) * 0.5
             s_list = [(lambda s: (s + s.T) / 2)(rng.standard_normal((2, 2)) * 0.5) for _ in range(2)]
-            fact = Factorization(g, s_list, Transform.SQUARE)
-            grads = grad_transformed(bundle, fact)
-            poly = line_poly_coeffs(bundle, fact, *grads)
+            grads = grad_transformed(bundle, Transform.SQUARE, g, s_list)
+            poly = line_poly_coeffs(bundle, g, s_list, *grads)
 
             def direct(t):
-                trial = Factorization(
-                    fact.G - t * grads[0],
-                    [s - t * d for s, d in zip(fact.S, grads[1])],
-                    Transform.SQUARE,
-                )
+                trial_g = Transform.SQUARE.apply(g - t * grads[0])
+                trial_s = [Transform.SQUARE.apply(s - t * d) for s, d in zip(s_list, grads[1])]
+                trial = Factorization(trial_g, trial_s)
                 return sum(float(np.sum(z * z)) for z in residuals(bundle, trial))
 
             for t in rng.uniform(-1.0, 1.0, 20):
@@ -244,7 +244,7 @@ class TestProperties:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             bundle = random_bundle(rng, 8, 2)
-            start = lift_to_transformed(random_init(8, 2, 2, seed), Transform.SQUARE)
+            start = random_init(8, 2, 2, seed)
             config = SolverConfig(method="gmels", k=2, seed=seed, max_iterations=60, mse_stop=0.0)
             from snmtf.gmels import gmels_solve
 
@@ -334,9 +334,9 @@ class TestProperties:
         bundle = random_bundle(rng, 7, 2)
         g = rng.standard_normal((7, 3)) * 0.8
         s_list = [(lambda s: (s + s.T) / 2)(rng.standard_normal((3, 3)) * 0.8) for _ in range(2)]
-        fact = Factorization(g, s_list, Transform.SQUARE)
-        dg_t, ds_t = grad_transformed(bundle, fact)
-        dg_n, ds_n = grad_native(bundle, fact.to_native())
+        dg_t, ds_t = grad_transformed(bundle, Transform.SQUARE, g, s_list)
+        native_point = Factorization(Transform.SQUARE.apply(g), Transform.SQUARE.apply(s_list))
+        dg_n, ds_n = grad_native(bundle, native_point)
         chain_err = np.abs(dg_t - 2.0 * g * dg_n).max() / np.abs(dg_t).max()
         for x, d_t, d_n in zip(s_list, ds_t, ds_n):
             chain_err = max(chain_err, np.abs(d_t - 2.0 * x * d_n).max() / max(np.abs(d_t).max(), 1e-30))
@@ -344,9 +344,10 @@ class TestProperties:
         round_err = 0.0
         native = Factorization(rng.random((6, 2)), [(lambda s: (s + s.T) / 2)(rng.random((2, 2)))])
         for transform in (Transform.ABS, Transform.SQUARE):
-            back = lift_to_transformed(native, transform).to_native()
-            round_err = max(round_err, np.abs(back.G - native.G).max())
-            round_err = max(round_err, max(np.abs(a - b).max() for a, b in zip(back.S, native.S)))
+            back_g = transform.apply(transform.lift(native.G))
+            back_s = transform.apply(transform.lift(native.S))
+            round_err = max(round_err, np.abs(back_g - native.G).max())
+            round_err = max(round_err, max(np.abs(a - b).max() for a, b in zip(back_s, native.S)))
         ok = chain_err <= 1e-10 and round_err <= 1e-14
         assert report(
             11, ok,

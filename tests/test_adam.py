@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from snmtf.adam import AdamState, adam_eta, adam_solve, adam_step, tune_adam
 from snmtf.data import generate_synthetic
-from snmtf.initialization import lift_to_transformed, random_init
+from snmtf.initialization import random_init
 from snmtf.model import (
     DataBundle,
     Factorization,
     SolverConfig,
     SolverDivergedError,
-    Transform,
+    ValidationError,
 )
 
 from conftest import assert_block_stack, random_bundle
@@ -51,70 +51,71 @@ class TestEta:
 
 class TestStep:
     def _point(self, rng):
+        """Raw variables G' and a one-block S' stack."""
         g = rng.standard_normal((2, 2))
         s = rng.standard_normal((2, 2))
         s = (s + s.T) / 2.0
-        return Factorization(g, [s], Transform.ABS)
+        return g, s[None].copy()
 
     def test_moments_are_stacks(self, rng):
-        fact = Factorization(rng.random((4, 2)), rng.random((3, 2, 2)), Transform.ABS)
-        state = AdamState.zeros_like(fact)
+        g, s = rng.random((4, 2)), rng.random((3, 2, 2))
+        state = AdamState.zeros_like(g, s)
         assert_block_stack(state.m_s, 3, 2)
         assert_block_stack(state.v_s, 3, 2)
 
     def test_stacked_step_matches_per_block_steps(self, rng):
-        fact = Factorization(rng.random((4, 2)), rng.random((3, 2, 2)), Transform.ABS)
+        g, s = rng.random((4, 2)), rng.random((3, 2, 2))
         grads = (rng.standard_normal((4, 2)), rng.standard_normal((3, 2, 2)))
         expected = []
-        for s, d in zip(fact.S, grads[1]):
+        for x, d in zip(s, grads[1]):
             m, v = (1.0 - 0.9) * d, (1.0 - 0.99) * d * d
-            expected.append(s - 0.05 * m / (np.sqrt(v) + 1e-8))
-        adam_step(AdamState.zeros_like(fact), fact, grads, 0.05, 0.9, 0.99, 1e-8)
-        np.testing.assert_array_equal(fact.S, expected)
+            expected.append(x - 0.05 * m / (np.sqrt(v) + 1e-8))
+        adam_step(AdamState.zeros_like(g, s), g, s, grads, 0.05, 0.9, 0.99, 1e-8)
+        np.testing.assert_array_equal(s, expected)
 
     def test_zero_gradient_zero_state_moves_nothing(self, rng):
-        fact = self._point(rng)
-        g0 = fact.G.copy()
-        state = AdamState.zeros_like(fact)
-        zero = (np.zeros_like(fact.G), [np.zeros_like(s) for s in fact.S])
-        adam_step(state, fact, zero, eta=0.1, beta1=0.9, beta2=0.99, eps=1e-8)
-        np.testing.assert_array_equal(fact.G, g0)
+        g, s = self._point(rng)
+        g0 = g.copy()
+        state = AdamState.zeros_like(g, s)
+        zero = (np.zeros_like(g), [np.zeros_like(x) for x in s])
+        adam_step(state, g, s, zero, eta=0.1, beta1=0.9, beta2=0.99, eps=1e-8)
+        np.testing.assert_array_equal(g, g0)
         assert np.all(state.m_g == 0.0) and np.all(state.v_g == 0.0)
 
     def test_zero_gradient_decays_existing_moments(self, rng):
-        fact = self._point(rng)
-        state = AdamState.zeros_like(fact)
+        g, s = self._point(rng)
+        state = AdamState.zeros_like(g, s)
         state.m_g += 0.25
         state.v_g += 0.5
-        zero = (np.zeros_like(fact.G), [np.zeros_like(s) for s in fact.S])
-        adam_step(state, fact, zero, eta=0.1, beta1=0.9, beta2=0.99, eps=1e-8)
+        zero = (np.zeros_like(g), [np.zeros_like(x) for x in s])
+        adam_step(state, g, s, zero, eta=0.1, beta1=0.9, beta2=0.99, eps=1e-8)
         np.testing.assert_allclose(state.m_g, 0.25 * 0.9, rtol=1e-15)
         np.testing.assert_allclose(state.v_g, 0.5 * 0.99, rtol=1e-15)
 
     def test_first_step_direction(self, rng):
-        fact = self._point(rng)
-        g0 = fact.G.copy()
-        grad = rng.standard_normal(fact.G.shape)
-        state = AdamState.zeros_like(fact)
+        g, s = self._point(rng)
+        g0 = g.copy()
+        grad = rng.standard_normal(g.shape)
+        state = AdamState.zeros_like(g, s)
         beta1, beta2, eps, eta = 0.95, 0.995, 1e-8, 0.002
-        adam_step(state, fact, (grad, [np.zeros((2, 2))]), eta, beta1, beta2, eps)
+        adam_step(state, g, s, (grad, [np.zeros((2, 2))]), eta, beta1, beta2, eps)
         expected = g0 - eta * (1 - beta1) * grad / (np.sqrt((1 - beta2) * grad**2) + eps)
-        np.testing.assert_allclose(fact.G, expected, rtol=1e-12)
+        np.testing.assert_allclose(g, expected, rtol=1e-12)
         # per entry that is sign(-grad) scaled nearly uniformly
-        moved = np.sign(fact.G - g0)
+        moved = np.sign(g - g0)
         np.testing.assert_array_equal(moved, -np.sign(grad))
 
     def test_three_scripted_steps_match_hand_recursion(self, rng):
-        fact = self._point(rng)
-        state = AdamState.zeros_like(fact)
+        g, s = self._point(rng)
+        state = AdamState.zeros_like(g, s)
         beta1, beta2, eps = 0.9, 0.99, 1e-8
         grads = [rng.standard_normal((2, 2)) for _ in range(3)]
         s_grads = [rng.standard_normal((2, 2)) for _ in range(3)]
         s_grads = [(d + d.T) / 2.0 for d in s_grads]
 
         # independent hand-tracked recursion
-        xg = fact.G.copy()
-        xs = fact.S[0].copy()
+        xg = g.copy()
+        xs = s[0].copy()
         mg = np.zeros((2, 2))
         vg = np.zeros((2, 2))
         ms = np.zeros((2, 2))
@@ -130,18 +131,18 @@ class TestStep:
 
         for step in range(3):
             eta = 0.01 * (step + 1)
-            adam_step(state, fact, (grads[step], [s_grads[step]]), eta, beta1, beta2, eps)
+            adam_step(state, g, s, (grads[step], [s_grads[step]]), eta, beta1, beta2, eps)
 
-        np.testing.assert_allclose(fact.G, xg, atol=1e-12)
-        np.testing.assert_allclose(fact.S[0], xs, atol=1e-12)
+        np.testing.assert_allclose(g, xg, atol=1e-12)
+        np.testing.assert_allclose(s[0], xs, atol=1e-12)
         assert state.step_index == 3
 
     def test_second_moment_nonnegative(self, rng):
-        fact = self._point(rng)
-        state = AdamState.zeros_like(fact)
+        g, s = self._point(rng)
+        state = AdamState.zeros_like(g, s)
         for _ in range(50):
-            grad = rng.standard_normal(fact.G.shape)
-            adam_step(state, fact, (grad, [np.zeros((2, 2))]), 0.01, 0.9, 0.99, 1e-8)
+            grad = rng.standard_normal(g.shape)
+            adam_step(state, g, s, (grad, [np.zeros((2, 2))]), 0.01, 0.9, 0.99, 1e-8)
             assert float(state.v_g.min()) >= 0.0
 
 
@@ -164,7 +165,7 @@ class TestSolve:
         s_list = [(lambda s: np.triu(s) + np.triu(s, 1).T)(rng.integers(0, 5, (2, 2)) / 4.0)
                   for _ in range(2)]
         bundle = DataBundle.from_matrices([g @ s @ g.T for s in s_list])
-        start = lift_to_transformed(Factorization(g, s_list), Transform.ABS)
+        start = Factorization(g, s_list)
         config = SolverConfig(method="adam", k=2, seed=0, max_iterations=10,
                               mse_stop=0.0, delta_stop=0.0)
         fact, trace = adam_solve(bundle, config, start)
@@ -178,7 +179,7 @@ class TestSolve:
         # n x k; the traced peak stays below one n x n matrix.
         n, k, N = 400, 10, 5
         bundle = random_bundle(rng, n, N)
-        start = lift_to_transformed(random_init(n, k, N, seed=2), Transform.ABS)
+        start = random_init(n, k, N, seed=2)
         config = SolverConfig(method="adam", k=k, seed=0, max_iterations=3, mse_stop=0.0)
         tracemalloc.start()
         try:
@@ -191,7 +192,7 @@ class TestSolve:
 
     def test_symmetry_preserved(self, rng):
         bundle = random_bundle(rng, 8, 2)
-        start = lift_to_transformed(random_init(8, 3, 2, seed=4), Transform.ABS)
+        start = random_init(8, 3, 2, seed=4)
         config = SolverConfig(method="adam", k=3, seed=0, max_iterations=500, mse_stop=0.0)
         fact, _ = adam_solve(bundle, config, start)
         for s in fact.S:
@@ -199,7 +200,7 @@ class TestSolve:
 
     def test_divergence_aborts_with_records(self, rng):
         bundle = random_bundle(rng, 6, 2)
-        start = lift_to_transformed(random_init(6, 2, 2, seed=1), Transform.ABS)
+        start = random_init(6, 2, 2, seed=1)
         config = SolverConfig(
             method="adam", k=2, seed=0, adam_alpha=1e150, max_iterations=50, mse_stop=0.0
         )
@@ -208,11 +209,15 @@ class TestSolve:
                 adam_solve(bundle, config, start)
         assert err.value.records  # partial trace attached
 
-    def test_requires_abs_coords(self, rng):
+    @pytest.mark.parametrize("block", ["G", "S_1"])
+    def test_negative_start_rejected(self, rng, block):
+        # The lift inside the solver refuses a negative entry, although
+        # |X'| would map it to a valid point.
         bundle = random_bundle(rng, 4, 1)
         start = random_init(4, 2, 1, seed=0)
+        (start.G if block == "G" else start.S[0])[1, 1] = -0.25
         config = SolverConfig(method="adam", k=2)
-        with pytest.raises(ValueError, match="abs-transform"):
+        with pytest.raises(ValidationError, match="negative"):
             adam_solve(bundle, config, start)
 
 

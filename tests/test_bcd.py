@@ -153,6 +153,7 @@ def per_block_s_solve(gram, mid, s, iterations):
         if not np.isfinite(denom) or denom <= 0.0:
             break
         s = np.maximum(s + float(np.vdot(mid - asa, ds)) / denom * ds, 0.0)
+        s = (s + s.T) / 2.0
     return s
 
 

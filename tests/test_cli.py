@@ -144,6 +144,27 @@ class TestSolve:
         assert "start S_1 is not symmetric" in capsys.readouterr().err
         assert not (tmp_path / "run" / "G.txt").exists()
 
+    def test_bcd_output_is_symmetric_and_chains(self, tmp_path):
+        # Unsymmetrized, bcd's S_3 on this bundle drifted to
+        # max|S - S^T| = 2.1e-10 after 125 iterations, past the 1e-10
+        # relative tolerance a --start-from input is held to.
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=3)
+        out = tmp_path / "run"
+        rc = run_cli(
+            "solve", "--bundle", bundle_dir, "--method", "bcd", "--k", 3,
+            "--max-iters", 300, "--mse-stop", 0, "--out", out,
+        )
+        assert rc == 0
+        fact = data.load_factors(out)
+        for s in fact.S:
+            assert (s == s.T).all()
+        for method in ("fpm", "bcd", "gmels", "adam"):
+            rc = run_cli(
+                "solve", "--bundle", bundle_dir, "--method", method, "--k", 3,
+                "--max-iters", 3, "--start-from", out, "--out", tmp_path / f"chained-{method}",
+            )
+            assert rc == 0
+
     def test_k_above_n_is_validation_error(self, tmp_path, capsys):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=3)
         out = tmp_path / "run"

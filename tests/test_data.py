@@ -14,7 +14,6 @@ from snmtf.model import (
     DataBundle,
     Factorization,
     TraceRecord,
-    Transform,
     ValidationError,
     mse,
 )
@@ -308,8 +307,3 @@ class TestFactorizationIO:
         assert summary["stop_reason"] == "max_iterations"
         assert summary["final_mse"] == 0.125
         assert summary["config"]["seed"] == 3
-
-    def test_transformed_coords_rejected(self, rng, tmp_path):
-        fact = Factorization(rng.random((3, 1)), [rng.random((1, 1))], Transform.SQUARE)
-        with pytest.raises(ValidationError, match="native"):
-            data.save_factorization(fact, self._trace(), tmp_path / "run")

@@ -5,50 +5,58 @@ import pytest
 
 from snmtf.gmels import gmels_solve, line_poly_coeffs, poly_minimize
 from snmtf.gradients import grad_transformed
-from snmtf.initialization import lift_to_transformed
 from snmtf.model import (
     Factorization,
     LinePolynomial,
     SolverConfig,
     Transform,
+    ValidationError,
     residuals,
 )
 
 from conftest import random_bundle
 
 
+SQUARE = Transform.SQUARE
+
+
 def square_point(rng, n, k, N, scale=0.7):
+    """Raw variables (G', stack of the S_i') of a squared-variable point."""
     g = rng.standard_normal((n, k)) * scale
     s_list = [(lambda s: (s + s.T) / 2.0)(rng.standard_normal((k, k)) * scale) for _ in range(N)]
-    return Factorization(g, s_list, Transform.SQUARE)
+    return g, np.array(s_list)
 
 
-def transformed_se(bundle, fact):
-    return sum(float(np.sum(z * z)) for z in residuals(bundle, fact))
+def native_start(g, s):
+    """The native factorization whose square-root lift is (|G'|, |S'|); the
+    squared-variable objective is the same at both points."""
+    return Factorization(SQUARE.apply(g), SQUARE.apply(s))
 
 
-def trial_point(fact, grads, t):
-    dg, ds = grads
-    return Factorization(
-        fact.G - t * dg, [s - t * d for s, d in zip(fact.S, ds)], Transform.SQUARE
-    )
+def transformed_se(bundle, g, s):
+    return sum(float(np.sum(z * z)) for z in residuals(bundle, native_start(g, s)))
+
+
+def trial_point(point, grads, t):
+    (g, s), (dg, ds) = point, grads
+    return g - t * dg, [x - t * d for x, d in zip(s, ds)]
 
 
 class TestLinePolyCoeffs:
     def test_zero_directions(self, rng):
         bundle = random_bundle(rng, 6, 2)
-        fact = square_point(rng, 6, 2, 2)
-        zero = (np.zeros_like(fact.G), [np.zeros_like(s) for s in fact.S])
-        poly = line_poly_coeffs(bundle, fact, *zero)
+        g, s = square_point(rng, 6, 2, 2)
+        zero = (np.zeros_like(g), [np.zeros_like(x) for x in s])
+        poly = line_poly_coeffs(bundle, g, s, *zero)
         assert poly.degree == 12
-        assert poly.c[0] == pytest.approx(transformed_se(bundle, fact), rel=1e-12)
+        assert poly.c[0] == pytest.approx(transformed_se(bundle, g, s), rel=1e-12)
         np.testing.assert_allclose(poly.c[1:], 0.0, atol=1e-9)
 
     def test_c12_is_top_term_norm(self, rng):
         bundle = random_bundle(rng, 5, 2)
-        fact = square_point(rng, 5, 2, 2)
-        dg, ds = grad_transformed(bundle, fact)
-        poly = line_poly_coeffs(bundle, fact, dg, ds)
+        g, s = square_point(rng, 5, 2, 2)
+        dg, ds = grad_transformed(bundle, SQUARE, g, s)
+        poly = line_poly_coeffs(bundle, g, s, dg, ds)
         expected = 0.0
         for dsi in ds:
             top = ((dg * dg) @ (dsi * dsi)) @ (dg * dg).T
@@ -62,12 +70,12 @@ class TestLinePolyCoeffs:
         # Moderate factor scale keeps the coefficient span within what the
         # float64 interpolation can resolve.
         bundle = random_bundle(rng, 6, 2)
-        fact = square_point(rng, 6, 2, 2, scale=0.5)
-        grads = grad_transformed(bundle, fact)
-        poly = line_poly_coeffs(bundle, fact, *grads)
+        point = square_point(rng, 6, 2, 2, scale=0.5)
+        grads = grad_transformed(bundle, SQUARE, *point)
+        poly = line_poly_coeffs(bundle, *point, *grads)
 
         nodes = np.array([0.0] + [s * 0.1 * j for j in range(1, 7) for s in (1, -1)])
-        values = [transformed_se(bundle, trial_point(fact, grads, t)) for t in nodes]
+        values = [transformed_se(bundle, *trial_point(point, grads, t)) for t in nodes]
         vander = np.vander(nodes, 13, increasing=True)
         interpolated = np.linalg.solve(vander, values)
         rel = np.abs(interpolated - poly.c) / np.abs(poly.c)
@@ -75,18 +83,12 @@ class TestLinePolyCoeffs:
 
     def test_horner_matches_direct_se_along_step(self, rng):
         bundle = random_bundle(rng, 6, 2)
-        fact = square_point(rng, 6, 2, 2)
-        grads = grad_transformed(bundle, fact)
-        poly = line_poly_coeffs(bundle, fact, *grads)
+        point = square_point(rng, 6, 2, 2)
+        grads = grad_transformed(bundle, SQUARE, *point)
+        poly = line_poly_coeffs(bundle, *point, *grads)
         for t in rng.uniform(-1.0, 1.0, 20):
-            direct = transformed_se(bundle, trial_point(fact, grads, t))
+            direct = transformed_se(bundle, *trial_point(point, grads, t))
             assert poly(t) == pytest.approx(direct, rel=1e-8)
-
-    def test_requires_square_coords(self, rng):
-        bundle = random_bundle(rng, 4, 1)
-        fact = Factorization(rng.random((4, 2)), [np.eye(2)])
-        with pytest.raises(ValueError, match="square-transform"):
-            line_poly_coeffs(bundle, fact, np.zeros((4, 2)), [np.zeros((2, 2))])
 
 
 class TestPolyMinimize:
@@ -146,12 +148,9 @@ class TestSolve:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             bundle = random_bundle(rng, 8, 2)
-            start = lift_to_transformed(
-                Factorization(
-                    rng.random((8, 2)),
-                    [(lambda s: (s + s.T) / 2.0)(rng.random((2, 2))) for _ in range(2)],
-                ),
-                Transform.SQUARE,
+            start = Factorization(
+                rng.random((8, 2)),
+                [(lambda s: (s + s.T) / 2.0)(rng.random((2, 2))) for _ in range(2)],
             )
             config = SolverConfig(method="gmels", k=2, seed=seed, max_iterations=60, mse_stop=0.0)
             _, trace = gmels_solve(bundle, config, start)
@@ -161,12 +160,22 @@ class TestSolve:
 
     def test_returns_native_nonnegative(self, rng):
         bundle = random_bundle(rng, 6, 2)
-        start = square_point(rng, 6, 2, 2)
+        start = native_start(*square_point(rng, 6, 2, 2))
         config = SolverConfig(method="gmels", k=2, seed=0, max_iterations=20)
         fact, _ = gmels_solve(bundle, config, start)
-        assert fact.coords is Transform.IDENTITY
+        assert isinstance(fact, Factorization)
         assert float(fact.G.min()) >= 0.0
         assert all(float(s.min()) >= 0.0 for s in fact.S)
+
+    @pytest.mark.parametrize("block", ["G", "S_2"])
+    def test_negative_start_rejected(self, rng, block):
+        # The square-root lift inside the solver refuses a negative entry.
+        bundle = random_bundle(rng, 6, 2)
+        start = Factorization(rng.random((6, 2)), [np.eye(2), np.eye(2)])
+        (start.G if block == "G" else start.S[1])[1, 1] = -0.25
+        config = SolverConfig(method="gmels", k=2, seed=0, max_iterations=5)
+        with pytest.raises(ValidationError, match="negative"):
+            gmels_solve(bundle, config, start)
 
     def test_planted_recovery_small(self):
         from snmtf.data import generate_synthetic
@@ -194,7 +203,7 @@ class TestSolve:
         # with X of shape n x k; the traced peak stays below one n x n matrix.
         n, k, N = 400, 10, 5
         bundle = random_bundle(rng, n, N)
-        start = square_point(rng, n, k, N, scale=0.3)
+        start = native_start(*square_point(rng, n, k, N, scale=0.3))
         config = SolverConfig(method="gmels", k=k, seed=0, max_iterations=3, mse_stop=0.0)
         tracemalloc.start()
         try:
@@ -210,12 +219,12 @@ class TestSolve:
         from snmtf.gradients import grad_transformed
 
         bundle = random_bundle(rng, 6, 2)
-        start = square_point(rng, 6, 2, 2)
+        start = native_start(*square_point(rng, 6, 2, 2))
         config = SolverConfig(method="gmels", k=2, seed=0, mse_stop=0.0, max_iterations=1000)
         fact, trace = gmels_solve(bundle, config, start)
         if trace.stop_reason == "delta_threshold":
-            lifted = lift_to_transformed(fact, Transform.SQUARE)
-            grads = grad_transformed(bundle, lifted)
-            poly = line_poly_coeffs(bundle, lifted, *grads)
+            lifted = SQUARE.lift(fact.G), SQUARE.lift(fact.S)
+            grads = grad_transformed(bundle, SQUARE, *lifted)
+            poly = line_poly_coeffs(bundle, *lifted, *grads)
             t = poly_minimize(poly)
             assert abs(poly(t) - poly.c[0]) <= 1e-8 * (1.0 + poly.c[0])

@@ -7,8 +7,9 @@ from snmtf.model import DataBundle, Factorization, Transform, residuals, se_from
 from conftest import assert_block_stack, exact_fit_pair, random_bundle, random_native_fact
 
 
-def transformed_se(bundle, fact):
-    return sum(float(np.sum(z * z)) for z in residuals(bundle, fact))
+def transformed_se(bundle, transform, g, s):
+    native = Factorization(transform.apply(g), transform.apply(s))
+    return sum(float(np.sum(z * z)) for z in residuals(bundle, native))
 
 
 def fd_grad(fun, x, h):
@@ -23,31 +24,33 @@ def fd_grad(fun, x, h):
     return g
 
 
-def fd_check_point(bundle, fact, h, rtol, kink_tol=None):
-    """Compare analytic gradients with finite differences of the objective."""
-    dg, ds = grad_transformed(bundle, fact)
+def fd_check_point(bundle, transform, g, s, h, rtol, kink_tol=None):
+    """Compare analytic gradients with finite differences of the objective
+    in the raw variables ``g`` and the stack ``s``."""
+    s = np.array(s)
+    dg, ds = grad_transformed(bundle, transform, g, s)
 
-    def se_of_g(g):
-        return transformed_se(bundle, Factorization(g, fact.S, fact.coords))
+    def se_of_g(x):
+        return transformed_se(bundle, transform, x, s)
 
-    fd_g = fd_grad(se_of_g, fact.G, h)
-    mask = np.ones_like(fact.G, dtype=bool)
+    fd_g = fd_grad(se_of_g, g, h)
+    mask = np.ones_like(g, dtype=bool)
     if kink_tol is not None:
-        mask = np.abs(fact.G) > kink_tol
+        mask = np.abs(g) > kink_tol
     num = np.linalg.norm((fd_g - dg)[mask])
     den = np.linalg.norm(dg[mask])
     assert num <= rtol * den
 
     for i in range(bundle.N):
-        def se_of_s(s, i=i):
-            s_list = [x.copy() for x in fact.S]
-            s_list[i] = s
-            return transformed_se(bundle, Factorization(fact.G, s_list, fact.coords))
+        def se_of_s(x, i=i):
+            s_list = [y.copy() for y in s]
+            s_list[i] = x
+            return transformed_se(bundle, transform, g, s_list)
 
-        fd_s = fd_grad(se_of_s, fact.S[i], h)
-        smask = np.ones_like(fact.S[i], dtype=bool)
+        fd_s = fd_grad(se_of_s, s[i], h)
+        smask = np.ones_like(s[i], dtype=bool)
         if kink_tol is not None:
-            smask = np.abs(fact.S[i]) > kink_tol
+            smask = np.abs(s[i]) > kink_tol
         assert np.linalg.norm((fd_s - ds[i])[smask]) <= rtol * np.linalg.norm(ds[i][smask])
 
 
@@ -112,13 +115,16 @@ class TestGradNative:
         np.testing.assert_array_equal(ds, [2.0 * (gram @ s @ gram - m) for s, m in zip(fact.S, mid)])
         assert se_value == se_from_gram(bundle.norms_sq, gram, mid, fact.S)
 
-    @pytest.mark.parametrize("coords", [Transform.IDENTITY, Transform.ABS, Transform.SQUARE])
-    def test_ds_is_one_stack(self, rng, coords):
+    @pytest.mark.parametrize(
+        "transform", [pytest.param(None, id="native"), Transform.ABS, Transform.SQUARE]
+    )
+    def test_ds_is_one_stack(self, rng, transform):
         bundle = random_bundle(rng, 7, 3)
         fact = random_native_fact(rng, 7, 2, 3)
-        assert_block_stack(grad_transformed(bundle, Factorization(fact.G, fact.S, coords))[1], 3, 2)
-        if coords is Transform.IDENTITY:
+        if transform is None:
             assert_block_stack(grad_native(bundle, fact)[1], 3, 2)
+        else:
+            assert_block_stack(grad_transformed(bundle, transform, fact.G, fact.S)[1], 3, 2)
 
     def test_ds_symmetric(self, rng):
         bundle = random_bundle(rng, 7, 3)
@@ -130,10 +136,14 @@ class TestGradNative:
 
 class TestGradTransformed:
     def test_identity_equals_native(self, rng):
+        # The residual formulas with f = identity, against the Gram kernel.
         bundle = random_bundle(rng, 6, 2)
         fact = random_native_fact(rng, 6, 3, 2)
         dg_n, ds_n = grad_native(bundle, fact)
-        dg_t, ds_t = grad_transformed(bundle, fact)
+        g = fact.G
+        zs = residuals(bundle, fact)
+        dg_t = -4.0 * sum((z @ g) @ s.T for z, s in zip(zs, fact.S))
+        ds_t = [-2.0 * (g.T @ z @ g) for z in zs]
         np.testing.assert_allclose(dg_t, dg_n, rtol=1e-12, atol=1e-12)
         for a, b in zip(ds_t, ds_n):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
@@ -142,16 +152,14 @@ class TestGradTransformed:
         bundle = random_bundle(rng, 8, 2)
         g = rng.standard_normal((8, 3)) * 0.7
         s_list = [(lambda s: (s + s.T) / 2.0)(rng.standard_normal((3, 3)) * 0.7) for _ in range(2)]
-        fact = Factorization(g, s_list, Transform.SQUARE)
-        fd_check_point(bundle, fact, h=1e-6, rtol=1e-5)
+        fd_check_point(bundle, Transform.SQUARE, g, s_list, h=1e-6, rtol=1e-5)
 
     def test_abs_zero_entry_has_zero_gradient(self, rng):
         bundle = random_bundle(rng, 5, 2)
         g = rng.standard_normal((5, 2))
         g[2, 1] = 0.0
         s_list = [(lambda s: (s + s.T) / 2.0)(rng.standard_normal((2, 2))) for _ in range(2)]
-        fact = Factorization(g, s_list, Transform.ABS)
-        dg, _ = grad_transformed(bundle, fact)
+        dg, _ = grad_transformed(bundle, Transform.ABS, g, s_list)
         assert dg[2, 1] == 0.0
 
     @pytest.mark.parametrize("transform", [Transform.ABS, Transform.SQUARE])
@@ -165,17 +173,15 @@ class TestGradTransformed:
         for _ in range(20):
             g = rng.standard_normal((8, 3)) * 0.8
             s_list = [(lambda s: (s + s.T) / 2.0)(rng.standard_normal((3, 3)) * 0.8) for _ in range(2)]
-            fact = Factorization(g, s_list, transform)
-            fd_check_point(bundle, fact, h=h, rtol=1e-5, kink_tol=kink)
+            fd_check_point(bundle, transform, g, s_list, h=h, rtol=1e-5, kink_tol=kink)
 
     def test_square_chain_rule(self, rng):
         # d/dX SE(f2(X)) = 2 X * grad_native evaluated at the squared point.
         bundle = random_bundle(rng, 7, 2)
         g = rng.standard_normal((7, 3)) * 0.8
         s_list = [(lambda s: (s + s.T) / 2.0)(rng.standard_normal((3, 3)) * 0.8) for _ in range(2)]
-        fact = Factorization(g, s_list, Transform.SQUARE)
-        dg_t, ds_t = grad_transformed(bundle, fact)
-        native_point = fact.to_native()
+        dg_t, ds_t = grad_transformed(bundle, Transform.SQUARE, g, s_list)
+        native_point = Factorization(g * g, [x * x for x in s_list])
         dg_n, ds_n = grad_native(bundle, native_point)
         np.testing.assert_allclose(dg_t, 2.0 * g * dg_n, rtol=1e-10, atol=1e-10)
         for x, d_t, d_n in zip(s_list, ds_t, ds_n):
@@ -186,8 +192,7 @@ class TestGradTransformed:
         g = rng.standard_normal((6, 2))
         s_list = [(lambda s: (s + s.T) / 2.0)(rng.standard_normal((2, 2))) for _ in range(2)]
         for transform in (Transform.ABS, Transform.SQUARE):
-            fact = Factorization(g, s_list, transform)
-            _, ds = grad_transformed(bundle, fact)
+            _, ds = grad_transformed(bundle, transform, g, s_list)
             for d in ds:
                 assert np.abs(d - d.T).max() <= 1e-10 * max(np.abs(d).max(), 1.0)
 
@@ -200,10 +205,10 @@ class TestGradTransformed:
             g = rng.standard_normal((9, 4)) * 0.8
             s_list = [(lambda s: (s + s.T) / 2.0)(rng.standard_normal((4, 4)) * 0.8)
                       for _ in range(3)]
-            fact = Factorization(g, s_list, transform)
-            se_value, dg, ds, _ = _transformed_step(bundle, fact)
-            ref_g, ref_s = grad_transformed(bundle, fact)
-            assert se_value == pytest.approx(transformed_se(bundle, fact), rel=1e-10)
+            s = np.array(s_list)
+            se_value, dg, ds, _ = _transformed_step(bundle, transform, g, s)
+            ref_g, ref_s = grad_transformed(bundle, transform, g, s)
+            assert se_value == pytest.approx(transformed_se(bundle, transform, g, s), rel=1e-10)
             assert np.linalg.norm(dg - ref_g) <= 1e-10 * np.linalg.norm(ref_g)
             for d, ref in zip(ds, ref_s):
                 assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)

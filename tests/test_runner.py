@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from snmtf import adam, bcd, fpm, gmels
 from snmtf.data import generate_synthetic
 from snmtf.model import (
     SYMMETRY_ITERATE_RTOL,
     DimensionError,
+    Factorization,
     SolverConfig,
-    Transform,
     ValidationError,
 )
 from snmtf.runner import build_start, run
@@ -27,7 +28,7 @@ class TestBuildStart:
         config = SolverConfig(method="fpm", k=3, seed=5)
         start = build_start(planted_bundle, config, "deterministic")
         np.testing.assert_array_equal(start.G, deterministic_g(planted_bundle, 3))
-        assert start.coords is Transform.IDENTITY
+        assert isinstance(start, Factorization)
         for s in start.S:
             assert np.array_equal(s, s.T)
 
@@ -69,7 +70,7 @@ class TestRunDispatch:
     def test_all_methods_return_native(self, planted_bundle, method):
         config = SolverConfig(method=method, k=3, seed=0, max_iterations=15)
         fact, trace = run(planted_bundle, config)
-        assert fact.coords is Transform.IDENTITY
+        assert isinstance(fact, Factorization)
         assert float(fact.G.min()) >= 0.0
         assert trace.records[0].iteration == 0
 
@@ -79,14 +80,6 @@ class TestRunDispatch:
         config = SolverConfig(method=method, k=2, seed=0, max_iterations=3)
         fact, _ = run(planted_bundle, config, init=init)
         assert_block_stack(fact.S, 3, 2)
-
-    def test_explicit_start_must_be_native(self, rng, planted_bundle):
-        from snmtf.model import Factorization
-
-        config = SolverConfig(method="fpm", k=2, seed=0)
-        bad = Factorization(rng.random((24, 2)), [np.eye(2)] * 3, Transform.ABS)
-        with pytest.raises(ValueError, match="native"):
-            run(planted_bundle, config, start=bad)
 
     def test_explicit_start_must_match_config_k(self, planted_bundle):
         _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
@@ -140,6 +133,32 @@ class TestRunDispatch:
         _, trace = run(bundle, config, start=planted)
         assert trace.iterations <= 2
         assert trace.stop_reason == "delta_threshold"
+
+
+class TestSolverContract:
+    """Every solver takes and returns native factors, so ``run`` hands an
+    explicit start to the solver unchanged."""
+
+    @pytest.mark.parametrize("method", ["fpm", "bcd", "gmels", "adam"])
+    @pytest.mark.parametrize("init", ["deterministic", "random"])
+    def test_run_equals_direct_solver_call(self, planted_bundle, method, init):
+        config = SolverConfig(method=method, k=3, seed=4, max_iterations=12, mse_stop=0.0)
+        start = build_start(planted_bundle, config, init)
+        before = start.copy()
+        fact, trace = run(planted_bundle, config, start=start)
+        if method == "bcd":
+            direct, direct_trace = bcd.bcd_solve(
+                planted_bundle, config, start.G, rng=np.random.default_rng(config.seed))
+        else:
+            solve = {"fpm": fpm.fpm_solve, "gmels": gmels.gmels_solve, "adam": adam.adam_solve}
+            direct, direct_trace = solve[method](planted_bundle, config, start)
+        np.testing.assert_array_equal(fact.G, direct.G)
+        np.testing.assert_array_equal(fact.S, direct.S)
+        assert [r.se for r in trace.records] == [r.se for r in direct_trace.records]
+        assert trace.stop_reason == direct_trace.stop_reason
+        # neither call wrote to the caller's start
+        np.testing.assert_array_equal(start.G, before.G)
+        np.testing.assert_array_equal(start.S, before.S)
 
 
 class TestCostModel:
