@@ -9,7 +9,7 @@ from .data import generate_synthetic, load_bundle, save_bundle, save_factorizati
 from .fpm import fpm_solve, fpm_step_g, fpm_step_s
 from .gmels import gmels_solve, line_poly_coeffs, poly_minimize
 from .gradients import grad_native, grad_transformed
-from .initialization import deterministic_g, init_s_from_g, random_init
+from .initialization import deterministic_g, random_init
 from .model import (
     ConvergenceTrace,
     DataBundle,
@@ -50,7 +50,6 @@ __all__ = [
     "gmels_solve",
     "grad_native",
     "grad_transformed",
-    "init_s_from_g",
     "line_poly_coeffs",
     "linesearch_g",
     "linesearch_s",
@@ -64,4 +63,5 @@ __all__ = [
     "save_bundle",
     "save_factorization",
     "se",
+    "tune_adam",
 ]

@@ -33,11 +33,11 @@ import numpy as np
 from .gradients import _transformed_step
 from .initialization import random_init
 from .model import (
+    ConvergenceTrace,
     DataBundle,
     Factorization,
     SolverConfig,
     SolverDivergedError,
-    TraceBuilder,
     Transform,
     check_compatible,
 )
@@ -58,7 +58,6 @@ class AdamState:
     v_g: np.ndarray
     m_s: np.ndarray
     v_s: np.ndarray
-    step_index: int = 0
 
     @classmethod
     def zeros_like(cls, g: np.ndarray, s: np.ndarray) -> "AdamState":
@@ -98,7 +97,6 @@ def adam_step(state: AdamState, g: np.ndarray, s: np.ndarray, grads, eta: float,
     dg, ds = grads
     _moment_update(state.m_g, state.v_g, dg, eta, beta1, beta2, eps, g)
     _moment_update(state.m_s, state.v_s, np.asarray(ds), eta, beta1, beta2, eps, s)
-    state.step_index += 1
 
 
 def adam_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
@@ -115,27 +113,25 @@ def adam_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
 
     g, s = ABS.lift(start.G), ABS.lift(start.S)
     state = AdamState.zeros_like(g, s)
-    tracer = TraceBuilder(bundle, config)
+    trace = ConvergenceTrace(bundle, config)
     se_value, dg, ds, _ = _transformed_step(bundle, ABS, g, s)
-    tracer.start(se_value)
+    trace.start(se_value)
 
-    stop = None
-    for it in range(1, config.max_iterations + 1):
+    while trace.running:
+        it = trace.iterations + 1
         eta = adam_eta(
             config.adam_alpha, config.adam_beta1, config.adam_beta2, it,
             config.standard_bias_correction,
         )
         if not (np.isfinite(dg).all() and np.isfinite(ds).all()):
             raise SolverDivergedError(
-                f"gradient became non-finite at iteration {it}", records=tracer.records
+                f"gradient became non-finite at iteration {it}", records=trace.records
             )
         adam_step(state, g, s, (dg, ds), eta, config.adam_beta1,
                   config.adam_beta2, config.adam_epsilon)
         se_value, dg, ds, _ = _transformed_step(bundle, ABS, g, s)
-        stop = tracer.step(it, se_value)
-        if stop is not None:
-            break
-    return Factorization(ABS.apply(g), ABS.apply(s)), tracer.finish(stop)
+        trace.step(se_value)
+    return Factorization(ABS.apply(g), ABS.apply(s)), trace
 
 
 def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_stop):

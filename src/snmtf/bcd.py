@@ -32,11 +32,11 @@ import numpy as np
 
 from .gradients import _grad_g, _gram_products, _line_poly
 from .model import (
+    ConvergenceTrace,
     DataBundle,
     Factorization,
     LinePolynomial,
     SolverConfig,
-    TraceBuilder,
     _se_terms,
     _traces,
     check_compatible,
@@ -153,18 +153,15 @@ def bcd_solve(
 
     s = np.full((bundle.N, config.k, config.k), INITIAL_S_VALUE)
     norms = bundle.norms_sq
-    tracer = TraceBuilder(bundle, config)
+    trace = ConvergenceTrace(bundle, config)
 
     gram, h, mid = _gram_products(bundle, g)
-    tracer.start(se_from_gram(norms, gram, mid, s))
+    trace.start(se_from_gram(norms, gram, mid, s))
 
-    stop = None
-    for outer in range(1, config.max_iterations + 1):
+    while trace.running:
         s = _s_inner_solve(gram, mid, s, config.bcd_inner_iterations, norms, substep_log)
         for _ in range(config.bcd_inner_iterations):
             g = _g_step(bundle, g, gram, h, s, rng)
             gram, h, mid = _gram_products(bundle, g)
-        stop = tracer.step(outer, se_from_gram(norms, gram, mid, s))
-        if stop is not None:
-            break
-    return Factorization(g, s), tracer.finish(stop)
+        trace.step(se_from_gram(norms, gram, mid, s))
+    return Factorization(g, s), trace

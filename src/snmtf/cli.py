@@ -10,7 +10,7 @@ Subcommands::
 
 Exit codes: 0 normal stop, 2 usage error, 3 data validation error,
 5 solver divergence (the objective or a gradient became non-finite, or the
-MSE ran away; see ``model.TraceBuilder``).
+MSE ran away; see ``model.ConvergenceTrace.step``).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -54,23 +55,12 @@ def _checked_config(**fields) -> SolverConfig:
         raise SystemExit(EXIT_USAGE) from exc
 
 
-def _config_from_args(args, method: str, k: int) -> SolverConfig:
-    """SolverConfig from the solver flags of ``snmtf solve``."""
-    return _checked_config(
-        method=method,
-        k=k,
-        max_iterations=args.max_iters,
-        mse_stop=args.mse_stop,
-        delta_stop=args.delta_stop,
-        seed=args.seed,
-        adam_alpha=args.adam_alpha,
-        adam_beta1=args.adam_beta1,
-        adam_beta2=args.adam_beta2,
-        adam_epsilon=args.adam_eps,
-        standard_bias_correction=getattr(args, "standard_bias_correction", False),
-        bcd_inner_iterations=args.bcd_inner,
-        trace_stride=args.trace_stride,
-    )
+def _config_from_args(args) -> SolverConfig:
+    """SolverConfig from ``snmtf solve``'s method, k and the solver flags that
+    were given; every other knob keeps its SolverConfig default."""
+    given = vars(args)
+    return _checked_config(**{f.name: given[f.name] for f in dataclasses.fields(SolverConfig)
+                              if f.name in given})
 
 
 def _positive_int(text: str) -> int:
@@ -99,20 +89,23 @@ def _adam_point(text: str) -> tuple[float, float, float]:
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=None,
-                   help="iteration cap (default: per-method)")
-    p.add_argument("--mse-stop", type=float, default=1e-2)
-    p.add_argument("--delta-stop", type=float, default=1e-10)
-    p.add_argument("--trace-stride", type=int, default=1)
-    p.add_argument("--bcd-inner", type=int, default=10,
-                   help="projected-gradient steps per coordinate block")
-    p.add_argument("--adam-alpha", type=float, default=0.002)
-    p.add_argument("--adam-beta1", type=float, default=0.95)
-    p.add_argument("--adam-beta2", type=float, default=0.995)
-    p.add_argument("--adam-eps", type=float, default=1e-8)
-    p.add_argument("--standard-bias-correction", action="store_true",
-                   help="use beta^i bias-correction factors in the adam schedule")
+    """The solver flags; each is stored under its SolverConfig field name and
+    only when given, so the defaults live in SolverConfig alone."""
+    def flag(name, dest, **kwargs):
+        p.add_argument(name, dest=dest, default=argparse.SUPPRESS, **kwargs)
+
+    flag("--seed", "seed", type=int)
+    flag("--max-iters", "max_iterations", type=int, help="iteration cap (default: per-method)")
+    flag("--mse-stop", "mse_stop", type=float)
+    flag("--delta-stop", "delta_stop", type=float)
+    flag("--bcd-inner", "bcd_inner_iterations", type=int,
+         help="projected-gradient steps per coordinate block")
+    flag("--adam-alpha", "adam_alpha", type=float)
+    flag("--adam-beta1", "adam_beta1", type=float)
+    flag("--adam-beta2", "adam_beta2", type=float)
+    flag("--adam-eps", "adam_epsilon", type=float)
+    flag("--standard-bias-correction", "standard_bias_correction", action="store_true",
+         help="use beta^i bias-correction factors in the adam schedule")
 
 
 def cmd_generate(args) -> int:
@@ -126,7 +119,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     bundle = data.load_bundle(args.bundle, symmetrize=args.symmetrize)
-    config = _config_from_args(args, args.method, args.k)
+    config = _config_from_args(args)
     start = data.load_factors(args.start_from) if args.start_from else None
     out = Path(args.out)
     fact, trace = runner.run(bundle, config, init=args.init, start=start)

@@ -19,10 +19,10 @@ import numpy as np
 from .gradients import _g_terms, _gram_products
 from .model import (
     MACHINE_EPS,
+    ConvergenceTrace,
     DataBundle,
     Factorization,
     SolverConfig,
-    TraceBuilder,
     check_compatible,
     se_from_gram,
 )
@@ -70,16 +70,13 @@ def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
     g, s = start.G, start.S
     norms = bundle.norms_sq
 
-    tracer = TraceBuilder(bundle, config)
+    trace = ConvergenceTrace(bundle, config)
     gram, h, mid = _gram_products(bundle, g)
-    tracer.start(se_from_gram(norms, gram, mid, s))
+    trace.start(se_from_gram(norms, gram, mid, s))
 
-    stop = None
-    for it in range(1, config.max_iterations + 1):
+    while trace.running:
         g = _update_g(g, gram, h, s)
         gram, h, mid = _gram_products(bundle, g)
         s = _update_s(gram, mid, s)
-        stop = tracer.step(it, se_from_gram(norms, gram, mid, s))
-        if stop is not None:
-            break
-    return Factorization(g, s), tracer.finish(stop)
+        trace.step(se_from_gram(norms, gram, mid, s))
+    return Factorization(g, s), trace

@@ -31,11 +31,11 @@ import numpy as np
 
 from .gradients import _line_poly, _transformed_step
 from .model import (
+    ConvergenceTrace,
     DataBundle,
     Factorization,
     LinePolynomial,
     SolverConfig,
-    TraceBuilder,
     Transform,
     check_compatible,
     poly_minimize,
@@ -93,19 +93,16 @@ def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
     check_compatible(bundle, start)
 
     g, s = SQUARE.lift(start.G), SQUARE.lift(start.S)
-    tracer = TraceBuilder(bundle, config)
+    trace = ConvergenceTrace(bundle, config)
     se_value, dg, ds, h = _transformed_step(bundle, SQUARE, g, s)
-    tracer.start(se_value)
+    trace.start(se_value)
 
-    stop = None
-    for it in range(1, config.max_iterations + 1):
+    while trace.running:
         poly = LinePolynomial(_line_poly_coefficients(bundle, g, s, -dg, -ds, h))
         t = poly_minimize(poly)
         if t != 0.0:
             g -= t * dg
             s -= t * ds
         se_value, dg, ds, h = _transformed_step(bundle, SQUARE, g, s)
-        stop = tracer.step(it, se_value)
-        if stop is not None:
-            break
-    return Factorization(SQUARE.apply(g), SQUARE.apply(s)), tracer.finish(stop)
+        trace.step(se_value)
+    return Factorization(SQUARE.apply(g), SQUARE.apply(s)), trace

@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg
 
-from . import bcd
-from .gradients import _gram_products
 from .model import DataBundle, DimensionError, Factorization
 
 # Above this order the dense eigendecomposition of sum_i R_i is replaced by an
@@ -76,21 +74,3 @@ def random_init(n: int, k: int, N: int, seed: int) -> Factorization:
     rng = np.random.default_rng(seed)
     g = rng.random((n, k))
     return Factorization(g, random_symmetric_stack(rng, k, N))
-
-
-def init_s_from_g(bundle: DataBundle, g: np.ndarray, iterations: int = 10) -> np.ndarray:
-    """(N, k, k) stack of S blocks fitted to a fixed G by the projected-gradient
-    inner solve.
-
-    Starts every S_i from a constant matrix (entries 0.5).  With G = 0 the
-    gradient vanishes and the constant start is returned unchanged.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != bundle.n:
-        raise ValueError(f"G has shape {g.shape}, expected ({bundle.n}, k)")
-    if g.size and float(g.min()) < 0.0:
-        raise ValueError("G must be non-negative")
-    s0 = np.full((bundle.N, g.shape[1], g.shape[1]), bcd.INITIAL_S_VALUE)
-    gram, _, mid = _gram_products(bundle, g)
-    return bcd._s_inner_solve(gram, mid, s0, iterations)
-

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,7 +59,7 @@ class ValidationError(ValueError):
 
 class SolverDivergedError(RuntimeError):
     """The objective or a gradient became non-finite during a run, or the
-    MSE ran away (see :class:`TraceBuilder`).
+    MSE ran away (see :meth:`ConvergenceTrace.step`).
 
     ``records`` carries the per-iteration records collected before the abort,
     for diagnosis.
@@ -141,15 +141,13 @@ class DataBundle:
     """N symmetric non-negative n x n matrices plus cached norms.
 
     ``R`` is one read-only, C-contiguous (N, n, n) array; iterating or
-    indexing it yields the n x n matrices R_i.  The solvers touch the data
-    only through :meth:`times`.  Instances are immutable and can be shared
-    freely across concurrent solver runs.
+    indexing it yields the n x n matrices R_i, and ``n``, ``N`` and the norms
+    are derived from it.  The solvers touch the data only through
+    :meth:`times`.  Instances are immutable and can be shared freely across
+    concurrent solver runs.
     """
 
-    n: int
-    N: int
     R: np.ndarray
-    norm_sq_total: float
     label: str = ""
 
     @classmethod
@@ -193,8 +191,7 @@ class DataBundle:
             stack[i] = r
             del raw, r
         stack.setflags(write=False)
-        norm = sum(float(r.ravel() @ r.ravel()) for r in stack)
-        return cls(n=stack.shape[1], N=len(stack), R=stack, norm_sq_total=norm, label=label)
+        return cls(R=stack, label=label)
 
     def __setstate__(self, state):
         # An unpickled array comes back writeable (as in a process pool
@@ -202,10 +199,23 @@ class DataBundle:
         self.__dict__.update(state)
         self.R.setflags(write=False)
 
+    @property
+    def n(self) -> int:
+        return self.R.shape[1]
+
+    @property
+    def N(self) -> int:
+        return len(self.R)
+
     @cached_property
     def norms_sq(self) -> tuple[float, ...]:
         """Per-matrix squared Frobenius norms ||R_i||^2."""
         return tuple(float(r.ravel() @ r.ravel()) for r in self.R)
+
+    @cached_property
+    def norm_sq_total(self) -> float:
+        """sum_i ||R_i||^2."""
+        return sum(self.norms_sq)
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """The products R_i X for every i, as one (N, n, m) array.
@@ -325,42 +335,18 @@ class TraceRecord:
     elapsed_seconds: float
 
 
-@dataclass
 class ConvergenceTrace:
-    """Per-iteration (iteration, SE, MSE, wall clock) records for one run."""
+    """One run's record: the iteration count, the stopping rules and a
+    (iteration, SE, MSE, wall clock) record for every iteration, so
+    ``records[i].iteration == i``.
 
-    records: list[TraceRecord] = field(default_factory=list)
-    stop_reason: str = MAX_ITERATIONS
-
-    @property
-    def final(self) -> TraceRecord:
-        return self.records[-1]
-
-    @property
-    def iterations(self) -> int:
-        return self.records[-1].iteration if self.records else 0
-
-    def mse_at(self, iteration: int) -> float:
-        """MSE of the last record at or before ``iteration``."""
-        best = None
-        for rec in self.records:
-            if rec.iteration <= iteration:
-                best = rec
-            else:
-                break
-        if best is None:
-            raise ValueError(f"no record at or before iteration {iteration}")
-        return best.mse
-
-
-class TraceBuilder:
-    """Collects trace records and applies the stopping rules for one run.
-
-    After every iteration the rules are checked in the order: plateau
-    (|MSE_t - MSE_{t-1}| < delta_stop), threshold (MSE_t < mse_stop),
-    iteration cap.  The plateau check runs first so a run started at a fixed
-    point terminates with ``delta_threshold`` rather than tripping the MSE
-    threshold it already satisfies.
+    The clock starts at construction.  :meth:`start` records iteration 0;
+    each :meth:`step` records the next iteration and then checks the rules in
+    the order: plateau (|MSE_t - MSE_{t-1}| < delta_stop), threshold
+    (MSE_t < mse_stop), iteration cap.  The plateau check runs first so a run
+    started at a fixed point terminates with ``delta_threshold`` rather than
+    tripping the MSE threshold it already satisfies.  The first rule that
+    fires sets ``stop_reason``; a solver iterates while :attr:`running`.
 
     Before the rules, :meth:`step` raises SolverDivergedError when SE is
     non-finite or MSE_t exceeds DIVERGENCE_MSE_FACTOR * max(1, MSE_0) (1e6).
@@ -372,29 +358,24 @@ class TraceBuilder:
         self._norm = bundle.norm_sq_total
         self._config = config
         self._t0 = time.monotonic()
-        self._prev_mse: float | None = None
         self._mse_ceiling = np.inf
-        self._last: tuple[int, float, float] | None = None
         self.records: list[TraceRecord] = []
+        self.stop_reason: str | None = None
 
-    def _append(self, iteration: int, se_value: float, mse_value: float) -> None:
-        if self.records and self.records[-1].iteration == iteration:
-            return
+    def _append(self, se_value: float, mse_value: float) -> None:
         self.records.append(
-            TraceRecord(iteration, se_value, mse_value, time.monotonic() - self._t0)
+            TraceRecord(len(self.records), se_value, mse_value, time.monotonic() - self._t0)
         )
 
-    def start(self, se_value: float) -> float:
-        """Record the starting point (iteration 0) and seed the plateau rule."""
+    def start(self, se_value: float) -> None:
+        """Record the starting point (iteration 0)."""
         mse_value = se_value / self._norm
-        self._append(0, se_value, mse_value)
-        self._prev_mse = mse_value
+        self._append(se_value, mse_value)
         self._mse_ceiling = DIVERGENCE_MSE_FACTOR * max(1.0, mse_value)
-        self._last = (0, se_value, mse_value)
-        return mse_value
 
-    def step(self, iteration: int, se_value: float) -> str | None:
-        """Record iteration ``iteration`` and return a stop reason or None."""
+    def step(self, se_value: float) -> None:
+        """Record the next iteration and set ``stop_reason`` if a rule fires."""
+        iteration = len(self.records)
         if not np.isfinite(se_value):
             raise SolverDivergedError(
                 f"objective became non-finite ({se_value}) at iteration {iteration}",
@@ -407,23 +388,33 @@ class TraceBuilder:
                 f"{DIVERGENCE_MSE_FACTOR:g} x max(1, starting MSE)",
                 records=self.records,
             )
-        if iteration % self._config.trace_stride == 0:
-            self._append(iteration, se_value, mse_value)
-        self._last = (iteration, se_value, mse_value)
-        prev, self._prev_mse = self._prev_mse, mse_value
-        if prev is not None and abs(mse_value - prev) < self._config.delta_stop:
-            return DELTA_THRESHOLD
-        if mse_value < self._config.mse_stop:
-            return MSE_THRESHOLD
-        if iteration >= self._config.max_iterations:
-            return MAX_ITERATIONS
-        return None
+        prev = self.records[-1].mse
+        self._append(se_value, mse_value)
+        if abs(mse_value - prev) < self._config.delta_stop:
+            self.stop_reason = DELTA_THRESHOLD
+        elif mse_value < self._config.mse_stop:
+            self.stop_reason = MSE_THRESHOLD
+        elif iteration >= self._config.max_iterations:
+            self.stop_reason = MAX_ITERATIONS
 
-    def finish(self, stop_reason: str) -> ConvergenceTrace:
-        """Force-record the final iteration and build the trace."""
-        if self._last is not None:
-            self._append(*self._last)
-        return ConvergenceTrace(records=self.records, stop_reason=stop_reason)
+    @property
+    def running(self) -> bool:
+        """True until a stopping rule has fired."""
+        return self.stop_reason is None
+
+    @property
+    def final(self) -> TraceRecord:
+        return self.records[-1]
+
+    @property
+    def iterations(self) -> int:
+        return max(len(self.records) - 1, 0)
+
+    def mse_at(self, iteration: int) -> float:
+        """MSE at ``iteration``, or the final MSE if the run stopped earlier."""
+        if not self.records or iteration < 0:
+            raise ValueError(f"no record at or before iteration {iteration}")
+        return self.records[min(iteration, self.iterations)].mse
 
 
 @dataclass
@@ -454,14 +445,13 @@ class SolverConfig:
     adam_epsilon: float = 1e-8
     standard_bias_correction: bool = False
     bcd_inner_iterations: int = 10
-    trace_stride: int = 1
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.max_iterations is None:
             self.max_iterations = DEFAULT_MAX_ITERATIONS[self.method]
-        for name in ("k", "max_iterations", "bcd_inner_iterations", "trace_stride"):
+        for name in ("k", "max_iterations", "bcd_inner_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         for name in ("mse_stop", "delta_stop"):

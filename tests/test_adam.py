@@ -135,7 +135,6 @@ class TestStep:
 
         np.testing.assert_allclose(g, xg, atol=1e-12)
         np.testing.assert_allclose(s[0], xs, atol=1e-12)
-        assert state.step_index == 3
 
     def test_second_moment_nonnegative(self, rng):
         g, s = self._point(rng)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import filecmp
 import json
 import multiprocessing
@@ -9,7 +10,7 @@ import warnings
 import pytest
 
 from snmtf import cli, data, runner
-from snmtf.model import SolverDivergedError
+from snmtf.model import METHODS, SolverConfig, SolverDivergedError
 
 
 def run_cli(*argv):
@@ -174,6 +175,34 @@ class TestSolve:
         assert err.startswith("error: ") and "k must be in [1, 20], got 50" in err
         assert err.count("\n") == 1
         assert not (out / "G.txt").exists()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_defaults_come_from_solver_config(self, tmp_path, method):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        out = tmp_path / "run"
+        assert run_cli("solve", "--bundle", bundle_dir, "--method", method, "--k", 2,
+                       "--out", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"] == dataclasses.asdict(SolverConfig(method=method, k=2))
+
+    def test_every_solver_flag_reaches_the_config(self, tmp_path):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        out = tmp_path / "run"
+        rc = run_cli(
+            "solve", "--bundle", bundle_dir, "--method", "adam", "--k", 2, "--out", out,
+            "--seed", 5, "--max-iters", 7, "--mse-stop", 0, "--delta-stop", 0,
+            "--bcd-inner", 3, "--adam-alpha", 0.001, "--adam-beta1", 0.9,
+            "--adam-beta2", 0.99, "--adam-eps", 1e-7, "--standard-bias-correction",
+        )
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        expected = SolverConfig(
+            method="adam", k=2, seed=5, max_iterations=7, mse_stop=0.0, delta_stop=0.0,
+            bcd_inner_iterations=3, adam_alpha=0.001, adam_beta1=0.9, adam_beta2=0.99,
+            adam_epsilon=1e-7, standard_bias_correction=True,
+        )
+        assert summary["config"] == dataclasses.asdict(expected)
+        assert summary["iterations"] == 7
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

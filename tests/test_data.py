@@ -13,7 +13,7 @@ from snmtf.model import (
     ConvergenceTrace,
     DataBundle,
     Factorization,
-    TraceRecord,
+    SolverConfig,
     ValidationError,
     mse,
 )
@@ -266,12 +266,13 @@ class TestBundleIO:
 
 class TestFactorizationIO:
     def _trace(self):
-        records = [
-            TraceRecord(0, 4.0, 0.5, 0.0),
-            TraceRecord(1, 2.0, 0.25, 0.1),
-            TraceRecord(2, 1.0, 0.125, 0.2),
-        ]
-        return ConvergenceTrace(records=records, stop_reason="max_iterations")
+        # ||R||^2 = 8 and SE 4, 2, 1: MSE 0.5, 0.25, 0.125, stopped by the cap.
+        bundle = DataBundle.from_matrices([2.0 * np.eye(2)])
+        trace = ConvergenceTrace(bundle, SolverConfig(method="fpm", k=1, max_iterations=2))
+        trace.start(4.0)
+        trace.step(2.0)
+        trace.step(1.0)
+        return trace
 
     def test_round_trip(self, rng, tmp_path):
         fact = Factorization(rng.random((5, 2)), [rng.random((2, 2)) for _ in range(2)])
@@ -297,8 +298,6 @@ class TestFactorizationIO:
         assert [r.se for r in records] == [r.se for r in trace.records]
 
     def test_summary_contents(self, rng, tmp_path):
-        from snmtf.model import SolverConfig
-
         fact = Factorization(rng.random((3, 1)), [rng.random((1, 1))])
         config = SolverConfig(method="fpm", k=1, seed=3)
         data.save_factorization(fact, self._trace(), tmp_path / "run", config)

@@ -98,15 +98,6 @@ class TestSolve:
         for rec in trace.records:
             assert rec.mse == pytest.approx(rec.se / bundle.norm_sq_total, rel=1e-15)
 
-    def test_trace_stride_keeps_final_record(self, rng):
-        bundle = random_bundle(rng, 6, 2)
-        start = random_native_fact(rng, 6, 2, 2)
-        config = SolverConfig(
-            method="fpm", k=2, seed=0, max_iterations=25, mse_stop=0.0, trace_stride=10
-        )
-        _, trace = fpm_solve(bundle, config, start)
-        assert [r.iteration for r in trace.records] == [0, 10, 20, 25]
-
     def test_iteration_updates_g_first_then_s_with_new_g(self, rng):
         # one solver iteration == step_g, then step_s for each i at the new G
         bundle = random_bundle(rng, 6, 2)

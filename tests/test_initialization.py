@@ -5,7 +5,6 @@ import scipy.stats
 from snmtf.initialization import (
     _dominant_part,
     deterministic_g,
-    init_s_from_g,
     random_init,
     random_symmetric_stack,
 )
@@ -14,7 +13,6 @@ from snmtf.model import (
     Factorization,
     Transform,
     ValidationError,
-    mse,
 )
 
 from conftest import assert_block_stack, random_bundle
@@ -129,42 +127,6 @@ class TestRandomInit:
         fact = random_init(1000, 100, 1, seed=2)
         stat = scipy.stats.kstest(fact.G.ravel(), "uniform").statistic
         assert stat < 0.01
-
-
-class TestInitSFromG:
-    def test_planted_recovery(self):
-        from snmtf.data import generate_synthetic
-
-        bundle, planted = generate_synthetic(n=30, K=3, N=2, seed=4)
-        s_list = init_s_from_g(bundle, planted.G, iterations=50)
-        fact = Factorization(planted.G, s_list)
-        assert mse(bundle, fact) <= 1e-4
-
-    def test_returns_one_stack(self, rng):
-        bundle = random_bundle(rng, 6, 3)
-        assert_block_stack(init_s_from_g(bundle, rng.random((6, 2)), iterations=2), 3, 2)
-
-    def test_zero_g_returns_constant_start(self, rng):
-        bundle = random_bundle(rng, 5, 2)
-        s_list = init_s_from_g(bundle, np.zeros((5, 2)))
-        for s in s_list:
-            np.testing.assert_array_equal(s, np.full((2, 2), 0.5))
-
-    def test_scalar_closed_form(self, rng):
-        # N = 1, k = 1: least squares over S >= 0 has the closed form
-        # max(<R, g g^T> / ||g g^T||^2, 0).
-        g = rng.uniform(0.2, 1.0, (6, 1))
-        r = rng.random((6, 6))
-        bundle = DataBundle.from_matrices([(r + r.T) / 2.0])
-        outer = g @ g.T
-        expected = max(float(np.sum(bundle.R[0] * outer)) / float(np.sum(outer * outer)), 0.0)
-        s_list = init_s_from_g(bundle, g, iterations=5)
-        assert s_list[0][0, 0] == pytest.approx(expected, abs=1e-10)
-
-    def test_negative_g_rejected(self, rng):
-        bundle = random_bundle(rng, 4, 1)
-        with pytest.raises(ValueError, match="non-negative"):
-            init_s_from_g(bundle, -np.ones((4, 2)))
 
 
 class TestLift:

@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snmtf import runner
 from snmtf.model import (
+    DELTA_THRESHOLD,
+    MAX_ITERATIONS,
+    METHODS,
+    MSE_THRESHOLD,
+    ConvergenceTrace,
     DataBundle,
     DimensionError,
     Factorization,
     LinePolynomial,
     SolverConfig,
+    SolverDivergedError,
     Transform,
     ValidationError,
     mse,
@@ -182,6 +189,7 @@ class TestDataBundle:
         expected = sum(float(np.sum(r * r)) for r in bundle.R)
         assert bundle.norm_sq_total == pytest.approx(expected, rel=1e-14)
         assert sum(bundle.norms_sq) == pytest.approx(expected, rel=1e-14)
+        assert bundle.norm_sq_total == sum(bundle.norms_sq)
 
     def test_matrices_are_read_only(self, rng):
         bundle = random_bundle(rng, 4, 2)
@@ -253,7 +261,7 @@ class TestSolverConfig:
         assert (config.adam_alpha, config.adam_beta1, config.adam_beta2) == (0.002, 0.95, 0.995)
         assert config.adam_epsilon == 1e-8
         assert config.mse_stop == 1e-2 and config.delta_stop == 1e-10
-        assert config.bcd_inner_iterations == 10 and config.trace_stride == 1
+        assert config.bcd_inner_iterations == 10
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -277,6 +285,86 @@ class TestSolverConfig:
     def test_rejects_out_of_range_knobs(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(method="adam", k=2, **{field: value})
+
+
+class TestConvergenceTrace:
+    # ||R||^2 = 1, so every MSE equals its SE.
+    UNIT = DataBundle.from_matrices([np.ones((1, 1))])
+
+    def _trace(self, start, *steps, **knobs):
+        trace = ConvergenceTrace(self.UNIT, SolverConfig(method="fpm", k=1, **knobs))
+        trace.start(start)
+        for value in steps:
+            trace.step(value)
+        return trace
+
+    def test_running_until_a_rule_fires(self):
+        trace = self._trace(1.0, 0.9, mse_stop=0.5)
+        assert trace.running and trace.stop_reason is None
+        trace.step(0.4)
+        assert not trace.running and trace.stop_reason == MSE_THRESHOLD
+
+    def test_plateau_wins_over_threshold(self):
+        trace = self._trace(0.3, 0.25, mse_stop=0.5, delta_stop=0.1)
+        assert trace.stop_reason == DELTA_THRESHOLD
+
+    def test_threshold_wins_over_cap(self):
+        trace = self._trace(0.9, 0.3, mse_stop=0.5, max_iterations=1)
+        assert trace.stop_reason == MSE_THRESHOLD
+
+    def test_plateau_wins_over_cap(self):
+        trace = self._trace(0.9, 0.9, max_iterations=1)
+        assert trace.stop_reason == DELTA_THRESHOLD
+
+    def test_cap_fires_exactly_at_max_iterations(self):
+        trace = self._trace(1.0, 0.9, 0.8, mse_stop=0.0, delta_stop=0.0, max_iterations=3)
+        assert trace.running and trace.iterations == 2
+        trace.step(0.7)
+        assert trace.stop_reason == MAX_ITERATIONS and trace.iterations == 3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_solver_stops_at_the_cap(self, rng, method):
+        bundle = random_bundle(rng, 6, 2)
+        config = SolverConfig(method=method, k=2, max_iterations=3, mse_stop=0.0, delta_stop=0.0)
+        _, trace = runner.run(bundle, config)
+        assert trace.stop_reason == MAX_ITERATIONS
+        assert [r.iteration for r in trace.records] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_se_raises_with_earlier_records(self, bad):
+        trace = self._trace(1.0, 0.5)
+        with pytest.raises(SolverDivergedError, match="non-finite .* at iteration 2") as err:
+            trace.step(bad)
+        assert [(r.iteration, r.se) for r in err.value.records] == [(0, 1.0), (1, 0.5)]
+
+    @pytest.mark.parametrize("mse0", [0.5, 2.0])
+    def test_runaway_mse_raises_with_earlier_records(self, mse0):
+        ceiling = 1e6 * max(1.0, mse0)
+        trace = self._trace(mse0, ceiling, delta_stop=0.0, mse_stop=0.0)
+        assert trace.running
+        with pytest.raises(SolverDivergedError, match="at iteration 2 exceeds 1e\\+06") as err:
+            trace.step(ceiling * 1.001)
+        assert [(r.iteration, r.se) for r in err.value.records] == [(0, mse0), (1, ceiling)]
+
+    def test_records_are_dense_and_the_clock_never_runs_back(self):
+        trace = self._trace(4.0, 2.0, 1.0, 0.5, mse_stop=0.0)
+        assert [r.iteration for r in trace.records] == [0, 1, 2, 3]
+        assert [r.mse for r in trace.records] == [4.0, 2.0, 1.0, 0.5]
+        times = [r.elapsed_seconds for r in trace.records]
+        assert times[0] >= 0.0 and all(b >= a for a, b in zip(times, times[1:]))
+        assert trace.final is trace.records[-1] and trace.iterations == 3
+
+    def test_mse_at_is_an_index_lookup(self):
+        trace = self._trace(4.0, 2.0, 1.0, mse_stop=0.0)
+        assert [trace.mse_at(i) for i in range(3)] == [4.0, 2.0, 1.0]
+        assert trace.mse_at(10) == 1.0
+        with pytest.raises(ValueError):
+            trace.mse_at(-1)
+
+    def test_all_zero_bundle_rejected(self):
+        bundle = DataBundle.from_matrices([np.zeros((2, 2))])
+        with pytest.raises(ValidationError, match="all-zero"):
+            ConvergenceTrace(bundle, SolverConfig(method="fpm", k=1))
 
 
 class TestLinePolynomial:
