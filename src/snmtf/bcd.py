@@ -9,9 +9,9 @@ number of projected-gradient steps with exact line search:
   t_i* = <R_i - G S_i G^T, G dS_i G^T> / ||G dS_i G^T||^2, after which the
   step is projected onto the non-negative orthant.  All N blocks step at once
   as one (N, k, k) stack, each with its own t_i*; a block whose denominator
-  is not finite and positive is frozen for the rest of the solve.  Each
-  projected step is averaged with its transpose, so every S_i stays exactly
-  symmetric.
+  is not finite and positive is frozen for the rest of the solve.  dS_i
+  comes from the Gram kernel (``gradients._grad_s``) and is exactly
+  symmetric, so every S_i stays exactly symmetric.
 * G-block: along dG the objective is a quartic p(t), the line polynomial of
   ``gradients._line_poly`` with G(t) = G + t dG and S fixed; ``poly_minimize``
   minimizes it over [-1, 0].  When the best step is t = 0 or the decrease is
@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradients import _grad_g, _gram_products, _line_poly
+from .gradients import _grad_g, _grad_s, _gram_products, _line_poly
 from .model import (
     ConvergenceTrace,
     DataBundle,
     Factorization,
     LinePolynomial,
     SolverConfig,
+    _sandwich,
     _se_terms,
     _traces,
     check_compatible,
@@ -79,36 +80,29 @@ def linesearch_g(bundle: DataBundle, fact: Factorization, rng: np.random.Generat
 
 
 def linesearch_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
-    """Projected exact-line-search update of S_i at fixed G; it needs only R_i G,
-    so it indexes ``bundle.R[i]`` instead of taking a full data pass."""
+    """Projected exact-line-search update of S_i at fixed G."""
     check_compatible(bundle, fact)
-    g = fact.G
-    mid = g.T @ (bundle.R[i] @ g)
-    return _s_inner_solve(g.T @ g, mid[None], fact.S[i][None], 1)[0]
+    gram, _, mid = _gram_products(bundle, fact.G)
+    return _s_inner_solve(gram, mid[i:i + 1], fact.S[i:i + 1], 1)[0]
 
 
 def _s_inner_solve(gram, mid, s, iterations, norms_sq=None, substep_log=None):
     """Projected-gradient inner solve for the (N, k, k) stack ``s`` at fixed G.
 
-    ``mid`` is the stack of M_i = G^T R_i G.  Every block takes its own exact
-    step; a block whose step denominator ||G dS_i G^T||^2 is not finite and
-    positive is frozen from then on.  ``substep_log``, when given, collects
-    one row per block and step with the block's SE before the step, at the
+    ``mid`` is the stack of M_i = G^T R_i G from ``_gram_products``, and
+    dS_i and A S_i A come from the Gram kernel's ``_grad_s``, so a symmetric
+    S_i stays exactly symmetric.  Every block takes its own exact step; a
+    block whose step denominator ||G dS_i G^T||^2 is not finite and positive
+    is frozen from then on.  ``substep_log``, when given, collects one row
+    per block and step with the block's SE before the step, at the
     unprojected line-search point and after projection (``norms_sq`` holds
     the ||R_i||^2); used to study how the projection interacts with descent.
-
-    Each projected step is averaged with its transpose: the steps are
-    symmetric only up to the rounding of A S_i A and M_i, which would
-    otherwise build up over the outer iterations and break the output
-    contract's symmetry.  Averaging per step keeps ``iterations`` steps equal
-    to as many one-step solves (:func:`linesearch_s`).
     """
     s = np.array(s, dtype=float)
     live = np.ones(len(s), dtype=bool)
     for step in range(iterations):
-        asa = gram @ s @ gram
-        ds = 2.0 * (asa - mid)
-        denom = _traces(gram @ ds @ gram, ds)
+        ds, asa = _grad_s(gram, mid, s)
+        denom = _traces(_sandwich(gram, ds), ds)
         live &= np.isfinite(denom) & (denom > 0.0)
         if not live.any():
             break
@@ -116,10 +110,9 @@ def _s_inner_solve(gram, mid, s, iterations, norms_sq=None, substep_log=None):
         t = _traces(m - asa, ds) / denom[live]
         raw = x + t[:, None, None] * ds
         projected = np.maximum(raw, 0.0)
-        projected = (projected + projected.swapaxes(1, 2)) / 2.0
         if substep_log is not None:
             norms = np.asarray(norms_sq)[live]
-            ses = [_se_terms(norms, m, y, gram @ y @ gram) for y in (x, raw, projected)]
+            ses = [_se_terms(norms, m, y, _sandwich(gram, y)) for y in (x, raw, projected)]
             substep_log.extend(
                 {"step": step, "se_before": float(a), "se_unprojected": float(b), "se_projected": float(c)}
                 for a, b, c in zip(*ses)

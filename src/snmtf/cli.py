@@ -9,8 +9,9 @@ Subcommands::
     snmtf tune      --suite bundles --trials 100 --out tune.csv
 
 Exit codes: 0 normal stop, 2 usage error, 3 data validation error,
-5 solver divergence (the objective or a gradient became non-finite, or the
-MSE ran away; see ``model.ConvergenceTrace.step``).
+5 solver divergence (the objective or a gradient became non-finite, the MSE
+ran away, see ``model.ConvergenceTrace.step``, or the solver returned factors
+that are not native, see ``runner.run``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from . import adam as adam_mod
 from . import data, runner
 from .model import (
+    METHODS,
     DataBundle,
     DimensionError,
     SolverConfig,
@@ -134,6 +136,8 @@ def cmd_solve(args) -> int:
 
 def _discover_suite(root) -> list[Path]:
     root = Path(root)
+    if not root.is_dir():
+        raise ValidationError(f"{root}: suite is not a directory")
     if (root / data.MANIFEST_NAME).exists():
         return [root]
     dirs = sorted(p for p in root.iterdir() if (p / data.MANIFEST_NAME).exists())
@@ -270,10 +274,16 @@ def _aggregate_rows(rows):
 
 
 def cmd_compare(args) -> int:
-    with open(args.results, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(args.results, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise ValidationError(f"{args.results}: cannot read results file: {exc.strerror}") from exc
     if not rows:
         raise ValidationError(f"{args.results}: empty results file")
+    missing = [c for c in ("bundle", "method", "n", "K", "k", "final_mse") if c not in rows[0]]
+    if missing:
+        raise ValidationError(f"{args.results}: results file lacks columns {', '.join(missing)}")
     methods = sorted({row["method"] for row in rows})
     groups: dict[tuple, dict[str, float]] = {}
     for row in rows:
@@ -373,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one solver on one bundle")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--method", required=True, choices=("fpm", "bcd", "gmels", "adam"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--init", choices=runner.INIT_KINDS, default="deterministic")
     p.add_argument("--symmetrize", action="store_true",
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="method x inner-dimension sweep over a suite")
     p.add_argument("--suite", required=True, help="bundle directory or directory of bundles")
-    p.add_argument("--methods", default="fpm,bcd,gmels,adam")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--ratios", type=_ratio_list,
                    default=",".join(str(r) for r in DEFAULT_RATIOS),
                    help="k as a percentage of the planted K")

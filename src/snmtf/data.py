@@ -181,7 +181,8 @@ def load_bundle(path, symmetrize: bool = False) -> DataBundle:
 
 def read_manifest(path) -> dict:
     """The bundle's manifest; ``n``, ``N`` and (when present) ``planted_K``
-    must be positive integers, or ValidationError is raised."""
+    must be positive integers and ``matrices`` (when present) a list of N
+    file names, or ValidationError is raised."""
     manifest_path = Path(path) / MANIFEST_NAME
     try:
         with open(manifest_path) as fh:
@@ -201,6 +202,13 @@ def read_manifest(path) -> dict:
             raise ValidationError(
                 f"{manifest_path}: manifest {key} must be a positive integer, got {value!r}"
             )
+    names = manifest.get("matrices")
+    if names is not None and not (isinstance(names, list) and len(names) == manifest["N"]
+                                  and all(isinstance(name, str) for name in names)):
+        raise ValidationError(
+            f"{manifest_path}: manifest matrices must be a list of N = {manifest['N']} "
+            f"file names, got {names!r}"
+        )
     return manifest
 
 

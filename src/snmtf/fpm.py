@@ -8,6 +8,8 @@ Updates, with element-wise product/division/square root and A = G^T G:
 Machine epsilon is added to every denominator entry (and only there).  Both
 updates preserve non-negativity and zeros exactly; at a strictly positive
 exact factorization both ratios are all-ones and the update is the identity.
+G^T R_i G and A S_i A enter through their symmetric parts (see
+``gradients``), so every S_i stays exactly symmetric.
 Each iteration updates G first, then every S_i using the new G.
 Data passes (see ``DataBundle.times``): N at the start, N per iteration.
 """
@@ -23,6 +25,7 @@ from .model import (
     DataBundle,
     Factorization,
     SolverConfig,
+    _sandwich,
     check_compatible,
     se_from_gram,
 )
@@ -36,8 +39,8 @@ def _update_g(g, gram, h, s) -> np.ndarray:
 
 def _update_s(gram, mid, s) -> np.ndarray:
     """Multiplicative S update from A = G^T G and M = G^T R_i G (one block or
-    a stack of them)."""
-    return s * np.sqrt(mid / (gram @ s @ gram + MACHINE_EPS))
+    a stack of them); with M and A S A symmetric, a symmetric S stays so."""
+    return s * np.sqrt(mid / (_sandwich(gram, s) + MACHINE_EPS))
 
 
 def fpm_step_g(bundle: DataBundle, fact: Factorization) -> np.ndarray:
@@ -48,11 +51,10 @@ def fpm_step_g(bundle: DataBundle, fact: Factorization) -> np.ndarray:
 
 
 def fpm_step_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
-    """One multiplicative update of S_i (G held fixed); it needs only R_i G,
-    so it indexes ``bundle.R[i]`` instead of taking a full data pass."""
+    """One multiplicative update of S_i (G held fixed)."""
     check_compatible(bundle, fact)
-    g = fact.G
-    return _update_s(g.T @ g, g.T @ (bundle.R[i] @ g), fact.S[i])
+    gram, _, mid = _gram_products(bundle, fact.G)
+    return _update_s(gram, mid[i], fact.S[i])
 
 
 def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):

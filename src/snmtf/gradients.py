@@ -25,6 +25,13 @@ on the (N, k, k) stack of the S_i.
 :func:`grad_transformed` evaluates the formulas above from the n x n residuals
 instead and is kept as the independent reference the tests compare against.
 
+The Gram step takes M_i and A S_i A at their symmetric parts (X + X^T) / 2,
+so every dS_i is exactly symmetric: the gradient on the feasible set of
+symmetric S_i, without the rounding that makes the two products asymmetric.
+fpm's ratio, gmels' chain rule and step, adam's moments and bcd's projected
+step all act element-wise on such operands, so a symmetric start stays
+exactly symmetric in every solver.
+
 Both exact line searches (bcd's quartic in G, gmels' degree-12 polynomial)
 restrict SE to a line G(t) = sum_a t^a P_a, S_i(t) = sum_b t^b Q_b and get
 its coefficients from :func:`_line_poly`, given the products R_i P_a.
@@ -38,7 +45,9 @@ from .model import (
     DataBundle,
     Factorization,
     Transform,
+    _sandwich,
     _se_from_asa,
+    _symmetric_part,
     check_compatible,
     residuals,
 )
@@ -50,7 +59,8 @@ def grad_native(bundle: DataBundle, fact: Factorization):
     """Gradient of SE with respect to G and each S_i.
 
     Returns (dG, dS) with dS the (N, k, k) stack of the dS_i.  Every dS_i is
-    symmetric whenever S_i is.
+    exactly symmetric: the gradient for a symmetric S_i, and its projection
+    onto the symmetric matrices otherwise.
     """
     check_compatible(bundle, fact)
     _, dg, ds, _ = _gram_step(bundle, fact.G, fact.S)
@@ -58,12 +68,21 @@ def grad_native(bundle: DataBundle, fact: Factorization):
 
 
 def _gram_products(bundle: DataBundle, g):
-    """A = G^T G, the products H_i = R_i G and M_i = G^T H_i: one data pass.
+    """A = G^T G, the products H_i = R_i G and the symmetric parts of
+    M_i = G^T H_i: one data pass.
 
     H and M come back as (N, n, k) and (N, k, k) stacks.
     """
     h = bundle.times(g)
-    return g.T @ g, h, g.T @ h
+    return g.T @ g, h, _symmetric_part(g.T @ h)
+
+
+def _grad_s(gram, mid, s):
+    """dS_i = 2 (A S_i A - M_i) over the (N, k, k) stack ``s``, given A and
+    the stack of M_i from :func:`_gram_products`; returns (dS, A S A), both
+    exactly symmetric."""
+    asa = _sandwich(gram, s)
+    return 2.0 * (asa - mid), asa
 
 
 def _g_terms(gram, h, s):
@@ -85,8 +104,7 @@ def _gram_step(bundle: DataBundle, g, s):
     matrix is formed.
     """
     gram, h, mid = _gram_products(bundle, g)
-    asa = gram @ s @ gram
-    ds = 2.0 * (asa - mid)
+    ds, asa = _grad_s(gram, mid, s)
     return _se_from_asa(bundle.norms_sq, mid, s, asa), _grad_g(g, gram, h, s), ds, h
 
 

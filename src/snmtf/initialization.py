@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg
 
-from .model import DataBundle, DimensionError, Factorization
+from .model import DataBundle, DimensionError, Factorization, _symmetric_part
 
 # Above this order the dense eigendecomposition of sum_i R_i is replaced by an
 # iterative largest-magnitude eigensolver.
@@ -65,8 +65,7 @@ def deterministic_g(bundle: DataBundle, k: int) -> np.ndarray:
 def random_symmetric_stack(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
     """(count, k, k) stack of symmetric matrices, uniform(0,1) entries
     symmetrized; one draw, in the order of ``count`` separate k x k draws."""
-    s = rng.random((count, k, k))
-    return (s + s.swapaxes(1, 2)) / 2.0
+    return _symmetric_part(rng.random((count, k, k)))
 
 
 def random_init(n: int, k: int, N: int, seed: int) -> Factorization:

@@ -58,8 +58,9 @@ class ValidationError(ValueError):
 
 
 class SolverDivergedError(RuntimeError):
-    """The objective or a gradient became non-finite during a run, or the
-    MSE ran away (see :meth:`ConvergenceTrace.step`).
+    """The objective or a gradient became non-finite during a run, the MSE
+    ran away (see :meth:`ConvergenceTrace.step`), or the solver returned
+    factors that are not native (see ``runner.run``).
 
     ``records`` carries the per-iteration records collected before the abort,
     for diagnosis.
@@ -103,6 +104,20 @@ class Transform(enum.Enum):
         if x.size and float(x.min()) < 0.0:
             raise ValidationError(f"cannot lift a negative entry ({float(x.min())!r})")
         return np.sqrt(x) if self is Transform.SQUARE else x.copy()
+
+
+def _symmetric_part(x: np.ndarray) -> np.ndarray:
+    """(X + X^T) / 2 over the last two axes.
+
+    Exactly symmetric, because floating-point addition commutes, and equal
+    to X bit for bit when X already is.
+    """
+    return (x + x.swapaxes(-1, -2)) / 2.0
+
+
+def _sandwich(gram: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The symmetric part of A X A, for one block X or an (N, k, k) stack."""
+    return _symmetric_part(gram @ x @ gram)
 
 
 def _check_square(r: np.ndarray, name: str) -> None:
@@ -178,7 +193,7 @@ class DataBundle:
             _check_square(r, name)
             _check_finite(r, name)
             if symmetrize:
-                r = (r + r.T) / 2.0
+                r = _symmetric_part(r)
             _check_symmetric(r, name, SYMMETRY_INPUT_RTOL,
                              " (pass symmetrize=True to average with the transpose)")
             _check_nonnegative(r, name)
@@ -264,6 +279,19 @@ class Factorization:
         return Factorization(self.G.copy(), self.S)
 
 
+def _check_native(fact: Factorization, label: str) -> None:
+    """Raise ValidationError unless G and every S_i are finite and
+    non-negative and every S_i is symmetric to the iterate tolerance (1e-10
+    relative).  Messages name the block as ``<label> G`` or ``<label> S_i``.
+    """
+    names = [f"{label} G"] + [f"{label} S_{i + 1}" for i in range(fact.N)]
+    for name, x in zip(names, [fact.G, *fact.S]):
+        _check_finite(x, name)
+        _check_nonnegative(x, name)
+    for name, s in zip(names[1:], fact.S):
+        _check_symmetric(s, name, SYMMETRY_ITERATE_RTOL)
+
+
 def check_compatible(bundle: DataBundle, fact: Factorization) -> None:
     """Raise DimensionError unless the factorization has the bundle's n and N."""
     if fact.G.shape[0] != bundle.n:
@@ -299,10 +327,13 @@ def se_from_gram(norms_sq, gram, mid, s_list) -> float:
     """SE via ||R - G S G^T||^2 = ||R||^2 - 2<M, S> + <A S A, S>.
 
     ``gram`` is A = G^T G and ``mid[i]`` is M_i = G^T R_i G; this evaluates the
-    objective in O(N k^3) without forming n x n residuals.  Clamped at zero:
-    cancellation can push the exact-fit value a few ulps negative.
+    objective in O(N k^3) without forming n x n residuals.  M_i and A S_i A
+    enter through their symmetric parts, as in the solvers' Gram step, so
+    the value is that step's SE bit for bit.  Clamped at zero: cancellation
+    can push the exact-fit value a few ulps negative.
     """
-    return _se_from_asa(norms_sq, mid, s_list, gram @ np.asarray(s_list) @ gram)
+    return _se_from_asa(norms_sq, _symmetric_part(np.asarray(mid)), s_list,
+                        _sandwich(gram, np.asarray(s_list)))
 
 
 def _se_from_asa(norms_sq, mid, s_list, asa_list) -> float:

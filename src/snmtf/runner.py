@@ -2,8 +2,9 @@
 
 Builds the starting point (deterministic spectral G or seeded random G,
 seeded random symmetric S blocks) and dispatches; every solver takes and
-returns native factors.  Everything downstream of (bundle, config,
-init kind) is deterministic.
+returns native factors, and both the start and the result are checked to be
+native.  Everything downstream of (bundle, config, init kind) is
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import numpy as np
 
 from . import adam, bcd, fpm, gmels, initialization
 from .model import (
-    SYMMETRY_ITERATE_RTOL,
     DataBundle,
     DimensionError,
     Factorization,
     SolverConfig,
-    _check_finite,
-    _check_nonnegative,
-    _check_symmetric,
+    SolverDivergedError,
+    ValidationError,
+    _check_native,
+    _symmetric_part,
     check_compatible,
 )
 
@@ -52,7 +53,10 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     ``start`` overrides the built starting point; it must match ``config.k``
     (DimensionError otherwise), every block must be finite and non-negative
     and every S_i symmetric to the iterate tolerance (ValidationError
-    otherwise).
+    otherwise).  The solver starts from the exact symmetric part of the
+    S_i, which is the start itself when it is already exactly symmetric.
+    The returned factors pass the same check, or SolverDivergedError is
+    raised with the run's records attached.
     """
     rng = np.random.default_rng(config.seed)
     if start is None:
@@ -60,21 +64,23 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     check_compatible(bundle, start)
     if start.k != config.k:
         raise DimensionError(f"start has k = {start.k} columns, config.k = {config.k}")
-    names = ["start G"] + [f"start S_{i + 1}" for i in range(start.N)]
-    for name, x in zip(names, [start.G, *start.S]):
-        _check_finite(x, name)
-        _check_nonnegative(x, name)
-    for name, s in zip(names[1:], start.S):
-        _check_symmetric(s, name, SYMMETRY_ITERATE_RTOL)
+    _check_native(start, "start")
+    start = Factorization(start.G, _symmetric_part(start.S))
 
     # Overflow and NaN are detected explicitly (a non-finite SE or adam
     # gradient raises SolverDivergedError), so numpy's warnings would only
     # repeat that report.
     with np.errstate(over="ignore", invalid="ignore"):
         if config.method == "fpm":
-            return fpm.fpm_solve(bundle, config, start)
-        if config.method == "bcd":
-            return bcd.bcd_solve(bundle, config, start.G, rng=rng)
-        if config.method == "gmels":
-            return gmels.gmels_solve(bundle, config, start)
-        return adam.adam_solve(bundle, config, start)
+            fact, trace = fpm.fpm_solve(bundle, config, start)
+        elif config.method == "bcd":
+            fact, trace = bcd.bcd_solve(bundle, config, start.G, rng=rng)
+        elif config.method == "gmels":
+            fact, trace = gmels.gmels_solve(bundle, config, start)
+        else:
+            fact, trace = adam.adam_solve(bundle, config, start)
+    try:
+        _check_native(fact, f"{config.method} result")
+    except ValidationError as exc:
+        raise SolverDivergedError(str(exc), records=trace.records) from None
+    return fact, trace

@@ -58,6 +58,22 @@ def rng():
 
 
 @pytest.fixture
+def asymmetric_fpm_result(monkeypatch):
+    """Makes ``fpm.fpm_solve`` return an S_2 that is not symmetric, so that
+    ``runner.run``'s check of the result fails."""
+    from snmtf import fpm
+
+    solve = fpm.fpm_solve
+
+    def broken(bundle, config, start):
+        fact, trace = solve(bundle, config, start)
+        fact.S[1, 0, 1] += 0.25
+        return fact, trace
+
+    monkeypatch.setattr(fpm, "fpm_solve", broken)
+
+
+@pytest.fixture
 def data_passes(monkeypatch):
     """Counts the data passes taken through ``DataBundle.times``.
 

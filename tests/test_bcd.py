@@ -144,16 +144,20 @@ class TestLinesearchS:
 
 def per_block_s_solve(gram, mid, s, iterations):
     """One S block's projected-gradient solve as a scalar loop: the reference
-    for the batched ``_s_inner_solve``."""
+    for the batched ``_s_inner_solve``.  Like the Gram kernel, it takes
+    A S A and A dS A at their symmetric parts."""
+    def sandwich(x):
+        y = gram @ x @ gram
+        return (y + y.T) / 2.0
+
     s = s.copy()
     for _ in range(iterations):
-        asa = gram @ s @ gram
+        asa = sandwich(s)
         ds = 2.0 * (asa - mid)
-        denom = float(np.vdot(gram @ ds @ gram, ds))
+        denom = float(np.vdot(sandwich(ds), ds))
         if not np.isfinite(denom) or denom <= 0.0:
             break
         s = np.maximum(s + float(np.vdot(mid - asa, ds)) / denom * ds, 0.0)
-        s = (s + s.T) / 2.0
     return s
 
 

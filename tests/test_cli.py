@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from snmtf import cli, data, runner
-from snmtf.model import METHODS, SolverConfig, SolverDivergedError
+from snmtf.model import METHODS, STOP_REASONS, SolverConfig, SolverDivergedError
 
 
 def run_cli(*argv):
@@ -166,6 +166,32 @@ class TestSolve:
             )
             assert rc == 0
 
+    def test_gmels_output_chains_into_fpm(self, tmp_path):
+        # gmels used to let S_i drift from symmetry (max |S - S^T| = 1.5e-9
+        # here), so its output failed the --start-from check it must pass.
+        bundle_dir = tmp_path / "b"
+        assert run_cli("generate", "--n", 60, "--K", 8, "--N", 3, "--seed", 1,
+                       "--out", bundle_dir) == 0
+        rc = run_cli("solve", "--bundle", bundle_dir, "--method", "gmels", "--k", 7,
+                     "--init", "random", "--mse-stop", 0, "--max-iters", 500,
+                     "--out", tmp_path / "r")
+        assert rc == 0
+        rc = run_cli("solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 7,
+                     "--start-from", tmp_path / "r", "--out", tmp_path / "r2")
+        assert rc == 0
+
+    def test_broken_result_exits_5_and_writes_nothing(self, tmp_path, capsys,
+                                                       asymmetric_fpm_result):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        out = tmp_path / "run"
+        rc = run_cli("solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 2,
+                     "--max-iters", 3, "--out", out)
+        assert rc == cli.EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: fpm result S_2 is not symmetric")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_k_above_n_is_validation_error(self, tmp_path, capsys):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=3)
         out = tmp_path / "run"
@@ -231,6 +257,24 @@ class TestSolve:
         assert rc == cli.EXIT_VALIDATION
         assert "manifest n must be a positive integer, got 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [
+        pytest.param(5, id="number"),
+        pytest.param("R_1.mtx.txt", id="string"),
+        pytest.param(["R_1.mtx.txt"], id="too-short"),
+        pytest.param([1, 2, 3, 4, 5], id="not-names"),
+    ])
+    def test_malformed_manifest_matrices_is_validation_error(self, tmp_path, capsys, value):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        set_manifest_key(bundle_dir, "matrices", value)
+        rc = run_cli(
+            "solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 2,
+            "--out", tmp_path / "run",
+        )
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "manifest matrices must be a list of N = 5 file names" in err
+
     def test_missing_bundle_is_validation_error(self, tmp_path):
         rc = run_cli(
             "solve", "--bundle", tmp_path / "nope", "--method", "fpm", "--k", 2,
@@ -287,6 +331,35 @@ class TestBenchmark:
             assert row["stop_reason"] == (
                 "error: SolverDivergedError: objective became non-finite (inf) at iteration 3"
             )
+
+    def test_broken_result_row_records_error_and_sweep_continues(
+            self, suite, tmp_path, asymmetric_fpm_result):
+        out = tmp_path / "res"
+        rc = run_cli(
+            "benchmark", "--suite", suite, "--methods", "fpm,bcd", "--ratios", "100",
+            "--max-iters", 3, "--out", out, "--no-save-runs",
+        )
+        assert rc == 0
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            if row["method"] == "fpm":
+                assert row["final_mse"] == ""
+                assert row["stop_reason"].startswith(
+                    "error: SolverDivergedError: fpm result S_2 is not symmetric")
+            else:
+                assert row["final_mse"] != "" and row["stop_reason"] in STOP_REASONS
+
+    @pytest.mark.parametrize("command", ["benchmark", "tune"])
+    @pytest.mark.parametrize("target", ["missing", "file"])
+    def test_suite_not_a_directory_is_validation_error(self, tmp_path, capsys, command, target):
+        suite_path = tmp_path / "suite"
+        if target == "file":
+            suite_path.write_text("not a directory\n")
+        rc = run_cli(command, "--suite", suite_path, "--out", tmp_path / "out")
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {suite_path}: suite is not a directory\n"
 
     def test_deterministic_modulo_timing(self, suite, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -407,6 +480,24 @@ class TestCompare:
             "k_over_K_pct": "100", "final_mse": mse, "iterations": "5",
             "seconds": "0.1", "stop_reason": "max_iterations",
         }
+
+    def test_missing_results_file_is_validation_error(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        rc = run_cli("compare", "--results", results, "--out", tmp_path / "winners.csv")
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {results}: cannot read results file")
+        assert err.count("\n") == 1
+
+    def test_results_without_required_columns_is_validation_error(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("bundle,method,n,k\nb,fpm,10,2\n")
+        out = tmp_path / "winners.csv"
+        rc = run_cli("compare", "--results", results, "--out", out)
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {results}: results file lacks columns K, final_mse\n")
+        assert not out.exists()
 
     def test_tie_broken_lexicographically(self, tmp_path):
         results = tmp_path / "results.csv"

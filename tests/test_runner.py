@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snmtf import adam, bcd, fpm, gmels
 from snmtf.data import generate_synthetic
 from snmtf.model import (
+    METHODS,
     SYMMETRY_ITERATE_RTOL,
     DimensionError,
     Factorization,
     SolverConfig,
+    SolverDivergedError,
     ValidationError,
 )
 from snmtf.runner import build_start, run
@@ -125,6 +129,19 @@ class TestRunDispatch:
         start.S[0, 0, 1] += 0.5 * SYMMETRY_ITERATE_RTOL * np.abs(start.S[0]).max()
         run(planted_bundle, SolverConfig(method="adam", k=3, max_iterations=2), start=start)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_start_within_tolerance_is_symmetrized(self, planted_bundle, method):
+        # The solver starts from the exact symmetric part of an accepted
+        # start, so even a start that is symmetric only to the tolerance
+        # gives exactly symmetric output.
+        _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
+        start = planted.copy()
+        start.S[0, 0, 1] += 0.5 * SYMMETRY_ITERATE_RTOL * np.abs(start.S[0]).max()
+        config = SolverConfig(method=method, k=3, max_iterations=2, mse_stop=0.0)
+        fact, _ = run(planted_bundle, config, start=start)
+        for s in fact.S:
+            assert np.array_equal(s, s.T)
+
     def test_explicit_start_used(self, planted_bundle):
         from snmtf.data import generate_synthetic
 
@@ -159,6 +176,40 @@ class TestSolverContract:
         # neither call wrote to the caller's start
         np.testing.assert_array_equal(start.G, before.G)
         np.testing.assert_array_equal(start.S, before.S)
+
+
+class TestOutputContract:
+    """Every run returns native factors with exactly symmetric S_i, so its
+    output chains into any method as an explicit start; ``run`` checks the
+    result and reports a broken one as a diverged solve."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("init", ["deterministic", "random"])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.integers(min_value=8, max_value=16),
+        K=st.integers(min_value=2, max_value=4),
+        N=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        k_offset=st.sampled_from([-1, 0, 2]),
+    )
+    def test_output_is_exactly_symmetric_and_chains(self, method, init, n, K, N, seed, k_offset):
+        # density 1 keeps every planted S_i, and so the bundle, non-zero
+        bundle, _ = generate_synthetic(n=n, K=K, N=N, density=1.0, seed=seed)
+        config = SolverConfig(method=method, k=K + k_offset, seed=seed,
+                              max_iterations=40, mse_stop=0.0)
+        fact, _ = run(bundle, config, init=init)
+        for s in fact.S:
+            assert np.array_equal(s, s.T)
+        chained = SolverConfig(method=method, k=config.k, max_iterations=1)
+        run(bundle, chained, start=fact)
+
+    def test_broken_result_raises_diverged_naming_the_block(
+            self, planted_bundle, asymmetric_fpm_result):
+        config = SolverConfig(method="fpm", k=3, max_iterations=4, mse_stop=0.0)
+        with pytest.raises(SolverDivergedError, match="fpm result S_2 is not symmetric") as err:
+            run(planted_bundle, config)
+        assert [r.iteration for r in err.value.records] == [0, 1, 2, 3, 4]
 
 
 class TestCostModel:
