@@ -3,11 +3,11 @@ matrix tri-factorization: given symmetric non-negative R_1 .. R_N, find
 non-negative G and symmetric non-negative S_i minimizing
 sum_i ||R_i - G S_i G^T||^2."""
 
-from .adam import AdamState, adam_eta, adam_solve, adam_step, tune_adam
-from .bcd import bcd_solve, linesearch_g, linesearch_s, quartic_coeffs
+from .adam import AdamState, adam_eta, adam_step, tune_adam
+from .bcd import linesearch_g, linesearch_s, quartic_coeffs
 from .data import generate_synthetic, load_bundle, save_bundle, save_factorization
-from .fpm import fpm_solve, fpm_step_g, fpm_step_s
-from .gmels import gmels_solve, line_poly_coeffs, poly_minimize
+from .fpm import fpm_step_g, fpm_step_s
+from .gmels import line_poly_coeffs, poly_minimize
 from .gradients import grad_native, grad_transformed
 from .initialization import deterministic_g, random_init
 from .model import (
@@ -38,16 +38,12 @@ __all__ = [
     "Transform",
     "ValidationError",
     "adam_eta",
-    "adam_solve",
     "adam_step",
-    "bcd_solve",
     "build_start",
     "deterministic_g",
-    "fpm_solve",
     "fpm_step_g",
     "fpm_step_s",
     "generate_synthetic",
-    "gmels_solve",
     "grad_native",
     "grad_transformed",
     "line_poly_coeffs",

@@ -20,7 +20,10 @@ The objective and gradient come from the shared Gram step, and no n x n
 temporary is formed.  Data passes (see ``DataBundle.times``): N at the start,
 N per iteration.
 
-Also hosts the random-search hyper-parameter tuner.
+``iterate`` is the solver, an iteration generator that ``runner.run`` hands
+to ``model.drive``.  The module also hosts the random-search
+hyper-parameter tuner, whose runs go through the same ``model.drive`` loop
+from random starts that are native by construction.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ import numpy as np
 from .gradients import _transformed_step
 from .initialization import random_init
 from .model import (
-    ConvergenceTrace,
     DataBundle,
     Factorization,
     SolverConfig,
     SolverDivergedError,
     Transform,
-    check_compatible,
+    drive,
 )
 
 ABS = Transform.ABS
@@ -99,39 +101,30 @@ def adam_step(state: AdamState, g: np.ndarray, s: np.ndarray, grads, eta: float,
     _moment_update(state.m_s, state.v_s, np.asarray(ds), eta, beta1, beta2, eps, s)
 
 
-def adam_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
-    """Run adam from a native starting point.
+def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng):
+    """Adam from a native start, as an iteration generator for
+    ``model.drive`` (``rng`` is unused).
 
-    Returns (native factorization, trace).  The start is copied into the raw
-    variables (ValidationError on a negative entry) and the result is the
+    The start is copied into the raw variables and the result is the
     element-wise absolute value of the final raw variables.  A non-finite
-    gradient aborts with the partial trace attached to the raised error.
+    gradient raises SolverDivergedError.
     """
-    if config.method != "adam":
-        raise ValueError(f"config.method is {config.method!r}, expected 'adam'")
-    check_compatible(bundle, start)
-
     g, s = ABS.lift(start.G), ABS.lift(start.S)
     state = AdamState.zeros_like(g, s)
-    trace = ConvergenceTrace(bundle, config)
     se_value, dg, ds, _ = _transformed_step(bundle, ABS, g, s)
-    trace.start(se_value)
-
-    while trace.running:
-        it = trace.iterations + 1
+    it = 0
+    while (yield se_value):
+        it += 1
         eta = adam_eta(
             config.adam_alpha, config.adam_beta1, config.adam_beta2, it,
             config.standard_bias_correction,
         )
         if not (np.isfinite(dg).all() and np.isfinite(ds).all()):
-            raise SolverDivergedError(
-                f"gradient became non-finite at iteration {it}", records=trace.records
-            )
+            raise SolverDivergedError(f"gradient became non-finite at iteration {it}")
         adam_step(state, g, s, (dg, ds), eta, config.adam_beta1,
                   config.adam_beta2, config.adam_epsilon)
         se_value, dg, ds, _ = _transformed_step(bundle, ABS, g, s)
-        trace.step(se_value)
-    return Factorization(ABS.apply(g), ABS.apply(s)), trace
+    yield Factorization(ABS.apply(g), ABS.apply(s))
 
 
 def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_stop):
@@ -148,7 +141,7 @@ def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_s
             )
             start = random_init(bundle.n, k, bundle.N, int(seed))
             try:
-                finals.append(adam_solve(bundle, config, start)[1].final.mse)
+                finals.append(drive(bundle, config, iterate(bundle, config, start, None))[1].final.mse)
             except SolverDivergedError:  # a diverging triple ranks last
                 finals.append(np.inf)
         per_problem.append(float(np.mean(finals)))
@@ -167,8 +160,9 @@ def tune_adam(problems, trials: int, seed: int, *, points=None,
     [1e-4, 1e-1] (three decades; uniform sampling would oversample the top
     decade), beta1 uniformly on [0.2, 0.999], beta2 on [0.1, 0.999].
 
-    ``points`` replaces the random sampling with explicit (alpha, beta1,
-    beta2) triples.  Returns trial dicts sorted by score (ties by trial
+    Each run drives :func:`iterate` through ``model.drive``, the loop
+    ``runner.run`` uses.  ``points`` replaces the random sampling with
+    explicit (alpha, beta1, beta2) triples.  Returns trial dicts sorted by score (ties by trial
     index); deterministic for a fixed seed.
     """
     problems = [(b, int(k)) for b, k in problems]

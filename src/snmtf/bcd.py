@@ -24,6 +24,9 @@ N at the start, then 2 N per G step (R_i dG for the quartic, then R_i G at
 the new point, which also serves the next G step and the trace), i.e. 20 N
 per outer iteration at the default 10 inner steps.  The S block needs
 M_i = G^T R_i G only, which the last G step's products already hold.
+
+``iterate`` is the solver, an iteration generator that ``runner.run`` hands
+to ``model.drive``; ``linesearch_g`` and ``linesearch_s`` are single steps.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 
 from .gradients import _grad_g, _grad_s, _gram_products, _line_poly
 from .model import (
-    ConvergenceTrace,
     DataBundle,
     Factorization,
     LinePolynomial,
@@ -121,40 +123,23 @@ def _s_inner_solve(gram, mid, s, iterations, norms_sq=None, substep_log=None):
     return s
 
 
-def bcd_solve(
-    bundle: DataBundle,
-    config: SolverConfig,
-    start_g: np.ndarray,
-    rng: np.random.Generator | None = None,
-    substep_log: list | None = None,
-):
-    """Run coordinate descent from a non-negative starting G.
+def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization,
+            rng: np.random.Generator, substep_log: list | None = None):
+    """Coordinate descent from the start's G, as an iteration generator for
+    ``model.drive``; ``rng`` draws the escape perturbations.
 
-    The S blocks start from constant matrices (all entries 0.5); the first
-    S-block solve therefore doubles as the S initialization.  Returns
-    (native factorization, trace).
+    The S blocks start from constant matrices (all entries 0.5), not from
+    ``start.S``; the first S-block solve therefore doubles as the S
+    initialization.  ``substep_log`` is passed to every S-block solve (see
+    ``_s_inner_solve``).
     """
-    if config.method != "bcd":
-        raise ValueError(f"config.method is {config.method!r}, expected 'bcd'")
-    g = np.array(start_g, dtype=float)
-    if g.ndim != 2 or g.shape != (bundle.n, config.k):
-        raise ValueError(f"start G has shape {g.shape}, expected ({bundle.n}, {config.k})")
-    if g.size and float(g.min()) < 0.0:
-        raise ValueError("start G must be non-negative")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-
+    g = start.G
     s = np.full((bundle.N, config.k, config.k), INITIAL_S_VALUE)
     norms = bundle.norms_sq
-    trace = ConvergenceTrace(bundle, config)
-
     gram, h, mid = _gram_products(bundle, g)
-    trace.start(se_from_gram(norms, gram, mid, s))
-
-    while trace.running:
+    while (yield se_from_gram(norms, gram, mid, s)):
         s = _s_inner_solve(gram, mid, s, config.bcd_inner_iterations, norms, substep_log)
         for _ in range(config.bcd_inner_iterations):
             g = _g_step(bundle, g, gram, h, s, rng)
             gram, h, mid = _gram_products(bundle, g)
-        trace.step(se_from_gram(norms, gram, mid, s))
-    return Factorization(g, s), trace
+    yield Factorization(g, s)

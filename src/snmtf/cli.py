@@ -273,6 +273,19 @@ def _aggregate_rows(rows):
     ]
 
 
+def _mse_cell(results, row: int, text: str) -> float:
+    """The final_mse cell of data row ``row`` (from 1) as a float;
+    ValidationError naming the file and the row unless it is a finite
+    number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValidationError(f"{results}: row {row}: final_mse {text!r} is not a finite number")
+    return value
+
+
 def cmd_compare(args) -> int:
     try:
         with open(args.results, newline="") as fh:
@@ -286,11 +299,11 @@ def cmd_compare(args) -> int:
         raise ValidationError(f"{args.results}: results file lacks columns {', '.join(missing)}")
     methods = sorted({row["method"] for row in rows})
     groups: dict[tuple, dict[str, float]] = {}
-    for row in rows:
+    for number, row in enumerate(rows, start=1):
         key = (row["bundle"], row["n"], row["K"], row["k"])
         entry = groups.setdefault(key, {})
         if row["final_mse"] != "":
-            entry[row["method"]] = float(row["final_mse"])
+            entry[row["method"]] = _mse_cell(args.results, number, row["final_mse"])
 
     out_rows = []
     for key in sorted(groups):
@@ -316,6 +329,7 @@ def cmd_compare(args) -> int:
                 "missing": ";".join(missing),
             }
         )
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["bundle", "n", "K", "k", "winner", "best_mse", "tie", "status", "missing"]
@@ -342,6 +356,7 @@ def cmd_tune(args) -> int:
 
     problems = [(data.load_bundle(d), k) for d, k in zip(bundle_dirs, ks)]
     labels = [bundle.label for bundle, _ in problems]
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     ranked = adam_mod.tune_adam(
         problems, trials=args.trials, seed=args.seed, points=args.point,
         runs_per_problem=args.runs, max_iterations=args.max_iters,

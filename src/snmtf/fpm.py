@@ -12,6 +12,9 @@ G^T R_i G and A S_i A enter through their symmetric parts (see
 ``gradients``), so every S_i stays exactly symmetric.
 Each iteration updates G first, then every S_i using the new G.
 Data passes (see ``DataBundle.times``): N at the start, N per iteration.
+
+``iterate`` is the solver, an iteration generator that ``runner.run`` hands
+to ``model.drive``; ``fpm_step_g`` and ``fpm_step_s`` are single updates.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 from .gradients import _g_terms, _gram_products
 from .model import (
     MACHINE_EPS,
-    ConvergenceTrace,
     DataBundle,
     Factorization,
     SolverConfig,
@@ -57,28 +59,19 @@ def fpm_step_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
     return _update_s(gram, mid[i], fact.S[i])
 
 
-def fpm_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
-    """Iterate the multiplicative updates from a starting point.
+def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng):
+    """The multiplicative updates from a native start, as an iteration
+    generator for ``model.drive`` (``config`` and ``rng`` are unused).
 
-    Returns (native factorization, trace).  Per iteration the data is touched
-    once, by the N products H_i = R_i G of the new G: they give the S updates'
-    G^T R_i G, SE (through ``se_from_gram``) and the next G update's
-    numerator.  A non-finite objective aborts with the partial trace attached
-    to the raised error.
+    Per iteration the data is touched once, by the N products H_i = R_i G
+    of the new G: they give the S updates' G^T R_i G, SE (through
+    ``se_from_gram``) and the next G update's numerator.
     """
-    if config.method != "fpm":
-        raise ValueError(f"config.method is {config.method!r}, expected 'fpm'")
-    check_compatible(bundle, start)
     g, s = start.G, start.S
     norms = bundle.norms_sq
-
-    trace = ConvergenceTrace(bundle, config)
     gram, h, mid = _gram_products(bundle, g)
-    trace.start(se_from_gram(norms, gram, mid, s))
-
-    while trace.running:
+    while (yield se_from_gram(norms, gram, mid, s)):
         g = _update_g(g, gram, h, s)
         gram, h, mid = _gram_products(bundle, g)
         s = _update_s(gram, mid, s)
-        trace.step(se_from_gram(norms, gram, mid, s))
-    return Factorization(g, s), trace
+    yield Factorization(g, s)

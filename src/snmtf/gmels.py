@@ -23,6 +23,9 @@ is formed.  Every iteration steps all variables by the global minimizer of p
 
 Data passes (see ``DataBundle.times``): N at the start, 3 N per iteration
 (R_i [P1, P2] as one n x 2k product, then R_i G at the new point).
+
+``iterate`` is the solver, an iteration generator that ``runner.run`` hands
+to ``model.drive``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import numpy as np
 
 from .gradients import _line_poly, _transformed_step
 from .model import (
-    ConvergenceTrace,
     DataBundle,
     Factorization,
     LinePolynomial,
@@ -81,28 +83,20 @@ def line_poly_coeffs(bundle: DataBundle, g, s, grad_g, grad_s) -> LinePolynomial
     return LinePolynomial(_line_poly_coefficients(bundle, g, s, step_g, step_s, h))
 
 
-def gmels_solve(bundle: DataBundle, config: SolverConfig, start: Factorization):
-    """Run the exact line search from a native starting point.
+def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng):
+    """The exact line search from a native start, as an iteration generator
+    for ``model.drive`` (``config`` and ``rng`` are unused).
 
-    Returns (native factorization, trace).  The start is lifted by
-    element-wise square roots (ValidationError on a negative entry) and the
-    result is the element-wise square of the final raw variables.
+    The start is lifted by element-wise square roots and the result is the
+    element-wise square of the final raw variables.
     """
-    if config.method != "gmels":
-        raise ValueError(f"config.method is {config.method!r}, expected 'gmels'")
-    check_compatible(bundle, start)
-
     g, s = SQUARE.lift(start.G), SQUARE.lift(start.S)
-    trace = ConvergenceTrace(bundle, config)
     se_value, dg, ds, h = _transformed_step(bundle, SQUARE, g, s)
-    trace.start(se_value)
-
-    while trace.running:
+    while (yield se_value):
         poly = LinePolynomial(_line_poly_coefficients(bundle, g, s, -dg, -ds, h))
         t = poly_minimize(poly)
         if t != 0.0:
             g -= t * dg
             s -= t * ds
         se_value, dg, ds, h = _transformed_step(bundle, SQUARE, g, s)
-        trace.step(se_value)
-    return Factorization(SQUARE.apply(g), SQUARE.apply(s)), trace
+    yield Factorization(SQUARE.apply(g), SQUARE.apply(s))

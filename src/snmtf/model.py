@@ -377,7 +377,7 @@ class ConvergenceTrace:
     (MSE_t < mse_stop), iteration cap.  The plateau check runs first so a run
     started at a fixed point terminates with ``delta_threshold`` rather than
     tripping the MSE threshold it already satisfies.  The first rule that
-    fires sets ``stop_reason``; a solver iterates while :attr:`running`.
+    fires sets ``stop_reason``; :func:`drive` iterates while :attr:`running`.
 
     Before the rules, :meth:`step` raises SolverDivergedError when SE is
     non-finite or MSE_t exceeds DIVERGENCE_MSE_FACTOR * max(1, MSE_0) (1e6).
@@ -446,6 +446,28 @@ class ConvergenceTrace:
         if not self.records or iteration < 0:
             raise ValueError(f"no record at or before iteration {iteration}")
         return self.records[min(iteration, self.iterations)].mse
+
+
+def drive(bundle: DataBundle, config: "SolverConfig", iterations):
+    """Run one solver's iteration generator to the stopping rules; returns
+    (native factorization, trace).
+
+    Each solver module's ``iterate(bundle, config, start, rng)`` builds such
+    a generator.  It yields SE at the start, then the SE after one more
+    iteration each time it is sent True; sent False, it yields its native
+    Factorization.  This loop is the only place where a run's
+    :class:`ConvergenceTrace` is built and fed, and a SolverDivergedError
+    raised by a step carries the records collected before it.
+    """
+    trace = ConvergenceTrace(bundle, config)
+    try:
+        trace.start(next(iterations))
+        while trace.running:
+            trace.step(iterations.send(True))
+    except SolverDivergedError as exc:
+        exc.records = list(trace.records)
+        raise
+    return iterations.send(False), trace
 
 
 @dataclass

@@ -1,10 +1,12 @@
-"""One front door for running any of the four solvers on a bundle.
+"""The one solve entry point for all four solvers.
 
-Builds the starting point (deterministic spectral G or seeded random G,
-seeded random symmetric S blocks) and dispatches; every solver takes and
-returns native factors, and both the start and the result are checked to be
-native.  Everything downstream of (bundle, config, init kind) is
-deterministic.
+``run`` builds the starting point (deterministic spectral G or seeded random
+G, seeded random symmetric S blocks), checks it, looks up the configured
+method's iteration generator in :data:`SOLVERS` and hands it to
+``model.drive``, the one loop that owns the trace and the stopping rules.
+Every solver takes and returns native factors, and both the start and the
+result are checked to be native.  Everything downstream of (bundle, config,
+init kind) is deterministic.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ from .model import (
     _check_native,
     _symmetric_part,
     check_compatible,
+    drive,
 )
 
 INIT_KINDS = ("deterministic", "random")
+
+# Each method's iteration generator, iterate(bundle, config, start, rng).
+SOLVERS = {"fpm": fpm.iterate, "bcd": bcd.iterate, "gmels": gmels.iterate, "adam": adam.iterate}
 
 
 def build_start(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
@@ -56,7 +62,8 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     otherwise).  The solver starts from the exact symmetric part of the
     S_i, which is the start itself when it is already exactly symmetric.
     The returned factors pass the same check, or SolverDivergedError is
-    raised with the run's records attached.
+    raised with the run's records attached.  bcd's generator receives this
+    function's ``rng`` after ``build_start`` has drawn from it.
     """
     rng = np.random.default_rng(config.seed)
     if start is None:
@@ -71,14 +78,7 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     # gradient raises SolverDivergedError), so numpy's warnings would only
     # repeat that report.
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.method == "fpm":
-            fact, trace = fpm.fpm_solve(bundle, config, start)
-        elif config.method == "bcd":
-            fact, trace = bcd.bcd_solve(bundle, config, start.G, rng=rng)
-        elif config.method == "gmels":
-            fact, trace = gmels.gmels_solve(bundle, config, start)
-        else:
-            fact, trace = adam.adam_solve(bundle, config, start)
+        fact, trace = drive(bundle, config, SOLVERS[config.method](bundle, config, start, rng))
     try:
         _check_native(fact, f"{config.method} result")
     except ValidationError as exc:

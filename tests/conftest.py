@@ -59,18 +59,19 @@ def rng():
 
 @pytest.fixture
 def asymmetric_fpm_result(monkeypatch):
-    """Makes ``fpm.fpm_solve`` return an S_2 that is not symmetric, so that
-    ``runner.run``'s check of the result fails."""
-    from snmtf import fpm
+    """Makes fpm's iteration generator return an S_2 that is not symmetric,
+    so that ``runner.run``'s check of the result fails."""
+    from snmtf import fpm, runner
 
-    solve = fpm.fpm_solve
+    def broken(bundle, config, start, rng):
+        steps = fpm.iterate(bundle, config, start, rng)
+        out = next(steps)
+        while not isinstance(out, Factorization):
+            out = steps.send((yield out))
+        out.S[1, 0, 1] += 0.25
+        yield out
 
-    def broken(bundle, config, start):
-        fact, trace = solve(bundle, config, start)
-        fact.S[1, 0, 1] += 0.25
-        return fact, trace
-
-    monkeypatch.setattr(fpm, "fpm_solve", broken)
+    monkeypatch.setitem(runner.SOLVERS, "fpm", broken)
 
 
 @pytest.fixture

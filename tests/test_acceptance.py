@@ -16,9 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from snmtf import cli, data
+from snmtf import bcd, cli, data
 from snmtf.adam import tune_adam
-from snmtf.bcd import bcd_solve, quartic_coeffs
+from snmtf.bcd import quartic_coeffs
 from snmtf.gmels import line_poly_coeffs
 from snmtf.gradients import grad_native, grad_transformed
 from snmtf.initialization import random_init
@@ -26,6 +26,7 @@ from snmtf.model import (
     Factorization,
     SolverConfig,
     Transform,
+    drive,
     residuals,
     se,
 )
@@ -246,9 +247,7 @@ class TestProperties:
             bundle = random_bundle(rng, 8, 2)
             start = random_init(8, 2, 2, seed)
             config = SolverConfig(method="gmels", k=2, seed=seed, max_iterations=60, mse_stop=0.0)
-            from snmtf.gmels import gmels_solve
-
-            _, trace = gmels_solve(bundle, config, start)
+            _, trace = run(bundle, config, start=start)
             ses = [r.se for r in trace.records]
             gmels_ok &= all(b <= a * (1 + 1e-12) for a, b in zip(ses, ses[1:]))
 
@@ -256,7 +255,9 @@ class TestProperties:
         bundle = random_bundle(rng, 8, 2)
         log: list = []
         config = SolverConfig(method="bcd", k=2, seed=0, max_iterations=5, mse_stop=0.0)
-        bcd_solve(bundle, config, rng.random((8, 2)), substep_log=log)
+        start = Factorization(rng.random((8, 2)), np.zeros((2, 2, 2)))  # bcd reads only G
+        drive(bundle, config, bcd.iterate(bundle, config, start, np.random.default_rng(config.seed),
+                                          substep_log=log))
         bcd_ok = bool(log) and all(
             row["se_unprojected"] <= row["se_before"] * (1 + 1e-12) + 1e-12 for row in log
         )

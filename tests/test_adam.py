@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snmtf.adam import AdamState, adam_eta, adam_solve, adam_step, tune_adam
+from snmtf.adam import AdamState, adam_eta, adam_step, tune_adam
 from snmtf.data import generate_synthetic
 from snmtf.initialization import random_init
 from snmtf.model import (
@@ -18,6 +18,7 @@ from snmtf.model import (
     SolverDivergedError,
     ValidationError,
 )
+from snmtf.runner import run
 
 from conftest import assert_block_stack, random_bundle
 
@@ -147,8 +148,6 @@ class TestStep:
 
 class TestSolve:
     def test_planted_recovery_small(self):
-        from snmtf.runner import run
-
         bundle, _ = generate_synthetic(n=40, K=4, N=5, seed=3)
         config = SolverConfig(method="adam", k=4, seed=1)
         fact, trace = run(bundle, config, init="deterministic")
@@ -167,7 +166,7 @@ class TestSolve:
         start = Factorization(g, s_list)
         config = SolverConfig(method="adam", k=2, seed=0, max_iterations=10,
                               mse_stop=0.0, delta_stop=0.0)
-        fact, trace = adam_solve(bundle, config, start)
+        fact, trace = run(bundle, config, start=start)
         assert trace.iterations == 10
         np.testing.assert_array_equal(fact.G, g)
         for s, s0 in zip(fact.S, s_list):
@@ -182,7 +181,7 @@ class TestSolve:
         config = SolverConfig(method="adam", k=k, seed=0, max_iterations=3, mse_stop=0.0)
         tracemalloc.start()
         try:
-            _, trace = adam_solve(bundle, config, start)
+            _, trace = run(bundle, config, start=start)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -193,7 +192,7 @@ class TestSolve:
         bundle = random_bundle(rng, 8, 2)
         start = random_init(8, 3, 2, seed=4)
         config = SolverConfig(method="adam", k=3, seed=0, max_iterations=500, mse_stop=0.0)
-        fact, _ = adam_solve(bundle, config, start)
+        fact, _ = run(bundle, config, start=start)
         for s in fact.S:
             assert np.abs(s - s.T).max() <= 1e-10 * max(np.abs(s).max(), 1.0)
 
@@ -205,19 +204,19 @@ class TestSolve:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverDivergedError) as err:
-                adam_solve(bundle, config, start)
+                run(bundle, config, start=start)
         assert err.value.records  # partial trace attached
 
     @pytest.mark.parametrize("block", ["G", "S_1"])
     def test_negative_start_rejected(self, rng, block):
-        # The lift inside the solver refuses a negative entry, although
-        # |X'| would map it to a valid point.
+        # run refuses a negative entry, although |X'| would map it to a
+        # valid point.
         bundle = random_bundle(rng, 4, 1)
         start = random_init(4, 2, 1, seed=0)
         (start.G if block == "G" else start.S[0])[1, 1] = -0.25
         config = SolverConfig(method="adam", k=2)
         with pytest.raises(ValidationError, match="negative"):
-            adam_solve(bundle, config, start)
+            run(bundle, config, start=start)
 
 
 REAL_DATA = os.environ.get("SNMTF_REAL_DATA")
@@ -231,7 +230,6 @@ def test_voting_similarity_matrix_optional():
     # Externally sourced 435-point similarity data; expected MSE about
     # 0.003 +- 0.005 at k = 5.
     from snmtf.data import load_bundle
-    from snmtf.runner import run
 
     bundle = load_bundle(Path(REAL_DATA) / "voting", symmetrize=True)
     config = SolverConfig(method="adam", k=5, seed=1)

@@ -3,7 +3,7 @@ import pytest
 
 from snmtf.bcd import (
     _s_inner_solve,
-    bcd_solve,
+    iterate,
     linesearch_g,
     linesearch_s,
     quartic_coeffs,
@@ -13,8 +13,10 @@ from snmtf.model import (
     DataBundle,
     Factorization,
     SolverConfig,
+    drive,
     se,
 )
+from snmtf.runner import run
 
 from conftest import exact_fit_pair, random_bundle, random_native_fact
 
@@ -196,6 +198,12 @@ class TestSInnerSolve:
         assert rows(batched) == rows(single)
 
 
+def g_start(g, N):
+    """A start for bcd, which reads only its G; the S blocks are zeros."""
+    k = g.shape[1]
+    return Factorization(g, np.zeros((N, k, k)))
+
+
 class TestSolve:
     def test_planted_recovery_small(self):
         from snmtf.data import generate_synthetic
@@ -203,7 +211,7 @@ class TestSolve:
 
         bundle, _ = generate_synthetic(n=40, K=4, N=5, seed=3)
         config = SolverConfig(method="bcd", k=4, seed=1)
-        fact, trace = bcd_solve(bundle, config, deterministic_g(bundle, 4))
+        fact, trace = run(bundle, config, start=g_start(deterministic_g(bundle, 4), bundle.N))
         assert trace.final.mse <= 0.05
         assert float(fact.G.min()) >= 0.0
         assert all(float(s.min()) >= 0.0 for s in fact.S)
@@ -211,7 +219,7 @@ class TestSolve:
     def test_symmetry_maintained(self, rng):
         bundle = random_bundle(rng, 10, 3)
         config = SolverConfig(method="bcd", k=3, seed=2, max_iterations=20, mse_stop=0.0)
-        fact, _ = bcd_solve(bundle, config, rng.random((10, 3)))
+        fact, _ = run(bundle, config, start=g_start(rng.random((10, 3)), bundle.N))
         for s in fact.S:
             assert np.abs(s - s.T).max() <= 1e-10 * max(np.abs(s).max(), 1.0)
 
@@ -219,7 +227,9 @@ class TestSolve:
         bundle = random_bundle(rng, 8, 2)
         config = SolverConfig(method="bcd", k=2, seed=0, max_iterations=5, mse_stop=0.0)
         log: list = []
-        bcd_solve(bundle, config, rng.random((8, 2)), substep_log=log)
+        start = g_start(rng.random((8, 2)), bundle.N)
+        drive(bundle, config, iterate(bundle, config, start, np.random.default_rng(config.seed),
+                                      substep_log=log))
         assert log
         for row in log:
             assert row["se_unprojected"] <= row["se_before"] * (1 + 1e-12) + 1e-12
@@ -227,8 +237,8 @@ class TestSolve:
     def test_negative_start_rejected(self, rng):
         bundle = random_bundle(rng, 4, 1)
         config = SolverConfig(method="bcd", k=1)
-        with pytest.raises(ValueError, match="non-negative"):
-            bcd_solve(bundle, config, -np.ones((4, 1)))
+        with pytest.raises(ValueError, match="start G has negative entry"):
+            run(bundle, config, start=g_start(-np.ones((4, 1)), 1))
 
     def test_outer_iteration_is_s_block_then_g_block(self, rng):
         # one outer iteration == 10 S line searches per i from the constant
@@ -238,7 +248,7 @@ class TestSolve:
         config = SolverConfig(
             method="bcd", k=2, seed=3, max_iterations=1, mse_stop=0.0, delta_stop=0.0
         )
-        fact, _ = bcd_solve(bundle, config, start_g)
+        fact, _ = run(bundle, config, start=g_start(start_g, bundle.N))
 
         s_list = [np.full((2, 2), 0.5) for _ in range(2)]
         work = Factorization(start_g.copy(), s_list)
@@ -257,5 +267,5 @@ class TestSolve:
         config = SolverConfig(
             method="bcd", k=2, seed=0, max_iterations=3, mse_stop=0.0, bcd_inner_iterations=2
         )
-        fact, trace = bcd_solve(bundle, config, rng.random((6, 2)))
+        fact, trace = run(bundle, config, start=g_start(rng.random((6, 2)), bundle.N))
         assert trace.iterations <= 3

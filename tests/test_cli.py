@@ -499,6 +499,25 @@ class TestCompare:
             f"error: {results}: results file lacks columns K, final_mse\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+    def test_non_finite_mse_is_validation_error(self, tmp_path, capsys, bad):
+        # the bad cell comes first, so a nan would also be the group's min
+        results = tmp_path / "results.csv"
+        self._write_results(results, [self._row("adam", bad), self._row("fpm", "0.3")])
+        out = tmp_path / "winners.csv"
+        rc = run_cli("compare", "--results", results, "--out", out)
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {results}: row 1: final_mse {bad!r} is not a finite number\n")
+        assert not out.exists()
+
+    def test_creates_parent_of_out(self, tmp_path):
+        results = tmp_path / "results.csv"
+        self._write_results(results, [self._row("fpm", "0.3")])
+        out = tmp_path / "missing" / "dir" / "winners.csv"
+        assert run_cli("compare", "--results", results, "--out", out) == 0
+        assert out.is_file()
+
     def test_tie_broken_lexicographically(self, tmp_path):
         results = tmp_path / "results.csv"
         self._write_results(results, [
@@ -555,6 +574,14 @@ class TestTune:
         assert len(rows) == 1
         assert float(rows[0]["alpha"]) == 0.002
         assert "score" in rows[0]
+
+    def test_creates_parent_of_out(self, tmp_path):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
+        out = tmp_path / "missing" / "dir" / "tune.csv"
+        rc = run_cli("tune", "--suite", bundle_dir, "--trials", 1, "--runs", 1,
+                     "--max-iters", 5, "--out", out)
+        assert rc == 0
+        assert out.is_file()
 
     def test_runaway_point_scores_inf_and_ranks_last(self, tmp_path, capsys):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snmtf.fpm import fpm_solve, fpm_step_g, fpm_step_s
+from snmtf.fpm import fpm_step_g, fpm_step_s
 from snmtf.model import (
     DataBundle,
     Factorization,
     SolverConfig,
     mse,
 )
+from snmtf.runner import run
 
 from conftest import exact_fit_pair, random_bundle, random_native_fact
 
@@ -64,13 +65,12 @@ class TestSolve:
     def test_exact_start_stops_quickly_via_delta(self, rng):
         bundle, fact = exact_fit_pair(rng, 8, 3, 2)
         config = SolverConfig(method="fpm", k=3, seed=0)
-        result, trace = fpm_solve(bundle, config, fact)
+        result, trace = run(bundle, config, start=fact)
         assert trace.stop_reason == "delta_threshold"
         assert trace.iterations <= 2
 
     def test_planted_recovery_small(self):
         from snmtf.data import generate_synthetic
-        from snmtf.runner import run
 
         bundle, _ = generate_synthetic(n=40, K=4, N=5, seed=3)
         config = SolverConfig(method="fpm", k=4, seed=1)
@@ -82,7 +82,7 @@ class TestSolve:
         bundle = random_bundle(rng, 8, 3)
         start = random_native_fact(rng, 8, 2, 3)
         config = SolverConfig(method="fpm", k=2, seed=0, max_iterations=50, mse_stop=0.0)
-        fact, trace = fpm_solve(bundle, config, start)
+        fact, trace = run(bundle, config, start=start)
         assert float(fact.G.min()) >= 0.0
         assert all(float(s.min()) >= 0.0 for s in fact.S)
 
@@ -90,7 +90,7 @@ class TestSolve:
         bundle = random_bundle(rng, 8, 2)
         start = random_native_fact(rng, 8, 2, 2)
         config = SolverConfig(method="fpm", k=2, seed=0, max_iterations=30, mse_stop=0.0)
-        _, trace = fpm_solve(bundle, config, start)
+        _, trace = run(bundle, config, start=start)
         iters = [r.iteration for r in trace.records]
         assert iters == sorted(iters) and len(set(iters)) == len(iters)
         times = [r.elapsed_seconds for r in trace.records]
@@ -105,7 +105,7 @@ class TestSolve:
         config = SolverConfig(
             method="fpm", k=2, seed=0, max_iterations=1, mse_stop=0.0, delta_stop=0.0
         )
-        fact, _ = fpm_solve(bundle, config, start)
+        fact, _ = run(bundle, config, start=start)
 
         g1 = fpm_step_g(bundle, start)
         halfway = Factorization(g1, start.S)
@@ -113,12 +113,6 @@ class TestSolve:
         np.testing.assert_array_equal(fact.G, g1)
         for a, b in zip(fact.S, s1):
             np.testing.assert_array_equal(a, b)
-
-    def test_wrong_method_rejected(self, rng):
-        bundle = random_bundle(rng, 4, 1)
-        start = random_native_fact(rng, 4, 1, 1)
-        with pytest.raises(ValueError, match="expected 'fpm'"):
-            fpm_solve(bundle, SolverConfig(method="bcd", k=1), start)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snmtf.gmels import gmels_solve, line_poly_coeffs, poly_minimize
+from snmtf.gmels import line_poly_coeffs, poly_minimize
 from snmtf.gradients import grad_transformed
 from snmtf.model import (
     Factorization,
@@ -13,6 +13,7 @@ from snmtf.model import (
     ValidationError,
     residuals,
 )
+from snmtf.runner import run
 
 from conftest import random_bundle
 
@@ -153,7 +154,7 @@ class TestSolve:
                 [(lambda s: (s + s.T) / 2.0)(rng.random((2, 2))) for _ in range(2)],
             )
             config = SolverConfig(method="gmels", k=2, seed=seed, max_iterations=60, mse_stop=0.0)
-            _, trace = gmels_solve(bundle, config, start)
+            _, trace = run(bundle, config, start=start)
             ses = [r.se for r in trace.records]
             for a, b in zip(ses, ses[1:]):
                 assert b <= a * (1 + 1e-12)
@@ -162,24 +163,23 @@ class TestSolve:
         bundle = random_bundle(rng, 6, 2)
         start = native_start(*square_point(rng, 6, 2, 2))
         config = SolverConfig(method="gmels", k=2, seed=0, max_iterations=20)
-        fact, _ = gmels_solve(bundle, config, start)
+        fact, _ = run(bundle, config, start=start)
         assert isinstance(fact, Factorization)
         assert float(fact.G.min()) >= 0.0
         assert all(float(s.min()) >= 0.0 for s in fact.S)
 
     @pytest.mark.parametrize("block", ["G", "S_2"])
     def test_negative_start_rejected(self, rng, block):
-        # The square-root lift inside the solver refuses a negative entry.
+        # run refuses a negative entry before the square-root lift could.
         bundle = random_bundle(rng, 6, 2)
         start = Factorization(rng.random((6, 2)), [np.eye(2), np.eye(2)])
         (start.G if block == "G" else start.S[1])[1, 1] = -0.25
         config = SolverConfig(method="gmels", k=2, seed=0, max_iterations=5)
         with pytest.raises(ValidationError, match="negative"):
-            gmels_solve(bundle, config, start)
+            run(bundle, config, start=start)
 
     def test_planted_recovery_small(self):
         from snmtf.data import generate_synthetic
-        from snmtf.runner import run
 
         bundle, _ = generate_synthetic(n=40, K=4, N=5, seed=3)
         config = SolverConfig(method="gmels", k=4, seed=1)
@@ -190,7 +190,6 @@ class TestSolve:
         # k = 1.2 K leaves spare capacity; the threshold must still be
         # reached within the default cap from the deterministic start.
         from snmtf.data import generate_synthetic
-        from snmtf.runner import run
 
         bundle, _ = generate_synthetic(n=100, K=10, N=5, seed=11)
         config = SolverConfig(method="gmels", k=12, seed=1)
@@ -207,7 +206,7 @@ class TestSolve:
         config = SolverConfig(method="gmels", k=k, seed=0, max_iterations=3, mse_stop=0.0)
         tracemalloc.start()
         try:
-            _, trace = gmels_solve(bundle, config, start)
+            _, trace = run(bundle, config, start=start)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -221,7 +220,7 @@ class TestSolve:
         bundle = random_bundle(rng, 6, 2)
         start = native_start(*square_point(rng, 6, 2, 2))
         config = SolverConfig(method="gmels", k=2, seed=0, mse_stop=0.0, max_iterations=1000)
-        fact, trace = gmels_solve(bundle, config, start)
+        fact, trace = run(bundle, config, start=start)
         if trace.stop_reason == "delta_threshold":
             lifted = SQUARE.lift(fact.G), SQUARE.lift(fact.S)
             grads = grad_transformed(bundle, SQUARE, *lifted)

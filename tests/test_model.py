@@ -20,6 +20,7 @@ from snmtf.model import (
     SolverDivergedError,
     Transform,
     ValidationError,
+    drive,
     mse,
     residuals,
     se,
@@ -365,6 +366,34 @@ class TestConvergenceTrace:
         bundle = DataBundle.from_matrices([np.zeros((2, 2))])
         with pytest.raises(ValidationError, match="all-zero"):
             ConvergenceTrace(bundle, SolverConfig(method="fpm", k=1))
+
+
+class TestDrive:
+    UNIT = TestConvergenceTrace.UNIT
+
+    @staticmethod
+    def _steps(values, fail_at=None):
+        """An iteration generator over fixed SE values; the G of the
+        factorization it yields last holds the number of iterations taken."""
+        it = 0
+        while (yield values[it]):
+            it += 1
+            if it == fail_at:
+                raise SolverDivergedError(f"step {it} failed")
+        yield Factorization(np.array([[float(it)]]), [np.zeros((1, 1))])
+
+    def test_returns_the_state_of_the_final_record(self):
+        config = SolverConfig(method="fpm", k=1, mse_stop=0.5)
+        fact, trace = drive(self.UNIT, config, self._steps([1.0, 0.9, 0.4, 0.1]))
+        assert trace.stop_reason == MSE_THRESHOLD
+        assert [r.se for r in trace.records] == [1.0, 0.9, 0.4]
+        assert fact.G[0, 0] == trace.iterations == 2
+
+    def test_step_error_carries_the_earlier_records(self):
+        config = SolverConfig(method="fpm", k=1, mse_stop=0.0)
+        with pytest.raises(SolverDivergedError, match="step 2 failed") as err:
+            drive(self.UNIT, config, self._steps([1.0, 0.9, 0.8], fail_at=2))
+        assert [(r.iteration, r.se) for r in err.value.records] == [(0, 1.0), (1, 0.9)]
 
 
 class TestLinePolynomial:

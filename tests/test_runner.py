@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snmtf import adam, bcd, fpm, gmels
 from snmtf.data import generate_synthetic
 from snmtf.model import (
     METHODS,
@@ -13,8 +12,10 @@ from snmtf.model import (
     SolverConfig,
     SolverDivergedError,
     ValidationError,
+    drive,
+    se,
 )
-from snmtf.runner import build_start, run
+from snmtf.runner import SOLVERS, build_start, run
 
 from conftest import assert_block_stack, random_bundle
 
@@ -154,7 +155,8 @@ class TestRunDispatch:
 
 class TestSolverContract:
     """Every solver takes and returns native factors, so ``run`` hands an
-    explicit start to the solver unchanged."""
+    explicit start to the method's generator unchanged, and the one driver
+    loop returns the factors its final record describes."""
 
     @pytest.mark.parametrize("method", ["fpm", "bcd", "gmels", "adam"])
     @pytest.mark.parametrize("init", ["deterministic", "random"])
@@ -163,12 +165,8 @@ class TestSolverContract:
         start = build_start(planted_bundle, config, init)
         before = start.copy()
         fact, trace = run(planted_bundle, config, start=start)
-        if method == "bcd":
-            direct, direct_trace = bcd.bcd_solve(
-                planted_bundle, config, start.G, rng=np.random.default_rng(config.seed))
-        else:
-            solve = {"fpm": fpm.fpm_solve, "gmels": gmels.gmels_solve, "adam": adam.adam_solve}
-            direct, direct_trace = solve[method](planted_bundle, config, start)
+        steps = SOLVERS[method](planted_bundle, config, start, np.random.default_rng(config.seed))
+        direct, direct_trace = drive(planted_bundle, config, steps)
         np.testing.assert_array_equal(fact.G, direct.G)
         np.testing.assert_array_equal(fact.S, direct.S)
         assert [r.se for r in trace.records] == [r.se for r in direct_trace.records]
@@ -176,6 +174,19 @@ class TestSolverContract:
         # neither call wrote to the caller's start
         np.testing.assert_array_equal(start.G, before.G)
         np.testing.assert_array_equal(start.S, before.S)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("rule, knobs", [
+        ("max_iterations", dict(max_iterations=5, mse_stop=0.0, delta_stop=0.0)),
+        ("mse_threshold", dict(mse_stop=0.05)),
+        ("delta_threshold", dict(mse_stop=0.0, delta_stop=1.0)),
+    ])
+    def test_factors_match_the_final_record(self, planted_bundle, method, rule, knobs):
+        # The factors are those of the last recorded iteration, not one
+        # before or after it, whichever rule stops the run.
+        fact, trace = run(planted_bundle, SolverConfig(method=method, k=3, seed=4, **knobs))
+        assert trace.stop_reason == rule
+        assert se(planted_bundle, fact) == pytest.approx(trace.final.se, rel=1e-10)
 
 
 class TestOutputContract:
