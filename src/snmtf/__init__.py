@@ -9,7 +9,7 @@ from .data import generate_synthetic, load_bundle, save_bundle, save_factorizati
 from .fpm import fpm_step_g, fpm_step_s
 from .gmels import line_poly_coeffs, poly_minimize
 from .gradients import grad_native, grad_transformed
-from .initialization import deterministic_g, random_init
+from .initialization import deterministic_g
 from .model import (
     ConvergenceTrace,
     DataBundle,
@@ -53,7 +53,6 @@ __all__ = [
     "mse",
     "poly_minimize",
     "quartic_coeffs",
-    "random_init",
     "residuals",
     "run",
     "save_bundle",

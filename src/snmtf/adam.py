@@ -22,8 +22,8 @@ N per iteration.
 
 ``iterate`` is the solver, an iteration generator that ``runner.run`` hands
 to ``model.drive``.  The module also hosts the random-search
-hyper-parameter tuner, whose runs go through the same ``model.drive`` loop
-from random starts that are native by construction.
+hyper-parameter tuner, whose every run is a ``runner.run`` from a seeded
+random start.
 """
 
 from __future__ import annotations
@@ -34,14 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradients import _transformed_step
-from .initialization import random_init
 from .model import (
     DataBundle,
     Factorization,
     SolverConfig,
     SolverDivergedError,
     Transform,
-    drive,
 )
 
 ABS = Transform.ABS
@@ -130,6 +128,8 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
 def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_stop):
     """Max over problems of the mean final MSE of seeded random-start runs;
     a diverged run counts as MSE inf."""
+    from .runner import run  # runner imports this module
+
     per_problem = []
     for (bundle, k), seeds in zip(problems, run_seeds):
         finals = []
@@ -139,9 +139,8 @@ def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_s
                 adam_alpha=alpha, adam_beta1=beta1, adam_beta2=beta2,
                 max_iterations=max_iterations, mse_stop=mse_stop,
             )
-            start = random_init(bundle.n, k, bundle.N, int(seed))
             try:
-                finals.append(drive(bundle, config, iterate(bundle, config, start, None))[1].final.mse)
+                finals.append(run(bundle, config, init="random")[1].final.mse)
             except SolverDivergedError:  # a diverging triple ranks last
                 finals.append(np.inf)
         per_problem.append(float(np.mean(finals)))
@@ -160,10 +159,10 @@ def tune_adam(problems, trials: int, seed: int, *, points=None,
     [1e-4, 1e-1] (three decades; uniform sampling would oversample the top
     decade), beta1 uniformly on [0.2, 0.999], beta2 on [0.1, 0.999].
 
-    Each run drives :func:`iterate` through ``model.drive``, the loop
-    ``runner.run`` uses.  ``points`` replaces the random sampling with
-    explicit (alpha, beta1, beta2) triples.  Returns trial dicts sorted by score (ties by trial
-    index); deterministic for a fixed seed.
+    Each run is a ``runner.run(bundle, config, init="random")`` with the
+    run's seed in ``config.seed``.  ``points`` replaces the random sampling
+    with explicit (alpha, beta1, beta2) triples.  Returns trial dicts sorted
+    by score (ties by trial index); deterministic for a fixed seed.
     """
     problems = [(b, int(k)) for b, k in problems]
     rng = np.random.default_rng(seed)

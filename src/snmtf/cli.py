@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 normal stop, 2 usage error, 3 data validation error,
 5 solver divergence (the objective or a gradient became non-finite, the MSE
 ran away, see ``model.ConvergenceTrace.step``, or the solver returned factors
-that are not native, see ``runner.run``).
+that are not native, see ``runner.run``; for ``tune``, every point scored
+inf).
 """
 
 from __future__ import annotations
@@ -79,6 +80,18 @@ def _positive_int(text: str) -> int:
 def _ratio_list(text: str) -> list[int]:
     """argparse type of ``--ratios``: comma-separated positive integers."""
     return [_positive_int(tok) for tok in text.split(",")]
+
+
+def _method_list(text: str) -> list[str]:
+    """argparse type of ``--methods``: comma-separated distinct method names."""
+    methods = [tok.strip() for tok in text.split(",")]
+    for method in methods:
+        if method not in METHODS:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {method!r}, expected one of {METHODS}")
+    if len(set(methods)) < len(methods):
+        raise argparse.ArgumentTypeError(f"a method is named twice in {text!r}")
+    return methods
 
 
 def _adam_point(text: str) -> tuple[float, float, float]:
@@ -210,7 +223,6 @@ def _sweep_bundle(bundle_dir, specs: list[dict], jobs: int) -> list[dict]:
 
 def cmd_benchmark(args) -> int:
     bundle_dirs = _discover_suite(args.suite)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     out = Path(args.out)
     runs_dir = None if args.no_save_runs else out / "runs"
 
@@ -231,7 +243,7 @@ def cmd_benchmark(args) -> int:
                 "init": args.init,
                 "runs_dir": runs_dir,
             }
-            for method in methods
+            for method in args.methods
             for pct in args.ratios
         ]
         plan.append((bundle_dir, specs))
@@ -372,6 +384,9 @@ def cmd_tune(args) -> int:
                 + [repr(row["score"])]
             )
     best = ranked[0]
+    if not np.isfinite(best["score"]):
+        raise SolverDivergedError(
+            f"every tuned point has a diverged run (score inf); scores written to {args.out}")
     print(
         f"best: alpha={best['alpha']:.6g} beta1={best['beta1']:.6g} "
         f"beta2={best['beta2']:.6g} score={best['score']:.6g} -> {args.out}"
@@ -411,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="method x inner-dimension sweep over a suite")
     p.add_argument("--suite", required=True, help="bundle directory or directory of bundles")
-    p.add_argument("--methods", default=",".join(METHODS))
+    p.add_argument("--methods", type=_method_list, default=",".join(METHODS))
     p.add_argument("--ratios", type=_ratio_list,
                    default=",".join(str(r) for r in DEFAULT_RATIOS),
                    help="k as a percentage of the planted K")

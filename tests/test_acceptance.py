@@ -21,7 +21,6 @@ from snmtf.adam import tune_adam
 from snmtf.bcd import quartic_coeffs
 from snmtf.gmels import line_poly_coeffs
 from snmtf.gradients import grad_native, grad_transformed
-from snmtf.initialization import random_init
 from snmtf.model import (
     Factorization,
     SolverConfig,
@@ -245,9 +244,8 @@ class TestProperties:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             bundle = random_bundle(rng, 8, 2)
-            start = random_init(8, 2, 2, seed)
             config = SolverConfig(method="gmels", k=2, seed=seed, max_iterations=60, mse_stop=0.0)
-            _, trace = run(bundle, config, start=start)
+            _, trace = run(bundle, config, init="random")
             ses = [r.se for r in trace.records]
             gmels_ok &= all(b <= a * (1 + 1e-12) for a, b in zip(ses, ses[1:]))
 

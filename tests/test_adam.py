@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from snmtf.adam import AdamState, adam_eta, adam_step, tune_adam
 from snmtf.data import generate_synthetic
-from snmtf.initialization import random_init
 from snmtf.model import (
     DataBundle,
     Factorization,
@@ -18,7 +17,7 @@ from snmtf.model import (
     SolverDivergedError,
     ValidationError,
 )
-from snmtf.runner import run
+from snmtf.runner import build_start, run
 
 from conftest import assert_block_stack, random_bundle
 
@@ -177,11 +176,10 @@ class TestSolve:
         # n x k; the traced peak stays below one n x n matrix.
         n, k, N = 400, 10, 5
         bundle = random_bundle(rng, n, N)
-        start = random_init(n, k, N, seed=2)
-        config = SolverConfig(method="adam", k=k, seed=0, max_iterations=3, mse_stop=0.0)
+        config = SolverConfig(method="adam", k=k, seed=2, max_iterations=3, mse_stop=0.0)
         tracemalloc.start()
         try:
-            _, trace = run(bundle, config, start=start)
+            _, trace = run(bundle, config, init="random")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -190,21 +188,19 @@ class TestSolve:
 
     def test_symmetry_preserved(self, rng):
         bundle = random_bundle(rng, 8, 2)
-        start = random_init(8, 3, 2, seed=4)
-        config = SolverConfig(method="adam", k=3, seed=0, max_iterations=500, mse_stop=0.0)
-        fact, _ = run(bundle, config, start=start)
+        config = SolverConfig(method="adam", k=3, seed=4, max_iterations=500, mse_stop=0.0)
+        fact, _ = run(bundle, config, init="random")
         for s in fact.S:
             assert np.abs(s - s.T).max() <= 1e-10 * max(np.abs(s).max(), 1.0)
 
     def test_divergence_aborts_with_records(self, rng):
         bundle = random_bundle(rng, 6, 2)
-        start = random_init(6, 2, 2, seed=1)
         config = SolverConfig(
-            method="adam", k=2, seed=0, adam_alpha=1e150, max_iterations=50, mse_stop=0.0
+            method="adam", k=2, seed=1, adam_alpha=1e150, max_iterations=50, mse_stop=0.0
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverDivergedError) as err:
-                run(bundle, config, start=start)
+                run(bundle, config, init="random")
         assert err.value.records  # partial trace attached
 
     @pytest.mark.parametrize("block", ["G", "S_1"])
@@ -212,9 +208,9 @@ class TestSolve:
         # run refuses a negative entry, although |X'| would map it to a
         # valid point.
         bundle = random_bundle(rng, 4, 1)
-        start = random_init(4, 2, 1, seed=0)
-        (start.G if block == "G" else start.S[0])[1, 1] = -0.25
         config = SolverConfig(method="adam", k=2)
+        start = build_start(bundle, config, "random")
+        (start.G if block == "G" else start.S[0])[1, 1] = -0.25
         with pytest.raises(ValidationError, match="negative"):
             run(bundle, config, start=start)
 

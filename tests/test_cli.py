@@ -452,6 +452,7 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("flag,value", [
         ("--ratios", "x"), ("--ratios", "50,,100"), ("--ratios", "0"), ("--methods", "fpm,warp"),
+        ("--methods", ","), ("--methods", ""), ("--methods", "fpm,,bcd"), ("--methods", "fpm,fpm"),
         ("--max-iters", 0), ("--jobs", 0), ("--jobs", -3),
     ])
     def test_bad_sweep_argument_is_usage_error(self, suite, tmp_path, flag, value):
@@ -595,6 +596,21 @@ class TestTune:
             scores = [float(row["score"]) for row in csv.DictReader(fh)]
         assert scores[0] == float("inf") and scores[1] < float("inf")
         assert "best: alpha=0.002 " in capsys.readouterr().out
+
+    def test_all_points_diverging_exits_diverged(self, tmp_path, capsys):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=3, seed=1)
+        out = tmp_path / "tune.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli("tune", "--suite", bundle_dir, "--point", "1e200,0.5,0.5",
+                         "--max-iters", 50, "--runs", 1, "--out", out)
+        assert rc == cli.EXIT_DIVERGED
+        with open(out) as fh:
+            assert [row["score"] for row in csv.DictReader(fh)] == ["inf"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("diverged: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flag,value", [
         ("--point", "0.1,1.5,0.9"), ("--point", "x"), ("--point", "0.1,0.5"), ("--k", 0),

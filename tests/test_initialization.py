@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from snmtf.initialization import (
-    _dominant_part,
-    deterministic_g,
-    random_init,
-    random_symmetric_stack,
-)
+from snmtf.initialization import deterministic_g, random_symmetric_stack
 from snmtf.model import (
     DataBundle,
     Factorization,
+    SolverConfig,
     Transform,
     ValidationError,
 )
+from snmtf.runner import build_start
 
 from conftest import assert_block_stack, random_bundle
 
@@ -71,10 +68,6 @@ class TestDeterministicG:
         assert float(g.min()) >= 0.0
         assert not np.any(np.all(g == 0.0, axis=0))
 
-    def test_zero_vector_fallback(self):
-        part = _dominant_part(np.zeros(4))
-        assert np.all(part == 1e-8)
-
     def test_rank_deficient_surplus_columns_have_no_zeros(self):
         # k above the numerical rank: the surplus columns must be zero-free
         # so downstream multiplicative/transformed dynamics cannot freeze.
@@ -86,28 +79,32 @@ class TestDeterministicG:
         for j in (3, 4):
             assert np.count_nonzero(g[:, j]) == 30
 
-    def test_iterative_path_matches_dense(self, rng, monkeypatch):
-        # Force the large-order branch (iterative largest-magnitude solver)
-        # on a small bundle and compare against the dense path.
-        import snmtf.initialization as init_mod
+    def test_degenerate_spectrum_above_order_2000_is_deterministic(self):
+        # Every eigenvalue of the identity is 1, so any orthonormal basis is
+        # an eigenbasis; the start must still be the same on every call.
+        bundle = DataBundle.from_matrices([np.eye(2001)])
+        a = deterministic_g(bundle, 3)
+        b = deterministic_g(bundle, 3)
+        assert np.array_equal(a, b)
+        np.testing.assert_allclose(np.linalg.norm(a, axis=0), 1.0, rtol=1e-12)
 
-        bundle = random_bundle(rng, 30, 2)
-        dense = deterministic_g(bundle, 3)
-        monkeypatch.setattr(init_mod, "DENSE_EIG_MAX_ORDER", 10)
-        iterative = deterministic_g(bundle, 3)
-        np.testing.assert_allclose(iterative, dense, atol=1e-8)
+
+def random_start(n, k, N, seed):
+    """The seeded uniform(0,1) start ``run(..., init="random")`` builds."""
+    bundle = DataBundle.from_matrices(np.zeros((N, n, n)))
+    return build_start(bundle, SolverConfig(method="fpm", k=k, seed=seed), "random")
 
 
 class TestRandomInit:
     def test_same_seed_bit_identical(self):
-        a = random_init(7, 3, 2, seed=123)
-        b = random_init(7, 3, 2, seed=123)
+        a = random_start(7, 3, 2, seed=123)
+        b = random_start(7, 3, 2, seed=123)
         assert np.array_equal(a.G, b.G)
         for x, y in zip(a.S, b.S):
             assert np.array_equal(x, y)
 
     def test_s_is_one_stack(self):
-        assert_block_stack(random_init(7, 3, 4, seed=5).S, 4, 3)
+        assert_block_stack(random_start(7, 3, 4, seed=5).S, 4, 3)
 
     def test_stack_draws_blocks_in_order(self):
         # One (count, k, k) draw takes the stream in the order of count
@@ -119,12 +116,12 @@ class TestRandomInit:
             np.testing.assert_array_equal(block, (s + s.T) / 2.0)
 
     def test_s_exactly_symmetric(self):
-        fact = random_init(5, 4, 3, seed=9)
+        fact = random_start(5, 4, 3, seed=9)
         for s in fact.S:
             assert np.array_equal(s, s.T)
 
     def test_entries_uniform_on_unit_interval(self):
-        fact = random_init(1000, 100, 1, seed=2)
+        fact = random_start(1000, 100, 1, seed=2)
         stat = scipy.stats.kstest(fact.G.ravel(), "uniform").statistic
         assert stat < 0.01
 

@@ -42,6 +42,7 @@ class TestBuildStart:
         a = build_start(planted_bundle, config, "random")
         b = build_start(planted_bundle, config, "random")
         assert np.array_equal(a.G, b.G)
+        assert np.array_equal(a.S, b.S)
 
     def test_unknown_init_kind(self, planted_bundle):
         config = SolverConfig(method="fpm", k=2)
