@@ -22,10 +22,12 @@ def _dominant_part(x: np.ndarray) -> np.ndarray:
 def deterministic_g(bundle: DataBundle, k: int) -> np.ndarray:
     """Non-negative starting G from the spectrum of R = sum_i R_i.
 
-    One dense symmetric eigendecomposition (``np.linalg.eigh``) of R, for
-    every order n.  Takes the eigenvectors of the k largest-magnitude
+    Reads the bundle's one dense eigendecomposition of R
+    (:attr:`DataBundle.spectrum`, ``np.linalg.eigh`` for every order n),
+    taken by the first call on the bundle and reused by every later call,
+    whatever its k.  Takes the eigenvectors of the k largest-magnitude
     eigenvalues and keeps each vector's dominant sign part, concatenated
-    column-wise.  Deterministic: identical bundle and k give identical
+    column-wise.  Deterministic: identical matrices and k give identical
     output, bit for bit, also on degenerate spectra.
 
     When k exceeds the numerical rank of R, the surplus eigenvectors are
@@ -36,7 +38,7 @@ def deterministic_g(bundle: DataBundle, k: int) -> np.ndarray:
     """
     if not 1 <= k <= bundle.n:
         raise DimensionError(f"k must be in [1, {bundle.n}], got {k}")
-    w, v = np.linalg.eigh(bundle.R.sum(axis=0))
+    w, v = bundle.spectrum
     order = np.argsort(-np.abs(w))[:k]
     floor = NULL_EIGENVALUE_RTOL * float(np.abs(w).max())
     cols = []

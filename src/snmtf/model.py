@@ -153,11 +153,12 @@ def _check_nonnegative(r: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DataBundle:
-    """N symmetric non-negative n x n matrices plus cached norms.
+    """N symmetric non-negative n x n matrices plus cached norms and spectrum.
 
     ``R`` is one read-only, C-contiguous (N, n, n) array; iterating or
-    indexing it yields the n x n matrices R_i, and ``n``, ``N`` and the norms
-    are derived from it.  The solvers touch the data only through
+    indexing it yields the n x n matrices R_i, and ``n``, ``N``, the norms
+    and the :attr:`spectrum` are derived from it, each computed on first use
+    and held for the bundle's life.  The solvers touch the data only through
     :meth:`times`.  Instances are immutable and can be shared freely across
     concurrent solver runs.
     """
@@ -210,9 +211,11 @@ class DataBundle:
 
     def __setstate__(self, state):
         # An unpickled array comes back writeable (as in a process pool
-        # worker); restore the read-only promise.
+        # worker); restore the read-only promise, also for a spectrum that
+        # was computed before pickling.
         self.__dict__.update(state)
-        self.R.setflags(write=False)
+        for a in (self.R, *self.__dict__.get("spectrum", ())):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -231,6 +234,19 @@ class DataBundle:
     def norm_sq_total(self) -> float:
         """sum_i ||R_i||^2."""
         return sum(self.norms_sq)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(w, v) = np.linalg.eigh(sum_i R_i)``: the n eigenvalues
+        in ascending order and the unit eigenvectors as columns of v.
+
+        One dense eigendecomposition per bundle, holding n^2 + n floats; every
+        spectral start on the bundle reads it.
+        """
+        w, v = np.linalg.eigh(self.R.sum(axis=0))
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """The products R_i X for every i, as one (N, n, m) array.

@@ -7,6 +7,7 @@ import multiprocessing
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from snmtf import cli, data, runner
@@ -394,6 +395,30 @@ class TestBenchmark:
         assert rc == 0
         assert sorted(loaded) == ["b2", "b3"]
         assert len(read_rows_without_timing(tmp_path / "res" / "results.csv")) == 8
+
+    def test_one_eigendecomposition_per_bundle(self, suite, tmp_path, monkeypatch):
+        # The spectral start's eigh is taken once per bundle object and then
+        # serves every run and sweep row on it, whatever the method and k.
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        bundle = data.load_bundle(suite / "b3")
+        runner.run(bundle, SolverConfig(method="fpm", k=3, max_iterations=5))
+        runner.run(bundle, SolverConfig(method="gmels", k=2, max_iterations=5))
+        assert len(calls) == 1
+        out = tmp_path / "res"
+        rc = run_cli(
+            "benchmark", "--suite", suite / "b3", "--methods", "fpm,adam", "--ratios", "50,100",
+            "--max-iters", 5, "--jobs", 1, "--out", out, "--no-save-runs",
+        )
+        assert rc == 0
+        assert len(read_rows_without_timing(out / "results.csv")) == 4
+        assert len(calls) == 2
 
     def test_pool_matches_serial(self, suite, tmp_path):
         outs = {}

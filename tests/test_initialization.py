@@ -50,10 +50,22 @@ class TestDeterministicG:
         np.testing.assert_allclose(got, np.column_stack(expected), atol=1e-8)
 
     def test_deterministic_across_calls(self, rng):
+        # Two bundles of the same matrices: two independent eigendecompositions.
         bundle = random_bundle(rng, 10, 3)
         a = deterministic_g(bundle, 4)
-        b = deterministic_g(bundle, 4)
+        b = deterministic_g(DataBundle.from_matrices(bundle.R), 4)
         assert np.array_equal(a, b)
+
+    def test_one_spectrum_serves_every_k_of_a_sweep(self, rng):
+        # The cached spectrum of one bundle gives, for every k of a sweep
+        # grid, a fresh bundle's start and the leading columns of the widest.
+        bundle = random_bundle(rng, 12, 3)
+        ks = (2, 4, 6, 9)
+        widest = deterministic_g(bundle, ks[-1])
+        for k in ks:
+            g = deterministic_g(bundle, k)
+            assert np.array_equal(g, deterministic_g(DataBundle.from_matrices(bundle.R), k))
+            assert np.array_equal(g, widest[:, :k])
 
     def test_k_out_of_range(self, rng):
         bundle = random_bundle(rng, 4, 1)
@@ -81,10 +93,10 @@ class TestDeterministicG:
 
     def test_degenerate_spectrum_above_order_2000_is_deterministic(self):
         # Every eigenvalue of the identity is 1, so any orthonormal basis is
-        # an eigenbasis; the start must still be the same on every call.
-        bundle = DataBundle.from_matrices([np.eye(2001)])
-        a = deterministic_g(bundle, 3)
-        b = deterministic_g(bundle, 3)
+        # an eigenbasis; two independent eigendecompositions must still give
+        # the same start.
+        a = deterministic_g(DataBundle.from_matrices([np.eye(2001)]), 3)
+        b = deterministic_g(DataBundle.from_matrices([np.eye(2001)]), 3)
         assert np.array_equal(a, b)
         np.testing.assert_allclose(np.linalg.norm(a, axis=0), 1.0, rtol=1e-12)
 
