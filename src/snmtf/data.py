@@ -1,11 +1,13 @@
 """Synthetic benchmark generation and the on-disk formats.
 
 A bundle directory holds ``manifest.json`` plus one matrix file per data
-matrix (``R_1.mtx.txt`` ...).  Matrix files are either dense text (first line
-``rows cols``, then space-separated values with 17 significant digits, which
-round-trips 64-bit floats exactly) or Matrix Market coordinate format
-(densified on load).  A run output directory holds ``G.txt``, ``S_1.txt``
-..., ``trace.csv`` and ``summary.json``.
+matrix.  :func:`save_bundle` writes each matrix as a binary ``.npy`` file
+(``R_1.npy`` ...), which round-trips 64-bit floats bit for bit.
+:func:`load_matrix` also reads dense text (first line ``rows cols``, then
+space-separated values with 17 significant digits, equally lossless) and
+Matrix Market (densified on load), so hand-made bundles and bundles from
+older versions load unchanged.  A run output directory holds ``G.txt``,
+``S_1.txt`` ..., ``trace.csv`` and ``summary.json``; those stay text.
 """
 
 from __future__ import annotations
@@ -92,23 +94,42 @@ def save_dense_matrix(path, x) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load one matrix file, dense text or Matrix Market (densified).
+    """Load one matrix file as float64: ``.npy``, Matrix Market (densified)
+    or dense text, told apart by the file's first bytes (the ``\\x93NUMPY``
+    magic, the ``%%MatrixMarket`` banner, else a ``rows cols`` header).
 
-    Raises ValidationError naming the file when it is missing, its header is
-    not ``rows cols``, or its body does not parse as that many numbers.
+    Raises ValidationError naming the file when it is missing or cannot be
+    read, does not parse in its format, or holds data other than real
+    integers or floats (complex, object, structured, string or boolean).
+    An object ``.npy`` is refused without being unpickled.
     """
     path = Path(path)
     try:
-        with open(path, "rb") as fh:
-            head = fh.readline()
+        data = _read_matrix(path)
     except FileNotFoundError as exc:
         raise ValidationError(f"{path}: matrix file not found") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read matrix file: {exc.strerror or exc}") from exc
+    if data.dtype.kind not in "iuf":
+        raise ValidationError(f"{path}: matrix must hold real numbers, got dtype {data.dtype}")
+    return np.asarray(data, dtype=float)
+
+
+def _read_matrix(path: Path) -> np.ndarray:
+    """The file's array in its stored dtype; OSError passes through."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+    if head.startswith(np.lib.format.MAGIC_PREFIX):
+        try:
+            return np.load(path, allow_pickle=False)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed .npy file: {exc}") from exc
     if head.startswith(b"%%MatrixMarket"):
         try:
             m = scipy.io.mmread(path)
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed Matrix Market file: {exc}") from exc
-        return np.asarray(m.todense() if scipy.sparse.issparse(m) else m, dtype=float)
+        return m.toarray() if scipy.sparse.issparse(m) else m
     try:
         rows, cols = (int(tok) for tok in head.split())
     except ValueError as exc:
@@ -126,15 +147,17 @@ def load_matrix(path) -> np.ndarray:
 
 def save_bundle(bundle: DataBundle, path, planted: Factorization | None = None,
                 planted_k: int | None = None) -> None:
-    """Write a bundle directory (manifest + matrix files, optional planted factors)."""
+    """Write a bundle directory: the manifest, each ``R_i`` as ``R_i.npy``
+    (binary, bit for bit) and, when given, the planted factors as text under
+    ``planted/``."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    names = [f"R_{i + 1}.mtx.txt" for i in range(bundle.N)]
+    names = [f"R_{i + 1}.npy" for i in range(bundle.N)]
     for name, r in zip(names, bundle.R):
-        save_dense_matrix(path / name, r)
+        np.save(path / name, r)
     manifest = {
         "format": BUNDLE_FORMAT,
-        "matrix_format": "dense",
+        "matrix_format": "npy",
         "n": bundle.n,
         "N": bundle.N,
         "label": bundle.label,

@@ -55,14 +55,14 @@ class TestGenerate:
     def test_same_seed_identical_directories(self, tmp_path):
         a = make_bundle_dir(tmp_path, "a", seed=9)
         b = make_bundle_dir(tmp_path, "b", seed=9)
-        for name in ("manifest.json", "R_1.mtx.txt", "R_5.mtx.txt"):
+        for name in ("manifest.json", "R_1.npy", "R_5.npy"):
             if name == "manifest.json":
                 am = json.loads((a / name).read_text())
                 bm = json.loads((b / name).read_text())
                 am.pop("label"), bm.pop("label")
                 assert am == bm
             else:
-                assert (a / name).read_text() == (b / name).read_text()
+                assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_k_larger_than_n_fails(self, tmp_path):
         rc = run_cli("generate", "--n", 10, "--K", 200, "--out", tmp_path / "bad")
@@ -276,6 +276,32 @@ class TestSolve:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "manifest matrices must be a list of N = 5 file names" in err
 
+    def test_unreadable_matrix_file_is_validation_error(self, tmp_path, capsys):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        (bundle_dir / "R_1.npy").unlink()
+        (bundle_dir / "R_1.npy").mkdir()
+        rc = run_cli("solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 3,
+                     "--out", tmp_path / "run")
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "R_1.npy: cannot read matrix file" in err
+
+    def test_complex_matrix_market_is_validation_error(self, tmp_path, capsys):
+        # Casting to float used to drop the imaginary parts with only a warning.
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        r = np.load(bundle_dir / "R_1.npy")
+        with open(bundle_dir / "R_1.mtx", "w") as fh:
+            fh.write("%%MatrixMarket matrix array complex general\n20 20\n")
+            fh.writelines(f"{v:.17g} 1\n" for v in r.T.ravel())
+        set_manifest_key(bundle_dir, "matrices",
+                         ["R_1.mtx", "R_2.npy", "R_3.npy", "R_4.npy", "R_5.npy"])
+        rc = run_cli("solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 2,
+                     "--out", tmp_path / "run")
+        assert rc == cli.EXIT_VALIDATION
+        assert "R_1.mtx: matrix must hold real numbers, got dtype complex128" in (
+            capsys.readouterr().err)
+
     def test_missing_bundle_is_validation_error(self, tmp_path):
         rc = run_cli(
             "solve", "--bundle", tmp_path / "nope", "--method", "fpm", "--k", 2,
@@ -456,15 +482,26 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_malformed_bundle_in_suite_exits_3(self, suite, tmp_path, jobs, capsys):
-        root = tmp_path / "suite"
-        shutil.copytree(suite, root)
-        (root / "b3" / "R_2.mtx.txt").write_text("20 20\n1 2 banana\n")
-        rc = run_cli(
-            "benchmark", "--suite", root, "--methods", "fpm,bcd", "--ratios", "100",
-            "--max-iters", 5, "--jobs", jobs, "--out", tmp_path / "res", "--no-save-runs",
-        )
-        assert rc == cli.EXIT_VALIDATION
-        assert "R_2.mtx.txt: malformed matrix body" in capsys.readouterr().err
+        npy = (suite / "b3" / "R_2.npy").read_bytes()
+        header_only = npy[: len(npy) - 20 * 20 * 8]
+        cases = [
+            ("R_2.txt", b"20 20\n1 2 banana\n", "R_2.txt: malformed matrix body"),
+            ("R_2.npy", npy[:-8], "R_2.npy: malformed .npy file"),
+            ("R_2.npy", header_only, "R_2.npy: malformed .npy file"),
+        ]
+        for case, (name, content, message) in enumerate(cases):
+            root = tmp_path / f"suite{case}"
+            shutil.copytree(suite, root)
+            (root / "b3" / name).write_bytes(content)
+            set_manifest_key(root / "b3", "matrices",
+                             ["R_1.npy", name, "R_3.npy", "R_4.npy", "R_5.npy"])
+            rc = run_cli(
+                "benchmark", "--suite", root, "--methods", "fpm,bcd", "--ratios", "100",
+                "--max-iters", 5, "--jobs", jobs, "--out", tmp_path / f"res{case}",
+                "--no-save-runs",
+            )
+            assert rc == cli.EXIT_VALIDATION
+            assert message in capsys.readouterr().err
 
     def test_non_integer_planted_k_is_validation_error(self, suite, tmp_path):
         root = tmp_path / "suite"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,22 @@ from conftest import assert_block_stack, assert_one_stack
 GOLDEN = Path(__file__).parent / "data" / "golden_bundle"
 
 VALID_R = np.array([[1.0, 0.5, 0.25], [0.5, 2.0, 0.0], [0.25, 0.0, 3.0]])
+
+UNPICKLED = []
+
+
+class _Unpickles:
+    """Appends to UNPICKLED when unpickled, so a test can see that nothing was."""
+
+    def __reduce__(self):
+        return UNPICKLED.append, (True,)
+
+
+def _list_in_manifest(bundle_dir, names):
+    path = Path(bundle_dir) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["matrices"] = names
+    path.write_text(json.dumps(manifest))
 
 
 def _dense_text(rows, header=None):
@@ -160,17 +177,90 @@ class TestMatrixFiles:
         with pytest.raises(ValidationError, match="bad.mtx.txt: malformed Matrix Market"):
             data.load_matrix(path)
 
+    @pytest.mark.parametrize("cut", ["truncated", "header-only"])
+    def test_cut_npy_names_the_file(self, tmp_path, cut):
+        path = tmp_path / "m.npy"
+        np.save(path, VALID_R)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-8] if cut == "truncated" else whole[: len(whole) - VALID_R.nbytes])
+        with pytest.raises(ValidationError, match=r"m\.npy: malformed \.npy file"):
+            data.load_matrix(path)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32, ">f8"])
+    def test_real_npy_loads_as_float64(self, tmp_path, dtype):
+        path = tmp_path / "m.npy"
+        x = np.array([[1, 2], [2, 7]], dtype=dtype)
+        np.save(path, x)
+        back = data.load_matrix(path)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, x.astype(float))
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(VALID_R + 1j, id="complex"),
+        pytest.param(np.array([[True, False], [False, True]]), id="bool"),
+        pytest.param(np.array([["1", "2"], ["2", "1"]]), id="string"),
+        pytest.param(np.zeros((2, 2), dtype=[("a", float), ("b", float)]), id="structured"),
+    ])
+    def test_non_real_npy_refused(self, tmp_path, x):
+        path = tmp_path / "m.npy"
+        np.save(path, x)
+        with pytest.raises(ValidationError, match=r"m\.npy: matrix must hold real numbers"):
+            data.load_matrix(path)
+
+    def test_object_npy_refused_without_unpickling(self, tmp_path):
+        path = tmp_path / "m.npy"
+        np.save(path, np.array([[_Unpickles(), 1.0], [1.0, 2.0]], dtype=object))
+        UNPICKLED.clear()
+        with pytest.raises(ValidationError, match=r"m\.npy: malformed \.npy file"):
+            data.load_matrix(path)
+        assert UNPICKLED == []
+
+    @pytest.mark.parametrize("field", ["complex", "integer"])
+    def test_matrix_market_field(self, tmp_path, field):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix array {field} general\n2 2\n"
+            + ("1 1\n2 0\n2 0\n1 0\n" if field == "complex" else "1\n2\n2\n1\n")
+        )
+        if field == "complex":
+            with pytest.raises(ValidationError, match=r"m\.mtx: matrix must hold real numbers"):
+                data.load_matrix(path)
+        else:
+            back = data.load_matrix(path)
+            assert back.dtype == np.float64
+            assert np.array_equal(back, [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_unreadable_file_names_it(self, tmp_path):
+        path = tmp_path / "m.npy"
+        path.mkdir()
+        with pytest.raises(ValidationError, match=r"m\.npy: cannot read matrix file"):
+            data.load_matrix(path)
+
 
 class TestBundleIO:
     def test_round_trip_bit_exact(self, tmp_path):
         bundle, planted = data.generate_synthetic(n=12, K=3, N=2, seed=5)
         data.save_bundle(bundle, tmp_path / "b", planted=planted)
+        manifest = data.read_manifest(tmp_path / "b")
+        assert manifest["matrices"] == ["R_1.npy", "R_2.npy"]
+        assert manifest["matrix_format"] == "npy"
         back = data.load_bundle(tmp_path / "b")
         assert back.n == bundle.n and back.N == bundle.N
         assert_one_stack(back)
-        for x, y in zip(back.R, bundle.R):
-            assert np.array_equal(x, y)
+        assert back.R.tobytes() == bundle.R.tobytes()
         assert back.norm_sq_total == bundle.norm_sq_total
+
+    def test_text_and_matrix_market_bundle_loads(self, tmp_path):
+        # Hand-made bundles and those from older versions list text files.
+        bundle, _ = data.generate_synthetic(n=12, K=3, N=2, seed=6)
+        data.save_bundle(bundle, tmp_path / "b")
+        data.save_dense_matrix(tmp_path / "b" / "R_1.txt", bundle.R[0])
+        scipy.io.mmwrite(tmp_path / "b" / "R_2.mtx", bundle.R[1], precision=17)
+        for name in ("R_1.npy", "R_2.npy"):
+            (tmp_path / "b" / name).unlink()
+        _list_in_manifest(tmp_path / "b", ["R_1.txt", "R_2.mtx"])
+        back = data.load_bundle(tmp_path / "b")
+        assert back.R.tobytes() == bundle.R.tobytes()
 
     def test_load_holds_the_stack_about_once(self, tmp_path):
         # Each file is validated and copied into the stack before the next is
@@ -191,7 +281,7 @@ class TestBundleIO:
         data.save_bundle(bundle, tmp_path / "b")
         r = np.array(bundle.R[0])
         r[1, 2] = r[2, 1] = -3.0
-        data.save_dense_matrix(tmp_path / "b" / "R_1.mtx.txt", r)
+        np.save(tmp_path / "b" / "R_1.npy", r)
         with pytest.raises(ValidationError, match=r"R_1 has negative entry .* at \(1, 2\)"):
             data.load_bundle(tmp_path / "b")
 
@@ -200,7 +290,7 @@ class TestBundleIO:
         data.save_bundle(bundle, tmp_path / "b")
         r = np.array(bundle.R[0])
         r[0, 1] += 1e-6
-        data.save_dense_matrix(tmp_path / "b" / "R_1.mtx.txt", r)
+        np.save(tmp_path / "b" / "R_1.npy", r)
         with pytest.raises(ValidationError, match="not symmetric"):
             data.load_bundle(tmp_path / "b")
         back = data.load_bundle(tmp_path / "b", symmetrize=True)
@@ -242,8 +332,8 @@ class TestBundleIO:
     def test_listed_matrix_missing(self, tmp_path):
         bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
         data.save_bundle(bundle, tmp_path / "b")
-        (tmp_path / "b" / "R_2.mtx.txt").unlink()
-        with pytest.raises(ValidationError, match=r"R_2\.mtx\.txt: matrix file not found"):
+        (tmp_path / "b" / "R_2.npy").unlink()
+        with pytest.raises(ValidationError, match=r"R_2\.npy: matrix file not found"):
             data.load_bundle(tmp_path / "b")
 
     @settings(max_examples=150, deadline=None)
@@ -253,7 +343,8 @@ class TestBundleIO:
         bundle = DataBundle.from_matrices([VALID_R])
         with tempfile.TemporaryDirectory() as tmp:
             data.save_bundle(bundle, tmp)
-            (Path(tmp) / "R_1.mtx.txt").write_text(text)
+            (Path(tmp) / "R_1.txt").write_text(text)
+            _list_in_manifest(tmp, ["R_1.txt"])
             with pytest.raises(ValidationError, match="R_1"):
                 data.load_bundle(tmp)
 
