@@ -109,7 +109,7 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
     """
     g, s = ABS.lift(start.G), ABS.lift(start.S)
     state = AdamState.zeros_like(g, s)
-    se_value, dg, ds, _ = _transformed_step(bundle, ABS, g, s)
+    se_value, dg, ds = _transformed_step(bundle, ABS, g, s, bundle.times(ABS.apply(g)))
     it = 0
     while (yield se_value):
         it += 1
@@ -121,7 +121,7 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
             raise SolverDivergedError(f"gradient became non-finite at iteration {it}")
         adam_step(state, g, s, (dg, ds), eta, config.adam_beta1,
                   config.adam_beta2, config.adam_epsilon)
-        se_value, dg, ds, _ = _transformed_step(bundle, ABS, g, s)
+        se_value, dg, ds = _transformed_step(bundle, ABS, g, s, bundle.times(ABS.apply(g)))
     yield Factorization(ABS.apply(g), ABS.apply(s))
 
 

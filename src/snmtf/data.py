@@ -5,9 +5,10 @@ matrix.  :func:`save_bundle` writes each matrix as a binary ``.npy`` file
 (``R_1.npy`` ...), which round-trips 64-bit floats bit for bit.
 :func:`load_matrix` also reads dense text (first line ``rows cols``, then
 space-separated values with 17 significant digits, equally lossless) and
-Matrix Market (densified on load), so hand-made bundles and bundles from
-older versions load unchanged.  A run output directory holds ``G.txt``,
-``S_1.txt`` ..., ``trace.csv`` and ``summary.json``; those stay text.
+Matrix Market (densified on load, and the one reader that imports scipy),
+so hand-made bundles and bundles from older versions load unchanged.  A run
+output directory holds ``G.txt``, ``S_1.txt`` ..., ``trace.csv`` and
+``summary.json``; those stay text.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .model import (
     ConvergenceTrace,
@@ -125,6 +124,9 @@ def _read_matrix(path: Path) -> np.ndarray:
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed .npy file: {exc}") from exc
     if head.startswith(b"%%MatrixMarket"):
+        import scipy.io  # only Matrix Market needs scipy; .npy and text do not
+        import scipy.sparse
+
         try:
             m = scipy.io.mmread(path)
         except ValueError as exc:

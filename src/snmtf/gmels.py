@@ -18,11 +18,15 @@ with A(t) = G(t)^T G(t).  Given R_i P0 (the products the gradient already
 needs), only R_i P1 and R_i P2 touch the data; the coefficients then come
 from the line-polynomial kernel that bcd's quartic shares
 (``gradients._line_poly``), k x k polynomial algebra in which no n x n matrix
-is formed.  Every iteration steps all variables by the global minimizer of p
-(``poly_minimize``, unbounded), so SE never increases.
+is formed.  Every iteration steps all variables by the global minimizer t*
+of p (``poly_minimize``, unbounded), so SE never increases.
 
-Data passes (see ``DataBundle.times``): N at the start, 3 N per iteration
-(R_i [P1, P2] as one n x 2k product, then R_i G at the new point).
+The products R_i G at the new point follow from the same ones: G(t*) is on
+the line, so R_i G(t*) = R_i P0 + t* R_i P1 + t*^2 R_i P2.  The solver
+carries H_i = R_i G through the iterations that way and never forms it
+again after the start; the carried H_i stays within rounding of a fresh
+product (a test pins the drift).  Data passes (see ``DataBundle.times``):
+N at the start, 2 N per iteration (R_i [P1, P2] as one n x 2k product).
 
 ``iterate`` is the solver, an iteration generator that ``runner.run`` hands
 to ``model.drive``.
@@ -51,8 +55,9 @@ def _square_line(x, d) -> np.ndarray:
     return np.stack((x * x, 2.0 * x * d, d * d))
 
 
-def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h) -> np.ndarray:
-    """Ascending coefficients of p(t) = SE(G + t step_G, S_i + t step_S_i).
+def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h):
+    """Ascending coefficients of p(t) = SE(G + t step_G, S_i + t step_S_i),
+    and the products (R_i P1, R_i P2) as (N, n, k) stacks.
 
     ``g`` and the (N, k, k) stack ``s`` are the raw variables G' and S_i'
     and ``h`` holds the stack R_i P0 = R_i (G * G), the native products at
@@ -62,7 +67,8 @@ def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h) -> np.n
     k = g.shape[1]
     p = _square_line(g, step_g)
     rp = bundle.times(np.hstack((p[1], p[2])))
-    return _line_poly(bundle, p, _square_line(s, step_s), (h, rp[..., :k], rp[..., k:]))
+    rp = (rp[..., :k], rp[..., k:])
+    return _line_poly(bundle, p, _square_line(s, step_s), (h, *rp)), rp
 
 
 def line_poly_coeffs(bundle: DataBundle, g, s, grad_g, grad_s) -> LinePolynomial:
@@ -80,7 +86,7 @@ def line_poly_coeffs(bundle: DataBundle, g, s, grad_g, grad_s) -> LinePolynomial
     h = bundle.times(native.G)
     step_g = -np.asarray(grad_g, dtype=float)
     step_s = -np.asarray(grad_s, dtype=float)
-    return LinePolynomial(_line_poly_coefficients(bundle, g, s, step_g, step_s, h))
+    return LinePolynomial(_line_poly_coefficients(bundle, g, s, step_g, step_s, h)[0])
 
 
 def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng):
@@ -88,15 +94,18 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
     for ``model.drive`` (``config`` and ``rng`` are unused).
 
     The start is lifted by element-wise square roots and the result is the
-    element-wise square of the final raw variables.
+    element-wise square of the final raw variables.  H_i = R_i G is formed
+    once, at the start, and then moved along each step's line.
     """
     g, s = SQUARE.lift(start.G), SQUARE.lift(start.S)
-    se_value, dg, ds, h = _transformed_step(bundle, SQUARE, g, s)
+    h = bundle.times(SQUARE.apply(g))
+    se_value, dg, ds = _transformed_step(bundle, SQUARE, g, s, h)
     while (yield se_value):
-        poly = LinePolynomial(_line_poly_coefficients(bundle, g, s, -dg, -ds, h))
-        t = poly_minimize(poly)
+        coeffs, (rp1, rp2) = _line_poly_coefficients(bundle, g, s, -dg, -ds, h)
+        t = poly_minimize(LinePolynomial(coeffs))
         if t != 0.0:
             g -= t * dg
             s -= t * ds
-        se_value, dg, ds, h = _transformed_step(bundle, SQUARE, g, s)
+            h += t * rp1 + (t * t) * rp2
+        se_value, dg, ds = _transformed_step(bundle, SQUARE, g, s, h)
     yield Factorization(SQUARE.apply(g), SQUARE.apply(s))

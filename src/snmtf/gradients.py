@@ -19,9 +19,10 @@ The native gradient needs no residual: with H_i = R_i G it is k x k algebra
 on A = G^T G and M_i = G^T H_i, and so is SE (``se_from_gram``), which shares
 the products A S_i A with dS_i.  Every solver gets its objective and gradient
 from that one Gram step; in raw variables the gradient follows by the chain
-rule, dX' = f'(X') * dX.  A Gram step is one data pass (see
-``DataBundle.times``), R_i G for every i; the rest is batched k x k algebra
-on the (N, k, k) stack of the S_i.
+rule, dX' = f'(X') * dX.  A Gram step takes the products H_i = R_i G from its
+caller, who forms them with one data pass (see ``DataBundle.times``) or, as
+gmels does, carries them along its line search; the step itself is batched
+k x k algebra on the (N, k, k) stack of the S_i.
 :func:`grad_transformed` evaluates the formulas above from the n x n residuals
 instead and is kept as the independent reference the tests compare against.
 
@@ -63,8 +64,14 @@ def grad_native(bundle: DataBundle, fact: Factorization):
     onto the symmetric matrices otherwise.
     """
     check_compatible(bundle, fact)
-    _, dg, ds, _ = _gram_step(bundle, fact.G, fact.S)
+    _, dg, ds = _gram_step(bundle, fact.G, fact.S, bundle.times(fact.G))
     return dg, ds
+
+
+def _grams(g, h):
+    """A = G^T G and the (N, k, k) stack of the symmetric parts of
+    M_i = G^T H_i, given the (N, n, k) stack of the products H_i = R_i G."""
+    return g.T @ g, _symmetric_part(g.T @ h)
 
 
 def _gram_products(bundle: DataBundle, g):
@@ -74,7 +81,8 @@ def _gram_products(bundle: DataBundle, g):
     H and M come back as (N, n, k) and (N, k, k) stacks.
     """
     h = bundle.times(g)
-    return g.T @ g, h, _symmetric_part(g.T @ h)
+    gram, mid = _grams(g, h)
+    return gram, h, mid
 
 
 def _grad_s(gram, mid, s):
@@ -96,16 +104,16 @@ def _grad_g(g, gram, h, s):
     return 4.0 * (g @ sas - num)
 
 
-def _gram_step(bundle: DataBundle, g, s):
+def _gram_step(bundle: DataBundle, g, s, h):
     """SE and native gradient at (G, S) from the N products H_i = R_i G.
 
-    ``s`` is the (N, k, k) stack of the S_i.  Returns (SE, dG, dS, H) with dS
-    and H as stacks; H is handed back for callers that reuse it.  No n x n
-    matrix is formed.
+    ``s`` is the (N, k, k) stack of the S_i and ``h`` the (N, n, k) stack of
+    the H_i.  Returns (SE, dG, dS) with dS as a stack.  No data pass is
+    taken and no n x n matrix is formed.
     """
-    gram, h, mid = _gram_products(bundle, g)
+    gram, mid = _grams(g, h)
     ds, asa = _grad_s(gram, mid, s)
-    return _se_from_asa(bundle.norms_sq, mid, s, asa), _grad_g(g, gram, h, s), ds, h
+    return _se_from_asa(bundle.norms_sq, mid, s, asa), _grad_g(g, gram, h, s), ds
 
 
 def _poly_matmul(x, y) -> np.ndarray:
@@ -161,17 +169,17 @@ def _line_poly(bundle: DataBundle, p, q, rp) -> np.ndarray:
     return coeffs
 
 
-def _transformed_step(bundle: DataBundle, transform: Transform, g, s):
+def _transformed_step(bundle: DataBundle, transform: Transform, g, s, h):
     """SE and the gradient in the raw variables G' and the (N, k, k) stack S'
     of the substitution X = f(X'), f = ``transform``.
 
-    Runs :func:`_gram_step` at the native point (f(G'), f(S')) and applies
-    the chain rule dX' = f'(X') * dX.  Returns (SE, dG', dS', H) with dS' and
-    H = R_i f(G') as stacks.
+    Runs :func:`_gram_step` at the native point (f(G'), f(S')), given the
+    (N, n, k) stack ``h`` of the products R_i f(G'), and applies the chain
+    rule dX' = f'(X') * dX.  Returns (SE, dG', dS') with dS' as a stack.
     """
     f = transform
-    se_value, dg, ds, h = _gram_step(bundle, f.apply(g), f.apply(s))
-    return se_value, f.derivative(g) * dg, f.derivative(s) * ds, h
+    se_value, dg, ds = _gram_step(bundle, f.apply(g), f.apply(s), h)
+    return se_value, f.derivative(g) * dg, f.derivative(s) * ds
 
 
 def grad_transformed(bundle: DataBundle, transform: Transform, g, s):

@@ -197,6 +197,30 @@ class TestSolve:
         assert trace.final.mse <= 0.01
         assert trace.iterations <= 1000
 
+    def test_carried_products_do_not_drift(self, monkeypatch):
+        # R_i G is formed once and then moved along each line search.  After
+        # the full default cap the carried products still match a fresh
+        # R_i G at the last point, and the traced SE matches the n x n
+        # residual oracle at the returned factors.
+        from snmtf import gmels, se
+        from snmtf.data import generate_synthetic
+
+        last = {}
+        step = gmels._transformed_step
+
+        def recorded(bundle, transform, g, s, h):
+            last["g"], last["h"] = g.copy(), h.copy()
+            return step(bundle, transform, g, s, h)
+
+        monkeypatch.setattr(gmels, "_transformed_step", recorded)
+        bundle, _ = generate_synthetic(n=200, K=20, N=5, seed=0)
+        config = SolverConfig(method="gmels", k=20, mse_stop=0.0, delta_stop=0.0)
+        fact, trace = run(bundle, config)
+        assert trace.iterations == 1000
+        fresh = bundle.times(SQUARE.apply(last["g"]))
+        assert np.abs(last["h"] - fresh).max() <= 1e-13 * np.abs(fresh).max()
+        assert trace.final.se == pytest.approx(se(bundle, fact), rel=1e-12, abs=0.0)
+
     def test_never_allocates_an_n_by_n_matrix(self, rng):
         # The line polynomial and the gradient come from R_i @ X products
         # with X of shape n x k; the traced peak stays below one n x n matrix.

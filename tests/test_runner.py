@@ -227,8 +227,10 @@ class TestOutputContract:
 class TestCostModel:
     # Data passes per outer iteration in units of N (one pass is one
     # product R_i @ X with X of k columns); bcd takes two per G step
-    # (R_i dG, then R_i G at the new point) at its default 10 steps.
-    PER_ITERATION = {"fpm": 1, "adam": 1, "gmels": 3, "bcd": 20}
+    # (R_i dG, then R_i G at the new point) at its default 10 steps, and
+    # gmels two (R_i P1 and R_i P2 along its line, which also give R_i G
+    # at the new point).
+    PER_ITERATION = {"fpm": 1, "adam": 1, "gmels": 2, "bcd": 20}
 
     @pytest.mark.parametrize("method", ["fpm", "bcd", "gmels", "adam"])
     def test_data_passes_per_iteration(self, rng, data_passes, method):
