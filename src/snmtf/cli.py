@@ -227,9 +227,19 @@ def cmd_benchmark(args) -> int:
     runs_dir = None if args.no_save_runs else out / "runs"
 
     # Every manifest and row config is checked before the first bundle loads.
+    # Rows and runs/ directories are keyed by the bundle's label, so two
+    # bundles may not share one.
     plan = []
+    label_dirs = {}
     for bundle_dir in bundle_dirs:
-        planted_k = data.read_manifest(bundle_dir).get("planted_K")
+        manifest = data.read_manifest(bundle_dir)
+        first = label_dirs.setdefault(manifest["label"], bundle_dir)
+        if first != bundle_dir:
+            raise ValidationError(
+                f"{first} and {bundle_dir} share the bundle label {manifest['label']!r}; "
+                "their results would overwrite each other"
+            )
+        planted_k = manifest.get("planted_K")
         if planted_k is None:
             raise ValidationError(
                 f"{bundle_dir}: manifest has no planted_K; the sweep needs it to place the k grid"
@@ -311,8 +321,15 @@ def cmd_compare(args) -> int:
         raise ValidationError(f"{args.results}: results file lacks columns {', '.join(missing)}")
     methods = sorted({row["method"] for row in rows})
     groups: dict[tuple, dict[str, float]] = {}
+    first_rows: dict[tuple, int] = {}
     for number, row in enumerate(rows, start=1):
         key = (row["bundle"], row["n"], row["K"], row["k"])
+        first = first_rows.setdefault(key + (row["method"],), number)
+        if first != number:
+            raise ValidationError(
+                f"{args.results}: rows {first} and {number} both hold method {row['method']!r} "
+                f"on bundle {row['bundle']!r} at n={row['n']}, K={row['K']}, k={row['k']}"
+            )
         entry = groups.setdefault(key, {})
         if row["final_mse"] != "":
             entry[row["method"]] = _mse_cell(args.results, number, row["final_mse"])
@@ -419,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetrize", action="store_true",
                    help="average each R_i with its transpose at load time")
     p.add_argument("--start-from", default=None,
-                   help="directory with G.txt/S_i.txt to start from")
+                   help="run output or planted/ directory to start from: G.npy and S.npy, "
+                        "or the older text G.txt, S_1.txt ...")
     p.add_argument("--out", required=True)
     _add_solver_args(p)
     p.set_defaults(func=cmd_solve)

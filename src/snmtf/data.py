@@ -7,8 +7,10 @@ matrix.  :func:`save_bundle` writes each matrix as a binary ``.npy`` file
 space-separated values with 17 significant digits, equally lossless) and
 Matrix Market (densified on load, and the one reader that imports scipy),
 so hand-made bundles and bundles from older versions load unchanged.  A run
-output directory holds ``G.txt``, ``S_1.txt`` ..., ``trace.csv`` and
-``summary.json``; those stay text.
+output directory holds the factors as ``G.npy`` and ``S.npy`` (see
+:func:`save_factors`; a bundle's ``planted/`` has the same pair) next to
+``trace.csv`` and ``summary.json``, which stay text.  The text factor layout
+of older outputs (``G.txt``, ``S_1.txt`` ...) is still read.
 """
 
 from __future__ import annotations
@@ -83,19 +85,11 @@ def generate_synthetic(n: int, K: int, N: int = 5, density: float = 0.65, seed: 
     return bundle, Factorization(g, s)
 
 
-def save_dense_matrix(path, x) -> None:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    # One %-format per row; "%.17g" writes the same bytes as format(v, ".17g").
-    row_format = " ".join(["%.17g"] * x.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"{x.shape[0]} {x.shape[1]}\n")
-        fh.writelines(row_format % tuple(row.tolist()) for row in x)
-
-
 def load_matrix(path) -> np.ndarray:
     """Load one matrix file as float64: ``.npy``, Matrix Market (densified)
     or dense text, told apart by the file's first bytes (the ``\\x93NUMPY``
-    magic, the ``%%MatrixMarket`` banner, else a ``rows cols`` header).
+    magic, the ``%%MatrixMarket`` banner, else a ``rows cols`` header).  A
+    ``.npy`` array keeps its rank (``S.npy`` is a stack); callers check it.
 
     Raises ValidationError naming the file when it is missing or cannot be
     read, does not parse in its format, or holds data other than real
@@ -150,8 +144,8 @@ def _read_matrix(path: Path) -> np.ndarray:
 def save_bundle(bundle: DataBundle, path, planted: Factorization | None = None,
                 planted_k: int | None = None) -> None:
     """Write a bundle directory: the manifest, each ``R_i`` as ``R_i.npy``
-    (binary, bit for bit) and, when given, the planted factors as text under
-    ``planted/``."""
+    (binary, bit for bit) and, when given, the planted factors under
+    ``planted/`` (:func:`save_factors`)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     names = [f"R_{i + 1}.npy" for i in range(bundle.N)]
@@ -188,7 +182,7 @@ def load_bundle(path, symmetrize: bool = False) -> DataBundle:
     manifest = read_manifest(path)
     names = manifest.get("matrices") or [f"R_{i + 1}.mtx.txt" for i in range(manifest["N"])]
     bundle = DataBundle._from_iterable((load_matrix(path / name) for name in names), len(names),
-                                       manifest.get("label", path.name), symmetrize)
+                                       manifest["label"], symmetrize)
     if bundle.n != manifest["n"] or bundle.N != manifest["N"]:
         raise ValidationError(
             f"{path}: manifest promises n={manifest['n']}, N={manifest['N']}, "
@@ -206,8 +200,9 @@ def load_bundle(path, symmetrize: bool = False) -> DataBundle:
 
 def read_manifest(path) -> dict:
     """The bundle's manifest; ``n``, ``N`` and (when present) ``planted_K``
-    must be positive integers and ``matrices`` (when present) a list of N
-    file names, or ValidationError is raised."""
+    must be positive integers, ``label`` (when present) a string and
+    ``matrices`` (when present) a list of N file names, or ValidationError
+    is raised.  A missing ``label`` is filled in as the directory's name."""
     manifest_path = Path(path) / MANIFEST_NAME
     try:
         with open(manifest_path) as fh:
@@ -227,6 +222,9 @@ def read_manifest(path) -> dict:
             raise ValidationError(
                 f"{manifest_path}: manifest {key} must be a positive integer, got {value!r}"
             )
+    label = manifest.setdefault("label", Path(path).name)
+    if not isinstance(label, str):
+        raise ValidationError(f"{manifest_path}: manifest label must be a string, got {label!r}")
     names = manifest.get("matrices")
     if names is not None and not (isinstance(names, list) and len(names) == manifest["N"]
                                   and all(isinstance(name, str) for name in names)):
@@ -238,17 +236,31 @@ def read_manifest(path) -> dict:
 
 
 def save_factors(fact: Factorization, path) -> None:
-    """Write G.txt and S_i.txt for a factorization."""
+    """Write ``G.npy`` (n x k) and ``S.npy`` (the (N, k, k) stack of the S_i)
+    with ``np.save``, so the factors round-trip bit for bit."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    save_dense_matrix(path / "G.txt", fact.G)
-    for i, s in enumerate(fact.S):
-        save_dense_matrix(path / f"S_{i + 1}.txt", s)
+    np.save(path / "G.npy", fact.G)
+    np.save(path / "S.npy", fact.S)
 
 
 def load_factors(path) -> Factorization:
-    """Load a factorization written by :func:`save_factors`."""
+    """Load a factorization: ``G.npy`` and ``S.npy`` when ``G.npy`` exists,
+    otherwise the text layout of older outputs (``G.txt``, ``S_1.txt`` ...),
+    never a mix of the two.
+
+    Raises ValidationError naming the file when one is missing or unreadable,
+    or when ``G.npy`` is not 2-D or ``S.npy`` not 3-D.
+    """
     path = Path(path)
+    if (path / "G.npy").exists():
+        arrays = []
+        for name, ndim, layout in (("G.npy", 2, "(n, k)"), ("S.npy", 3, "(N, k, k)")):
+            x = load_matrix(path / name)
+            if x.ndim != ndim:
+                raise ValidationError(f"{path / name}: expected shape {layout}, got {x.shape}")
+            arrays.append(x)
+        return Factorization(*arrays)
     g = load_matrix(path / "G.txt")
     s_list = []
     i = 1

@@ -126,10 +126,10 @@ def _check_square(r: np.ndarray, name: str) -> None:
 
 
 def _check_finite(r: np.ndarray, name: str) -> None:
-    bad = np.argwhere(~np.isfinite(r))
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(f"{name} has non-finite entry {float(r[i, j])!r} at ({i}, {j})")
+    if np.isfinite(r).all():
+        return
+    i, j = np.argwhere(~np.isfinite(r))[0]
+    raise ValidationError(f"{name} has non-finite entry {float(r[i, j])!r} at ({i}, {j})")
 
 
 def _check_symmetric(r: np.ndarray, name: str, rtol: float, hint: str = "") -> None:

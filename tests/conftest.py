@@ -52,6 +52,17 @@ def assert_block_stack(s, N, k):
     assert s.flags.c_contiguous
 
 
+def save_dense_matrix(path, x) -> None:
+    """Write ``x`` in the dense text format ``data.load_matrix`` reads: a
+    ``rows cols`` line, then one row per line with 17 significant digits."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    # One %-format per row; "%.17g" writes the same bytes as format(v, ".17g").
+    row_format = " ".join(["%.17g"] * x.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"{x.shape[0]} {x.shape[1]}\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in x)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

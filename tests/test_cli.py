@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ def set_manifest_key(bundle_dir, key, value):
     manifest = json.loads(path.read_text())
     manifest[key] = value
     path.write_text(json.dumps(manifest))
+
+
+def assert_no_factor_files(out):
+    """Neither the .npy factor pair nor the older text layout was written."""
+    for name in ("G.npy", "S.npy", "G.txt", "S_1.txt"):
+        assert not (out / name).exists()
 
 
 def read_rows_without_timing(path):
@@ -96,6 +103,39 @@ class TestSolve:
         assert summary["stop_reason"] == "delta_threshold"
         assert summary["iterations"] <= 2
 
+    def test_committed_text_factors_start_a_run(self, tmp_path):
+        # Outputs of older versions hold G.txt, S_1.txt ...; they still chain.
+        golden = Path(__file__).parent / "data" / "golden_bundle"
+        assert sorted(p.name for p in (golden / "planted").iterdir()) == [
+            "G.txt", "S_1.txt", "S_2.txt"]
+        out = tmp_path / "run"
+        rc = run_cli("solve", "--bundle", golden, "--method", "fpm", "--k", 3,
+                     "--start-from", golden / "planted", "--out", out)
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "delta_threshold"
+        assert summary["iterations"] <= 2
+        assert data.load_factors(out).S.shape == (2, 3, 3)
+
+    @pytest.mark.parametrize("damage", ["missing", "2-D"])
+    def test_bad_s_npy_is_validation_error(self, tmp_path, capsys, damage):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        start = bundle_dir / "planted"
+        if damage == "missing":
+            (start / "S.npy").unlink()
+            expected = "matrix file not found"
+        else:
+            np.save(start / "S.npy", np.load(start / "S.npy")[0])
+            expected = "expected shape (N, k, k), got (2, 2)"
+        out = tmp_path / "run"
+        rc = run_cli("solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 2,
+                     "--start-from", start, "--out", out)
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{start / 'S.npy'}: {expected}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha, cause", [
         # A step size of 1e200 overflows the adam iterates within a few steps.
         pytest.param(1e200, "non-finite", id="overflow"),
@@ -116,7 +156,7 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("diverged: ") and cause in err
         assert err.count("\n") == 1
-        assert not (out / "G.txt").exists()
+        assert_no_factor_files(out)
 
     def test_negative_start_is_validation_error(self, tmp_path):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
@@ -129,7 +169,7 @@ class TestSolve:
             "--start-from", start, "--out", tmp_path / "run",
         )
         assert rc == cli.EXIT_VALIDATION
-        assert not (tmp_path / "run" / "G.txt").exists()
+        assert_no_factor_files(tmp_path / "run")
 
     @pytest.mark.parametrize("method", ["gmels", "adam"])
     def test_asymmetric_start_is_validation_error(self, tmp_path, capsys, method):
@@ -144,7 +184,7 @@ class TestSolve:
         )
         assert rc == cli.EXIT_VALIDATION
         assert "start S_1 is not symmetric" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "G.txt").exists()
+        assert_no_factor_files(tmp_path / "run")
 
     def test_bcd_output_is_symmetric_and_chains(self, tmp_path):
         # Unsymmetrized, bcd's S_3 on this bundle drifted to
@@ -201,7 +241,7 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "k must be in [1, 20], got 50" in err
         assert err.count("\n") == 1
-        assert not (out / "G.txt").exists()
+        assert_no_factor_files(out)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_defaults_come_from_solver_config(self, tmp_path, method):
@@ -388,6 +428,25 @@ class TestBenchmark:
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {suite_path}: suite is not a directory\n"
 
+    def test_shared_label_exits_3_before_loading(self, tmp_path, capsys, monkeypatch):
+        # Both bundles are labelled synthetic-n30-K3-N2-seed1, so their rows
+        # and runs/ directories would collide.
+        suite_dir = tmp_path / "suite"
+        for density in ("0.3", "0.9"):
+            assert run_cli("generate", "--n", 30, "--K", 3, "--N", 2, "--seed", 1,
+                           "--density", density, "--out", suite_dir / f"d{density}") == 0
+        loaded = []
+        monkeypatch.setattr(data, "load_bundle", lambda *args, **kwargs: loaded.append(args))
+        out = tmp_path / "res"
+        rc = run_cli("benchmark", "--suite", suite_dir, "--methods", "fpm", "--ratios", "100",
+                     "--max-iters", 5, "--out", out)
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{suite_dir / 'd0.3'} and {suite_dir / 'd0.9'} share the bundle label" in err
+        assert "'synthetic-n30-K3-N2-seed1'" in err
+        assert loaded == [] and not out.exists()
+
     def test_deterministic_modulo_timing(self, suite, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -400,8 +459,10 @@ class TestBenchmark:
             out_b / "results.csv")
         runs_a = sorted((out_a / "runs").iterdir())
         runs_b = sorted((out_b / "runs").iterdir())
+        assert len(runs_a) == len(runs_b) == 2
         for da, db in zip(runs_a, runs_b):
-            assert filecmp.cmp(da / "G.txt", db / "G.txt", shallow=False)
+            for fname in ("G.npy", "S.npy"):
+                assert filecmp.cmp(da / fname, db / fname, shallow=False)
             assert read_trace_without_timing(da / "trace.csv") == read_trace_without_timing(db / "trace.csv")
 
 
@@ -462,7 +523,7 @@ class TestBenchmark:
         runs = sorted(p.name for p in (outs[1] / "runs").iterdir())
         assert runs == sorted(p.name for p in (outs[2] / "runs").iterdir())
         for name in runs:
-            for fname in ("G.txt", "S_1.txt", "summary.json"):
+            for fname in ("G.npy", "S.npy", "summary.json"):
                 assert filecmp.cmp(outs[1] / "runs" / name / fname,
                                    outs[2] / "runs" / name / fname, shallow=False)
             assert (read_trace_without_timing(outs[1] / "runs" / name / "trace.csv")
@@ -572,6 +633,19 @@ class TestCompare:
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == (
             f"error: {results}: row 1: final_mse {bad!r} is not a finite number\n")
+        assert not out.exists()
+
+    def test_duplicate_run_is_validation_error(self, tmp_path, capsys):
+        # A later row used to overwrite the earlier one's MSE without a word.
+        results = tmp_path / "results.csv"
+        self._write_results(results, [self._row("fpm", "2.27e-05"), self._row("adam", "0.2"),
+                                      self._row("fpm", "0.138")])
+        out = tmp_path / "winners.csv"
+        rc = run_cli("compare", "--results", results, "--out", out)
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {results}: rows 1 and 3 both hold method 'fpm' on bundle 'b' "
+            "at n=10, K=2, k=2\n")
         assert not out.exists()
 
     def test_creates_parent_of_out(self, tmp_path):

@@ -19,7 +19,7 @@ from snmtf.model import (
     mse,
 )
 
-from conftest import assert_block_stack, assert_one_stack
+from conftest import assert_block_stack, assert_one_stack, save_dense_matrix
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bundle"
 
@@ -135,7 +135,7 @@ class TestMatrixFiles:
     def test_dense_round_trip_bit_exact(self, rng, tmp_path):
         x = rng.standard_normal((7, 3)) * np.exp(rng.standard_normal((7, 3)) * 5)
         path = tmp_path / "m.txt"
-        data.save_dense_matrix(path, x)
+        save_dense_matrix(path, x)
         back = data.load_matrix(path)
         assert np.array_equal(back, x)
 
@@ -147,7 +147,7 @@ class TestMatrixFiles:
         for shape in ((4, 18), (72, 1), (1, 72), (3, 0)):
             x = values[: shape[0] * shape[1]].reshape(shape)
             path = tmp_path / "m.txt"
-            data.save_dense_matrix(path, x)
+            save_dense_matrix(path, x)
             expected = f"{shape[0]} {shape[1]}\n" + "".join(
                 " ".join(format(v, ".17g") for v in row) + "\n" for row in x
             )
@@ -254,7 +254,7 @@ class TestBundleIO:
         # Hand-made bundles and those from older versions list text files.
         bundle, _ = data.generate_synthetic(n=12, K=3, N=2, seed=6)
         data.save_bundle(bundle, tmp_path / "b")
-        data.save_dense_matrix(tmp_path / "b" / "R_1.txt", bundle.R[0])
+        save_dense_matrix(tmp_path / "b" / "R_1.txt", bundle.R[0])
         scipy.io.mmwrite(tmp_path / "b" / "R_2.mtx", bundle.R[1], precision=17)
         for name in ("R_1.npy", "R_2.npy"):
             (tmp_path / "b" / name).unlink()
@@ -324,6 +324,25 @@ class TestBundleIO:
         with pytest.raises(ValidationError, match=f"manifest {key} must be a positive integer"):
             data.load_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("label", [None, 7, ["b"]])
+    def test_manifest_label_must_be_a_string(self, tmp_path, label):
+        bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
+        data.save_bundle(bundle, tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        manifest["label"] = label
+        (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="manifest label must be a string"):
+            data.load_bundle(tmp_path / "b")
+
+    def test_missing_label_is_the_directory_name(self, tmp_path):
+        bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
+        data.save_bundle(bundle, tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        del manifest["label"]
+        (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
+        assert data.read_manifest(tmp_path / "b")["label"] == "b"
+        assert data.load_bundle(tmp_path / "b").label == "b"
+
     def test_manifest_must_be_an_object(self, tmp_path):
         (tmp_path / "manifest.json").write_text("[1, 2]")
         with pytest.raises(ValidationError, match="not a JSON object"):
@@ -372,6 +391,32 @@ class TestFactorizationIO:
         assert np.array_equal(back.G, fact.G)
         for x, y in zip(back.S, fact.S):
             assert np.array_equal(x, y)
+
+    def test_npy_round_trip_bit_exact_and_byte_stable(self, rng, tmp_path):
+        g = rng.random((6, 3)) * np.exp(rng.standard_normal((6, 3)) * 20)
+        g[0, :] = [0.0, 5e-324, 1.7976931348623157e308]
+        s = rng.random((2, 3, 3))
+        fact = Factorization(g, s + s.transpose(0, 2, 1))
+        for out in ("a", "b"):
+            data.save_factors(fact, tmp_path / out)
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["G.npy", "S.npy"]
+        back = data.load_factors(tmp_path / "a")
+        assert back.G.tobytes() == fact.G.tobytes()
+        assert back.S.tobytes() == fact.S.tobytes()
+        for name in ("G.npy", "S.npy"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_npy_pair_wins_over_stale_text(self, rng, tmp_path):
+        old = Factorization(rng.random((5, 2)), rng.random((3, 2, 2)))
+        save_dense_matrix(tmp_path / "G.txt", old.G)
+        for i, s in enumerate(old.S):
+            save_dense_matrix(tmp_path / f"S_{i + 1}.txt", s)
+        assert data.load_factors(tmp_path).S.tobytes() == old.S.tobytes()
+        new = Factorization(rng.random((5, 2)), rng.random((2, 2, 2)))
+        data.save_factors(new, tmp_path)
+        back = data.load_factors(tmp_path)
+        assert back.G.tobytes() == new.G.tobytes()
+        assert back.S.tobytes() == new.S.tobytes()
 
     def test_loaded_s_is_one_stack(self, rng, tmp_path):
         fact = Factorization(rng.random((5, 2)), rng.random((3, 2, 2)))
