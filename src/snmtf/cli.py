@@ -78,8 +78,11 @@ def _positive_int(text: str) -> int:
 
 
 def _ratio_list(text: str) -> list[int]:
-    """argparse type of ``--ratios``: comma-separated positive integers."""
-    return [_positive_int(tok) for tok in text.split(",")]
+    """argparse type of ``--ratios``: comma-separated distinct positive integers."""
+    ratios = [_positive_int(tok) for tok in text.split(",")]
+    if len(set(ratios)) < len(ratios):
+        raise argparse.ArgumentTypeError(f"a ratio is given twice in {text!r}")
+    return ratios
 
 
 def _method_list(text: str) -> list[str]:
@@ -159,6 +162,24 @@ def _discover_suite(root) -> list[Path]:
     return dirs
 
 
+def _read_suite(root) -> list[tuple[Path, dict]]:
+    """Each bundle directory of the suite with its checked manifest.
+
+    Results and run directories are keyed by the bundle's label, so two
+    bundles may not share one.
+    """
+    suite = [(bundle_dir, data.read_manifest(bundle_dir)) for bundle_dir in _discover_suite(root)]
+    label_dirs = {}
+    for bundle_dir, manifest in suite:
+        first = label_dirs.setdefault(manifest["label"], bundle_dir)
+        if first != bundle_dir:
+            raise ValidationError(
+                f"{first} and {bundle_dir} share the bundle label {manifest['label']!r}; "
+                "their results would overwrite each other"
+            )
+    return suite
+
+
 def _sweep_row(bundle: DataBundle, spec: dict) -> dict:
     """One results.csv row: the run ``spec["config"]`` on the loaded bundle."""
     config = spec["config"]
@@ -222,23 +243,13 @@ def _sweep_bundle(bundle_dir, specs: list[dict], jobs: int) -> list[dict]:
 
 
 def cmd_benchmark(args) -> int:
-    bundle_dirs = _discover_suite(args.suite)
+    suite = _read_suite(args.suite)
     out = Path(args.out)
     runs_dir = None if args.no_save_runs else out / "runs"
 
     # Every manifest and row config is checked before the first bundle loads.
-    # Rows and runs/ directories are keyed by the bundle's label, so two
-    # bundles may not share one.
     plan = []
-    label_dirs = {}
-    for bundle_dir in bundle_dirs:
-        manifest = data.read_manifest(bundle_dir)
-        first = label_dirs.setdefault(manifest["label"], bundle_dir)
-        if first != bundle_dir:
-            raise ValidationError(
-                f"{first} and {bundle_dir} share the bundle label {manifest['label']!r}; "
-                "their results would overwrite each other"
-            )
+    for bundle_dir, manifest in suite:
         planted_k = manifest.get("planted_K")
         if planted_k is None:
             raise ValidationError(
@@ -324,7 +335,11 @@ def cmd_compare(args) -> int:
     first_rows: dict[tuple, int] = {}
     for number, row in enumerate(rows, start=1):
         key = (row["bundle"], row["n"], row["K"], row["k"])
-        first = first_rows.setdefault(key + (row["method"],), number)
+        # A sweep's ratios may round to the same k (20% and 40% of K = 2
+        # are both k = 1); those rows run one config, so only rows that
+        # also share the ratio are duplicates.
+        run = key + (row["method"], row.get("k_over_K_pct"))
+        first = first_rows.setdefault(run, number)
         if first != number:
             raise ValidationError(
                 f"{args.results}: rows {first} and {number} both hold method {row['method']!r} "
@@ -370,9 +385,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    bundle_dirs = _discover_suite(args.suite)
-    ks = [args.k if args.k is not None else data.read_manifest(bundle_dir).get("planted_K")
-          for bundle_dir in bundle_dirs]
+    suite = _read_suite(args.suite)
+    bundle_dirs = [bundle_dir for bundle_dir, _ in suite]
+    ks = [args.k if args.k is not None else manifest.get("planted_K") for _, manifest in suite]
 
     # Every (k, point) config the tuner builds is checked before the first
     # bundle loads; sampled points lie in range by construction.

@@ -200,9 +200,10 @@ def load_bundle(path, symmetrize: bool = False) -> DataBundle:
 
 def read_manifest(path) -> dict:
     """The bundle's manifest; ``n``, ``N`` and (when present) ``planted_K``
-    must be positive integers, ``label`` (when present) a string and
-    ``matrices`` (when present) a list of N file names, or ValidationError
-    is raised.  A missing ``label`` is filled in as the directory's name."""
+    must be positive integers, ``label`` (when present) a string that is
+    not ``.`` or ``..`` and holds no path separator, and ``matrices`` (when
+    present) a list of N file names, or ValidationError is raised.  A
+    missing ``label`` is filled in as the directory's name."""
     manifest_path = Path(path) / MANIFEST_NAME
     try:
         with open(manifest_path) as fh:
@@ -225,6 +226,12 @@ def read_manifest(path) -> dict:
     label = manifest.setdefault("label", Path(path).name)
     if not isinstance(label, str):
         raise ValidationError(f"{manifest_path}: manifest label must be a string, got {label!r}")
+    # The label names the sweep's run directories, so it may not climb out.
+    if label in (".", "..") or "/" in label or "\\" in label:
+        raise ValidationError(
+            f"{manifest_path}: manifest label {label!r} may not be '.' or '..' "
+            "or hold a path separator"
+        )
     names = manifest.get("matrices")
     if names is not None and not (isinstance(names, list) and len(names) == manifest["N"]
                                   and all(isinstance(name, str) for name in names)):

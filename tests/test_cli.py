@@ -428,24 +428,44 @@ class TestBenchmark:
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {suite_path}: suite is not a directory\n"
 
-    def test_shared_label_exits_3_before_loading(self, tmp_path, capsys, monkeypatch):
-        # Both bundles are labelled synthetic-n30-K3-N2-seed1, so their rows
-        # and runs/ directories would collide.
+    @pytest.mark.parametrize("command", [
+        ("benchmark", "--methods", "fpm", "--ratios", "100", "--out", "res"),
+        ("tune", "--point", "0.01,0.9,0.99", "--runs", 1, "--out", "res/tune.csv"),
+    ], ids=["benchmark", "tune"])
+    def test_shared_label_exits_3_before_loading(self, tmp_path, capsys, monkeypatch, command):
+        # Both bundles are labelled synthetic-n30-K3-N2-seed1, so benchmark's
+        # rows and runs/ directories, and tune's mean_mse_<label> columns,
+        # would collide.
         suite_dir = tmp_path / "suite"
         for density in ("0.3", "0.9"):
             assert run_cli("generate", "--n", 30, "--K", 3, "--N", 2, "--seed", 1,
                            "--density", density, "--out", suite_dir / f"d{density}") == 0
         loaded = []
         monkeypatch.setattr(data, "load_bundle", lambda *args, **kwargs: loaded.append(args))
-        out = tmp_path / "res"
-        rc = run_cli("benchmark", "--suite", suite_dir, "--methods", "fpm", "--ratios", "100",
-                     "--max-iters", 5, "--out", out)
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli(command[0], "--suite", suite_dir, "--max-iters", 5, *command[1:])
         assert rc == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{suite_dir / 'd0.3'} and {suite_dir / 'd0.9'} share the bundle label" in err
         assert "'synthetic-n30-K3-N2-seed1'" in err
-        assert loaded == [] and not out.exists()
+        assert loaded == [] and not (tmp_path / "res").exists()
+
+    def test_ratios_that_round_to_one_k_compare_cleanly(self, tmp_path):
+        # With planted K = 2 the default ratios 20..120% give k = 1 three
+        # times and k = 2 three times; compare must accept that output.
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
+        out = tmp_path / "res"
+        assert run_cli("benchmark", "--suite", bundle_dir, "--methods", "fpm,bcd",
+                       "--max-iters", 5, "--out", out) == 0
+        rows = read_rows_without_timing(out / "results.csv")
+        assert sorted((row["method"], row["k"]) for row in rows) == sorted(
+            (method, k) for method in ("fpm", "bcd") for k in "111222")
+        winners = tmp_path / "winners.csv"
+        assert run_cli("compare", "--results", out / "results.csv", "--out", winners) == 0
+        with open(winners, newline="") as fh:
+            assert [(row["k"], row["status"]) for row in csv.DictReader(fh)] == [
+                ("1", "ok"), ("2", "ok")]
 
     def test_deterministic_modulo_timing(self, suite, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -574,7 +594,8 @@ class TestBenchmark:
         assert rc == cli.EXIT_VALIDATION
 
     @pytest.mark.parametrize("flag,value", [
-        ("--ratios", "x"), ("--ratios", "50,,100"), ("--ratios", "0"), ("--methods", "fpm,warp"),
+        ("--ratios", "x"), ("--ratios", "50,,100"), ("--ratios", "0"), ("--ratios", "100,100"),
+        ("--methods", "fpm,warp"),
         ("--methods", ","), ("--methods", ""), ("--methods", "fpm,,bcd"), ("--methods", "fpm,fpm"),
         ("--max-iters", 0), ("--jobs", 0), ("--jobs", -3),
     ])

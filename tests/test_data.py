@@ -334,6 +334,17 @@ class TestBundleIO:
         with pytest.raises(ValidationError, match="manifest label must be a string"):
             data.load_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("label", ["../x", "../../escaped", "a/b", "a\\b", ".", ".."])
+    def test_manifest_label_may_not_be_a_path(self, tmp_path, label):
+        # The label names the sweep's run directories.
+        bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
+        data.save_bundle(bundle, tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        manifest["label"] = label
+        (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="may not be '.' or '..' or hold a path separator"):
+            data.read_manifest(tmp_path / "b")
+
     def test_missing_label_is_the_directory_name(self, tmp_path):
         bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
         data.save_bundle(bundle, tmp_path / "b")
