@@ -54,7 +54,6 @@ from .model import (
 SEARCH_INTERVAL = (-1.0, 0.0)
 MIN_DECREASE = 1e-3
 PERTURBATION_SCALE = 1e-5
-INITIAL_S_VALUE = 0.5
 
 
 def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> LinePolynomial:
@@ -129,16 +128,11 @@ def _s_inner_solve(gram, mid, s, iterations, norms_sq=None, substep_log=None):
 
 def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization,
             rng: np.random.Generator, substep_log: list | None = None):
-    """Coordinate descent from the start's G, as an iteration generator for
-    ``model.drive``; ``rng`` draws the escape perturbations.
-
-    The S blocks start from constant matrices (all entries 0.5), not from
-    ``start.S``; the first S-block solve therefore doubles as the S
-    initialization.  ``substep_log`` is passed to every S-block solve (see
-    ``_s_inner_solve``).
+    """Coordinate descent from ``start``, as an iteration generator for
+    ``model.drive``; ``rng`` draws the escape perturbations.  ``substep_log``
+    is passed to every S-block solve (see ``_s_inner_solve``).
     """
-    g = start.G
-    s = np.full((bundle.N, config.k, config.k), INITIAL_S_VALUE)
+    g, s = start.G, start.S
     norms = bundle.norms_sq
     gram, h, mid = _gram_products(bundle, g)
     while (yield se_from_gram(norms, gram, mid, s)):

@@ -8,11 +8,11 @@ Subcommands::
     snmtf compare   --results results/results.csv --out results/winners.csv
     snmtf tune      --suite bundles --trials 100 --out tune.csv
 
-Exit codes: 0 normal stop, 2 usage error, 3 data validation error,
-5 solver divergence (the objective or a gradient became non-finite, the MSE
-ran away, see ``model.ConvergenceTrace.step``, or the solver returned factors
-that are not native, see ``runner.run``; for ``tune``, every point scored
-inf).
+Exit codes: 0 normal stop, 2 usage error, 3 data validation error or an
+``--out`` that cannot be written, 5 solver divergence (the objective or a
+gradient became non-finite, the MSE ran away, see
+``model.ConvergenceTrace.step``, or the solver returned factors that are not
+native, see ``runner.run``; for ``tune``, every point scored inf).
 """
 
 from __future__ import annotations
@@ -180,8 +180,9 @@ def _read_suite(root) -> list[tuple[Path, dict]]:
     return suite
 
 
-def _sweep_row(bundle: DataBundle, spec: dict) -> dict:
-    """One results.csv row: the run ``spec["config"]`` on the loaded bundle."""
+def _sweep_rows(bundle: DataBundle, spec: dict) -> list[dict]:
+    """The results.csv rows of the run ``spec["config"]`` on the loaded
+    bundle: one run, and one row for each ratio in ``spec["pcts"]``."""
     config = spec["config"]
     row = {
         "bundle": bundle.label,
@@ -189,7 +190,6 @@ def _sweep_row(bundle: DataBundle, spec: dict) -> dict:
         "n": bundle.n,
         "K": spec["planted_K"],
         "k": config.k,
-        "k_over_K_pct": spec["pct"],
         "final_mse": "",
         "iterations": "",
         "seconds": "",
@@ -199,18 +199,18 @@ def _sweep_row(bundle: DataBundle, spec: dict) -> dict:
         fact, trace = runner.run(bundle, config, init=spec["init"])
     except Exception as exc:  # record and keep sweeping
         row["stop_reason"] = f"error: {type(exc).__name__}: {exc}"
-        return row
-    final = trace.final
-    row.update(
-        final_mse=repr(final.mse),
-        iterations=final.iteration,
-        seconds=f"{final.elapsed_seconds:.3f}",
-        stop_reason=trace.stop_reason,
-    )
-    if spec["runs_dir"] is not None:
-        run_dir = spec["runs_dir"] / f"{bundle.label}__{config.method}__k{config.k}"
-        data.save_factorization(fact, trace, run_dir, config)
-    return row
+    else:
+        final = trace.final
+        row.update(
+            final_mse=repr(final.mse),
+            iterations=final.iteration,
+            seconds=f"{final.elapsed_seconds:.3f}",
+            stop_reason=trace.stop_reason,
+        )
+        if spec["runs_dir"] is not None:
+            run_dir = spec["runs_dir"] / f"{bundle.label}__{config.method}__k{config.k}"
+            data.save_factorization(fact, trace, run_dir, config)
+    return [dict(row, k_over_K_pct=pct) for pct in spec["pcts"]]
 
 
 # The bundle a pool worker runs its rows on; set once per worker.
@@ -222,24 +222,24 @@ def _receive_bundle(bundle: DataBundle) -> None:
     _pool_bundle = bundle
 
 
-def _pooled_row(spec: dict) -> dict:
-    return _sweep_row(_pool_bundle, spec)
+def _pooled_rows(spec: dict) -> list[dict]:
+    return _sweep_rows(_pool_bundle, spec)
 
 
 def _sweep_bundle(bundle_dir, specs: list[dict], jobs: int) -> list[dict]:
-    """Load one bundle and run all of its rows on it.
+    """Load one bundle and do all of its runs on it.
 
-    With more than one worker the rows run on a process pool whose workers
+    With more than one worker the runs go to a process pool whose workers
     each receive the loaded bundle once, at start-up.
     """
     bundle = data.load_bundle(bundle_dir)
     workers = min(jobs, len(specs))
     if workers <= 1:
-        return [_sweep_row(bundle, spec) for spec in specs]
+        return [row for spec in specs for row in _sweep_rows(bundle, spec)]
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_receive_bundle, initargs=(bundle,)
     ) as pool:
-        return list(pool.map(_pooled_row, specs))
+        return [row for rows in pool.map(_pooled_rows, specs) for row in rows]
 
 
 def cmd_benchmark(args) -> int:
@@ -247,7 +247,9 @@ def cmd_benchmark(args) -> int:
     out = Path(args.out)
     runs_dir = None if args.no_save_runs else out / "runs"
 
-    # Every manifest and row config is checked before the first bundle loads.
+    # Every manifest and run config is checked before the first bundle loads.
+    # Ratios that round to one k (20% and 40% of K = 2 are both k = 1) share
+    # that k's run, and each ratio gets its row from it.
     plan = []
     for bundle_dir, manifest in suite:
         planted_k = manifest.get("planted_K")
@@ -255,17 +257,20 @@ def cmd_benchmark(args) -> int:
             raise ValidationError(
                 f"{bundle_dir}: manifest has no planted_K; the sweep needs it to place the k grid"
             )
+        pcts_by_k: dict[int, list[int]] = {}
+        for pct in args.ratios:
+            pcts_by_k.setdefault(max(1, round(planted_k * pct / 100)), []).append(pct)
         specs = [
             {
-                "config": _checked_config(method=method, k=max(1, round(planted_k * pct / 100)),
-                                          seed=args.seed, max_iterations=args.max_iters),
+                "config": _checked_config(method=method, k=k, seed=args.seed,
+                                          max_iterations=args.max_iters),
                 "planted_K": planted_k,
-                "pct": pct,
+                "pcts": pcts,
                 "init": args.init,
                 "runs_dir": runs_dir,
             }
             for method in args.methods
-            for pct in args.ratios
+            for k, pcts in pcts_by_k.items()
         ]
         plan.append((bundle_dir, specs))
 
@@ -336,7 +341,7 @@ def cmd_compare(args) -> int:
     for number, row in enumerate(rows, start=1):
         key = (row["bundle"], row["n"], row["K"], row["k"])
         # A sweep's ratios may round to the same k (20% and 40% of K = 2
-        # are both k = 1); those rows run one config, so only rows that
+        # are both k = 1); those rows come from one run, so only rows that
         # also share the ratio are duplicates.
         run = key + (row["method"], row.get("k_over_K_pct"))
         first = first_rows.setdefault(run, number)
@@ -502,6 +507,11 @@ def main(argv=None) -> int:
     except SolverDivergedError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except OSError as exc:
+        # Inputs are read behind ValidationError, so this is an output that
+        # cannot be written, such as an --out that names an existing file.
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

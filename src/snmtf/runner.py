@@ -38,8 +38,8 @@ def build_start(bundle: DataBundle, config: SolverConfig, init: str = "determini
     """Starting factorization for a run.
 
     ``deterministic`` pairs the spectral G with seeded random symmetric S
-    blocks (the S blocks have no deterministic counterpart; bcd ignores them
-    and refits from constants).  ``random`` draws both factors uniform(0,1).
+    blocks (the S blocks have no deterministic counterpart).  ``random``
+    draws both factors uniform(0,1).
     """
     if init not in INIT_KINDS:
         raise ValueError(f"unknown init kind {init!r}, expected one of {INIT_KINDS}")

@@ -253,7 +253,7 @@ class TestProperties:
         bundle = random_bundle(rng, 8, 2)
         log: list = []
         config = SolverConfig(method="bcd", k=2, seed=0, max_iterations=5, mse_stop=0.0)
-        start = Factorization(rng.random((8, 2)), np.zeros((2, 2, 2)))  # bcd reads only G
+        start = Factorization(rng.random((8, 2)), np.zeros((2, 2, 2)))  # S blocks start at zero
         drive(bundle, config, bcd.iterate(bundle, config, start, np.random.default_rng(config.seed),
                                           substep_log=log))
         bcd_ok = bool(log) and all(

@@ -16,7 +16,7 @@ from snmtf.model import (
     drive,
     se,
 )
-from snmtf.runner import run
+from snmtf.runner import build_start, run
 
 from conftest import exact_fit_pair, random_bundle, random_native_fact
 
@@ -198,20 +198,13 @@ class TestSInnerSolve:
         assert rows(batched) == rows(single)
 
 
-def g_start(g, N):
-    """A start for bcd, which reads only its G; the S blocks are zeros."""
-    k = g.shape[1]
-    return Factorization(g, np.zeros((N, k, k)))
-
-
 class TestSolve:
     def test_planted_recovery_small(self):
         from snmtf.data import generate_synthetic
-        from snmtf.initialization import deterministic_g
 
         bundle, _ = generate_synthetic(n=40, K=4, N=5, seed=3)
         config = SolverConfig(method="bcd", k=4, seed=1)
-        fact, trace = run(bundle, config, start=g_start(deterministic_g(bundle, 4), bundle.N))
+        fact, trace = run(bundle, config, start=build_start(bundle, config))
         assert trace.final.mse <= 0.05
         assert float(fact.G.min()) >= 0.0
         assert all(float(s.min()) >= 0.0 for s in fact.S)
@@ -219,7 +212,7 @@ class TestSolve:
     def test_symmetry_maintained(self, rng):
         bundle = random_bundle(rng, 10, 3)
         config = SolverConfig(method="bcd", k=3, seed=2, max_iterations=20, mse_stop=0.0)
-        fact, _ = run(bundle, config, start=g_start(rng.random((10, 3)), bundle.N))
+        fact, _ = run(bundle, config, start=random_native_fact(rng, 10, 3, bundle.N))
         for s in fact.S:
             assert np.abs(s - s.T).max() <= 1e-10 * max(np.abs(s).max(), 1.0)
 
@@ -227,7 +220,7 @@ class TestSolve:
         bundle = random_bundle(rng, 8, 2)
         config = SolverConfig(method="bcd", k=2, seed=0, max_iterations=5, mse_stop=0.0)
         log: list = []
-        start = g_start(rng.random((8, 2)), bundle.N)
+        start = random_native_fact(rng, 8, 2, bundle.N)
         drive(bundle, config, iterate(bundle, config, start, np.random.default_rng(config.seed),
                                       substep_log=log))
         assert log
@@ -238,20 +231,19 @@ class TestSolve:
         bundle = random_bundle(rng, 4, 1)
         config = SolverConfig(method="bcd", k=1)
         with pytest.raises(ValueError, match="start G has negative entry"):
-            run(bundle, config, start=g_start(-np.ones((4, 1)), 1))
+            run(bundle, config, start=Factorization(-np.ones((4, 1)), rng.random((1, 1, 1))))
 
     def test_outer_iteration_is_s_block_then_g_block(self, rng):
-        # one outer iteration == 10 S line searches per i from the constant
-        # start at fixed G, then 10 G line searches at the new S
+        # one outer iteration == 10 S line searches per i from the start's
+        # S at fixed G, then 10 G line searches at the new S
         bundle = random_bundle(rng, 6, 2)
-        start_g = rng.random((6, 2))
+        start = random_native_fact(rng, 6, 2, bundle.N)
         config = SolverConfig(
             method="bcd", k=2, seed=3, max_iterations=1, mse_stop=0.0, delta_stop=0.0
         )
-        fact, _ = run(bundle, config, start=g_start(start_g, bundle.N))
+        fact, _ = run(bundle, config, start=start)
 
-        s_list = [np.full((2, 2), 0.5) for _ in range(2)]
-        work = Factorization(start_g.copy(), s_list)
+        work = start.copy()
         for i in range(2):
             for _ in range(config.bcd_inner_iterations):
                 work.S[i] = linesearch_s(bundle, work, i)
@@ -267,5 +259,5 @@ class TestSolve:
         config = SolverConfig(
             method="bcd", k=2, seed=0, max_iterations=3, mse_stop=0.0, bcd_inner_iterations=2
         )
-        fact, trace = run(bundle, config, start=g_start(rng.random((6, 2)), bundle.N))
+        fact, trace = run(bundle, config, start=random_native_fact(rng, 6, 2, bundle.N))
         assert trace.iterations <= 3

@@ -117,6 +117,16 @@ class TestSolve:
         assert summary["iterations"] <= 2
         assert data.load_factors(out).S.shape == (2, 3, 3)
 
+    def test_bcd_keeps_the_planted_fit(self, tmp_path):
+        # bcd starts from the start's S as well as its G; refitting S from
+        # constants instead ended this run at MSE 1.9e-3.
+        golden = Path(__file__).parent / "data" / "golden_bundle"
+        out = tmp_path / "run"
+        rc = run_cli("solve", "--bundle", golden, "--method", "bcd", "--k", 3,
+                     "--start-from", golden / "planted", "--out", out)
+        assert rc == 0
+        assert json.loads((out / "summary.json").read_text())["final_mse"] < 1e-6
+
     @pytest.mark.parametrize("damage", ["missing", "2-D"])
     def test_bad_s_npy_is_validation_error(self, tmp_path, capsys, damage):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
@@ -467,6 +477,31 @@ class TestBenchmark:
             assert [(row["k"], row["status"]) for row in csv.DictReader(fh)] == [
                 ("1", "ok"), ("2", "ok")]
 
+    def test_ratios_that_round_to_one_k_share_one_run(self, tmp_path, monkeypatch):
+        # The default ratios on planted K = 2 give 12 rows from 4 runs: each
+        # (method, k) is solved once and gives every ratio its row.
+        calls = []
+        real_run = runner.run
+
+        def counting_run(bundle, config, *args, **kwargs):
+            calls.append((config.method, config.k))
+            return real_run(bundle, config, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run", counting_run)
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
+        out = tmp_path / "res"
+        assert run_cli("benchmark", "--suite", bundle_dir, "--methods", "fpm,bcd",
+                       "--max-iters", 5, "--out", out) == 0
+        assert sorted(calls) == [("bcd", 1), ("bcd", 2), ("fpm", 1), ("fpm", 2)]
+        rows = read_rows_without_timing(out / "results.csv")
+        assert [(row["method"], row["k"], row["k_over_K_pct"]) for row in rows] == [
+            (method, k, pct) for method in ("bcd", "fpm")
+            for k, pct in (("1", "20"), ("1", "40"), ("1", "60"),
+                           ("2", "80"), ("2", "100"), ("2", "120"))]
+        for group in (rows[0:3], rows[3:6], rows[6:9], rows[9:12]):
+            assert len({(row["final_mse"], row["iterations"]) for row in group}) == 1
+        assert len(list((out / "runs").iterdir())) == 4
+
     def test_deterministic_modulo_timing(self, suite, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -604,6 +639,29 @@ class TestBenchmark:
             run_cli("benchmark", "--suite", suite, flag, value, "--out", tmp_path / "res")
         assert err.value.code == cli.EXIT_USAGE
         assert not (tmp_path / "res" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "benchmark", "compare", "tune"])
+def test_unwritable_out_exits_3(tmp_path, capsys, command):
+    bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
+    results = tmp_path / "results.csv"
+    results.write_text("bundle,method,n,K,k,final_mse\nb,fpm,12,2,2,0.5\n")
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    argv = {
+        "generate": ("--n", 12, "--K", 2, "--out", afile),
+        "solve": ("--bundle", bundle_dir, "--method", "fpm", "--k", 2, "--out", afile),
+        "benchmark": ("--suite", bundle_dir, "--methods", "fpm", "--ratios", 100, "--out", afile),
+        "compare": ("--results", results, "--out", afile / "winners.csv"),
+        "tune": ("--suite", bundle_dir, "--trials", 1, "--runs", 1, "--max-iters", 5,
+                 "--out", afile / "tune.csv"),
+    }[command]
+    capsys.readouterr()
+    rc = run_cli(command, *argv)
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {afile}: ") and err.count("\n") == 1
+    assert afile.read_text() == "not a directory\n"
 
 
 def pool_worker_bundle_flags():

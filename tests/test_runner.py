@@ -17,7 +17,7 @@ from snmtf.model import (
 )
 from snmtf.runner import SOLVERS, build_start, run
 
-from conftest import assert_block_stack, random_bundle
+from conftest import assert_block_stack, random_bundle, random_native_fact
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +175,22 @@ class TestSolverContract:
         # neither call wrote to the caller's start
         np.testing.assert_array_equal(start.G, before.G)
         np.testing.assert_array_equal(start.S, before.S)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("kind", ["planted", "random"])
+    def test_iteration_zero_is_the_start(self, planted_bundle, method, kind):
+        # Every solver starts from the whole start, S as well as G, so the
+        # first record is the start's own SE (bcd used to refit S from
+        # constants first: 36.35 here against the planted start's 0).
+        if kind == "planted":
+            _, start = generate_synthetic(n=24, K=3, N=3, seed=8)
+        else:
+            start = random_native_fact(np.random.default_rng(6), 24, 3, 3)
+        config = SolverConfig(method=method, k=3, seed=4, max_iterations=1, mse_stop=0.0)
+        _, trace = run(planted_bundle, config, start=start)
+        expected = se(planted_bundle, start)
+        scale = expected + planted_bundle.norm_sq_total
+        assert abs(trace.records[0].se - expected) <= 1e-12 * scale
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("rule, knobs", [
