@@ -18,9 +18,9 @@ native, see ``runner.run``; for ``tune``, every point scored inf).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
@@ -180,15 +180,15 @@ def _read_suite(root) -> list[tuple[Path, dict]]:
     return suite
 
 
-def _sweep_rows(bundle: DataBundle, spec: dict) -> list[dict]:
-    """The results.csv rows of the run ``spec["config"]`` on the loaded
-    bundle: one run, and one row for each ratio in ``spec["pcts"]``."""
-    config = spec["config"]
+def _sweep_rows(bundle: DataBundle, config: SolverConfig, pcts: list[int], planted_k: int,
+                init: str, runs_dir: Path | None) -> list[dict]:
+    """The results.csv rows of ``config`` on the loaded bundle: one run, and
+    one row for each ratio in ``pcts``."""
     row = {
         "bundle": bundle.label,
         "method": config.method,
         "n": bundle.n,
-        "K": spec["planted_K"],
+        "K": planted_k,
         "k": config.k,
         "final_mse": "",
         "iterations": "",
@@ -196,7 +196,7 @@ def _sweep_rows(bundle: DataBundle, spec: dict) -> list[dict]:
         "stop_reason": "",
     }
     try:
-        fact, trace = runner.run(bundle, config, init=spec["init"])
+        fact, trace = runner.run(bundle, config, init=init)
     except Exception as exc:  # record and keep sweeping
         row["stop_reason"] = f"error: {type(exc).__name__}: {exc}"
     else:
@@ -207,39 +207,10 @@ def _sweep_rows(bundle: DataBundle, spec: dict) -> list[dict]:
             seconds=f"{final.elapsed_seconds:.3f}",
             stop_reason=trace.stop_reason,
         )
-        if spec["runs_dir"] is not None:
-            run_dir = spec["runs_dir"] / f"{bundle.label}__{config.method}__k{config.k}"
+        if runs_dir is not None:
+            run_dir = runs_dir / f"{bundle.label}__{config.method}__k{config.k}"
             data.save_factorization(fact, trace, run_dir, config)
-    return [dict(row, k_over_K_pct=pct) for pct in spec["pcts"]]
-
-
-# The bundle a pool worker runs its rows on; set once per worker.
-_pool_bundle: DataBundle | None = None
-
-
-def _receive_bundle(bundle: DataBundle) -> None:
-    global _pool_bundle
-    _pool_bundle = bundle
-
-
-def _pooled_rows(spec: dict) -> list[dict]:
-    return _sweep_rows(_pool_bundle, spec)
-
-
-def _sweep_bundle(bundle_dir, specs: list[dict], jobs: int) -> list[dict]:
-    """Load one bundle and do all of its runs on it.
-
-    With more than one worker the runs go to a process pool whose workers
-    each receive the loaded bundle once, at start-up.
-    """
-    bundle = data.load_bundle(bundle_dir)
-    workers = min(jobs, len(specs))
-    if workers <= 1:
-        return [row for spec in specs for row in _sweep_rows(bundle, spec)]
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_receive_bundle, initargs=(bundle,)
-    ) as pool:
-        return [row for rows in pool.map(_pooled_rows, specs) for row in rows]
+    return [dict(row, k_over_K_pct=pct) for pct in pcts]
 
 
 def cmd_benchmark(args) -> int:
@@ -260,24 +231,23 @@ def cmd_benchmark(args) -> int:
         pcts_by_k: dict[int, list[int]] = {}
         for pct in args.ratios:
             pcts_by_k.setdefault(max(1, round(planted_k * pct / 100)), []).append(pct)
-        specs = [
-            {
-                "config": _checked_config(method=method, k=k, seed=args.seed,
-                                          max_iterations=args.max_iters),
-                "planted_K": planted_k,
-                "pcts": pcts,
-                "init": args.init,
-                "runs_dir": runs_dir,
-            }
+        runs = [
+            (_checked_config(method=method, k=k, seed=args.seed, max_iterations=args.max_iters),
+             pcts)
             for method in args.methods
             for k, pcts in pcts_by_k.items()
         ]
-        plan.append((bundle_dir, specs))
+        plan.append((bundle_dir, planted_k, runs))
 
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for bundle_dir, specs in plan:
-        rows.extend(_sweep_bundle(bundle_dir, specs, args.jobs))
+    for bundle_dir, planted_k, runs in plan:
+        # All of a bundle's runs share one load; it is dropped before the
+        # next bundle loads, so the sweep holds one bundle at a time.
+        bundle = data.load_bundle(bundle_dir)
+        for config, pcts in runs:
+            rows.extend(_sweep_rows(bundle, config, pcts, planted_k, args.init, runs_dir))
+        del bundle
     rows.sort(key=lambda r: (r["bundle"], r["method"], r["k"]))
 
     results_path = out / "results.csv"
@@ -326,10 +296,16 @@ def _mse_cell(results, row: int, text: str) -> float:
 
 def cmd_compare(args) -> int:
     try:
-        with open(args.results, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        raw = Path(args.results).read_bytes()
     except OSError as exc:
         raise ValidationError(f"{args.results}: cannot read results file: {exc.strerror}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start)
+        where = f"row {line}" if line else "header"
+        raise ValidationError(f"{args.results}: {where}: not UTF-8 text") from exc
+    rows = list(csv.DictReader(io.StringIO(text, newline="")))
     if not rows:
         raise ValidationError(f"{args.results}: empty results file")
     missing = [c for c in ("bundle", "method", "n", "K", "k", "final_mse") if c not in rows[0]]
@@ -339,6 +315,13 @@ def cmd_compare(args) -> int:
     groups: dict[tuple, dict[str, float]] = {}
     first_rows: dict[tuple, int] = {}
     for number, row in enumerate(rows, start=1):
+        # DictReader fills a short row's missing cells with None and keeps a
+        # long row's extra cells under the key None.
+        if None in row or None in row.values():
+            raise ValidationError(
+                f"{args.results}: row {number}: has {'more' if None in row else 'fewer'} "
+                "fields than the header"
+            )
         key = (row["bundle"], row["n"], row["K"], row["k"])
         # A sweep's ratios may round to the same k (20% and 40% of K = 2
         # are both k = 1); those rows come from one run, so only rows that
@@ -471,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=runner.INIT_KINDS, default="deterministic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=int, choices=[1], default=1,
+                   help="sweeps run serially; only 1 is accepted")
     p.add_argument("--no-save-runs", action="store_true",
                    help="skip per-run factor/trace directories")
     p.add_argument("--out", required=True)

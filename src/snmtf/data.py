@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -199,18 +200,19 @@ def load_bundle(path, symmetrize: bool = False) -> DataBundle:
 
 
 def read_manifest(path) -> dict:
-    """The bundle's manifest; ``n``, ``N`` and (when present) ``planted_K``
-    must be positive integers, ``label`` (when present) a string that is
-    not ``.`` or ``..`` and holds no path separator, and ``matrices`` (when
-    present) a list of N file names, or ValidationError is raised.  A
+    """The bundle's manifest; it must be UTF-8 JSON, ``n``, ``N`` and (when
+    present) ``planted_K`` must be positive integers, ``norm_sq_total``
+    (when present) a finite number, ``label`` (when present) a string that
+    is not ``.`` or ``..`` and holds no path separator, and ``matrices``
+    (when present) a list of N file names, or ValidationError is raised.  A
     missing ``label`` is filled in as the directory's name."""
     manifest_path = Path(path) / MANIFEST_NAME
     try:
-        with open(manifest_path) as fh:
+        with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except FileNotFoundError as exc:
         raise ValidationError(f"{path}: no {MANIFEST_NAME}; not a bundle directory") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{manifest_path}: malformed manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ValidationError(f"{manifest_path}: malformed manifest: not a JSON object")
@@ -222,6 +224,16 @@ def read_manifest(path) -> dict:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValidationError(
                 f"{manifest_path}: manifest {key} must be a positive integer, got {value!r}"
+            )
+    if "norm_sq_total" in manifest:
+        value = manifest["norm_sq_total"]
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int beyond float
+            finite = False
+        if not finite:
+            raise ValidationError(
+                f"{manifest_path}: manifest norm_sq_total must be a finite number, got {value!r}"
             )
     label = manifest.setdefault("label", Path(path).name)
     if not isinstance(label, str):

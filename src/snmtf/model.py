@@ -159,8 +159,8 @@ class DataBundle:
     indexing it yields the n x n matrices R_i, and ``n``, ``N``, the norms
     and the :attr:`spectrum` are derived from it, each computed on first use
     and held for the bundle's life.  The solvers touch the data only through
-    :meth:`times`.  Instances are immutable and can be shared freely across
-    concurrent solver runs.
+    :meth:`times`.  Instances are immutable, so every run on a bundle, such
+    as a sweep's, reads the same arrays and the same cached spectrum.
     """
 
     R: np.ndarray
@@ -208,14 +208,6 @@ class DataBundle:
             del raw, r
         stack.setflags(write=False)
         return cls(R=stack, label=label)
-
-    def __setstate__(self, state):
-        # An unpickled array comes back writeable (as in a process pool
-        # worker); restore the read-only promise, also for a spectrum that
-        # was computed before pickling.
-        self.__dict__.update(state)
-        for a in (self.R, *self.__dict__.get("spectrum", ())):
-            a.setflags(write=False)
 
     @property
     def n(self) -> int:

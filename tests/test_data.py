@@ -324,6 +324,31 @@ class TestBundleIO:
         with pytest.raises(ValidationError, match=f"manifest {key} must be a positive integer"):
             data.load_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("value", ["abc", [1], float("nan"), float("inf"), True, None, 10**400],
+                             ids=["string", "list", "nan", "inf", "bool", "null", "huge-int"])
+    def test_manifest_norm_must_be_a_finite_number(self, tmp_path, value):
+        # It used to reach load_bundle's float() (ValueError, TypeError), or
+        # as NaN to skip the norm check.
+        bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
+        data.save_bundle(bundle, tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        manifest["norm_sq_total"] = value
+        (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="manifest norm_sq_total must be a finite number"):
+            data.read_manifest(tmp_path / "b")
+        with pytest.raises(ValidationError, match="manifest norm_sq_total must be a finite number"):
+            data.load_bundle(tmp_path / "b")
+
+    def test_manifest_must_be_utf8(self, tmp_path):
+        bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
+        data.save_bundle(bundle, tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        manifest["label"] = "caf\u00e9"
+        (tmp_path / "b" / "manifest.json").write_bytes(
+            json.dumps(manifest, ensure_ascii=False).encode("latin-1"))
+        with pytest.raises(ValidationError, match="malformed manifest: 'utf-8' codec"):
+            data.read_manifest(tmp_path / "b")
+
     @pytest.mark.parametrize("label", [None, 7, ["b"]])
     def test_manifest_label_must_be_a_string(self, tmp_path, label):
         bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)

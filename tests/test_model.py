@@ -1,12 +1,9 @@
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snmtf import runner
-from snmtf.initialization import deterministic_g
 from snmtf.model import (
     DELTA_THRESHOLD,
     MAX_ITERATIONS,
@@ -198,27 +195,6 @@ class TestDataBundle:
         assert_one_stack(bundle)
         with pytest.raises(ValueError):
             bundle.R[0][0, 0] = 1.0
-
-    def test_unpickled_matrices_are_read_only(self, rng):
-        bundle = random_bundle(rng, 4, 2)
-        back = pickle.loads(pickle.dumps(bundle))
-        assert [r.flags.writeable for r in back.R] == [False, False]
-        assert_one_stack(back)
-        assert back.norm_sq_total == bundle.norm_sq_total
-        for x, y in zip(back.R, bundle.R):
-            np.testing.assert_array_equal(x, y)
-
-    def test_unpickled_spectrum_is_read_only(self, rng):
-        # A bundle pickled after its spectrum was taken carries the spectrum
-        # along; the copy's must be as read-only as its R and give the same
-        # start.
-        bundle = random_bundle(rng, 6, 2)
-        g = deterministic_g(bundle, 3)
-        assert [a.flags.writeable for a in bundle.spectrum] == [False, False]
-        back = pickle.loads(pickle.dumps(bundle))
-        assert "spectrum" in vars(back)
-        assert [a.flags.writeable for a in back.spectrum] == [False, False]
-        assert np.array_equal(deterministic_g(back, 3), g)
 
 
 class TestFactorLayout:
