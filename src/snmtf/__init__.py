@@ -15,7 +15,6 @@ from .model import (
     DataBundle,
     DimensionError,
     Factorization,
-    LinePolynomial,
     SolverConfig,
     SolverDivergedError,
     Transform,
@@ -32,7 +31,6 @@ __all__ = [
     "DataBundle",
     "DimensionError",
     "Factorization",
-    "LinePolynomial",
     "SolverConfig",
     "SolverDivergedError",
     "Transform",

@@ -125,7 +125,7 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
     yield Factorization(ABS.apply(g), ABS.apply(s))
 
 
-def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_stop):
+def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations):
     """Max over problems of the mean final MSE of seeded random-start runs;
     a diverged run counts as MSE inf."""
     from .runner import run  # runner imports this module
@@ -137,7 +137,7 @@ def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_s
             config = SolverConfig(
                 method="adam", k=k, seed=int(seed),
                 adam_alpha=alpha, adam_beta1=beta1, adam_beta2=beta2,
-                max_iterations=max_iterations, mse_stop=mse_stop,
+                max_iterations=max_iterations,
             )
             try:
                 finals.append(run(bundle, config, init="random")[1].final.mse)
@@ -149,7 +149,7 @@ def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations, mse_s
 
 def tune_adam(problems, trials: int, seed: int, *, points=None,
               runs_per_problem: int = TUNE_RUNS_PER_PROBLEM,
-              max_iterations: int | None = None, mse_stop: float = 1e-2):
+              max_iterations: int | None = None):
     """Random-search tuning of (alpha, beta1, beta2) over a problem suite.
 
     ``problems`` is a sequence of (bundle, k) pairs, normally with k equal to
@@ -180,7 +180,7 @@ def tune_adam(problems, trials: int, seed: int, *, points=None,
     rows = []
     for idx, (alpha, beta1, beta2) in enumerate(triples):
         score, per_problem = _score_point(
-            problems, alpha, beta1, beta2, run_seeds[idx], max_iterations, mse_stop
+            problems, alpha, beta1, beta2, run_seeds[idx], max_iterations
         )
         rows.append(
             {

@@ -41,7 +41,6 @@ from .gradients import _grad_g, _grad_s, _gram_products, _line_poly
 from .model import (
     DataBundle,
     Factorization,
-    LinePolynomial,
     SolverConfig,
     _sandwich,
     _se_terms,
@@ -56,23 +55,24 @@ MIN_DECREASE = 1e-3
 PERTURBATION_SCALE = 1e-5
 
 
-def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> LinePolynomial:
-    """Quartic p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2 along dG: the
-    line polynomial with P = (G, dG), Q = (S,)."""
+def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the quartic
+    p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2 along dG: the line
+    polynomial with P = (G, dG), Q = (S,)."""
     check_compatible(bundle, fact)
     g, dg = fact.G, np.asarray(dg, float)
     rp = (bundle.times(g), bundle.times(dg))
-    return LinePolynomial(_line_poly(bundle, (g, dg), fact.S[None], rp))
+    return _line_poly(bundle, (g, dg), fact.S[None], rp)
 
 
 def _g_step(bundle: DataBundle, g, gram, h, s, rng):
     """One projected-gradient step on G with exact quartic line search, given
     A = G^T G and the products H_i = R_i G; R_i dG is its one data pass."""
     dg = _grad_g(g, gram, h, s)
-    poly = LinePolynomial(_line_poly(bundle, (g, dg), s[None], (h, bundle.times(dg))))
-    t = poly_minimize(poly, *SEARCH_INTERVAL)
+    c = _line_poly(bundle, (g, dg), s[None], (h, bundle.times(dg)))
+    t = poly_minimize(c, *SEARCH_INTERVAL)
     g_new = g + t * dg
-    if t == 0.0 or poly(t) - poly.c[0] > -MIN_DECREASE:
+    if t == 0.0 or np.polynomial.polynomial.polyval(t, c) - c[0] > -MIN_DECREASE:
         g_new = g_new + PERTURBATION_SCALE * rng.random(g.shape)
     return np.maximum(g_new, 0.0)
 

@@ -66,15 +66,21 @@ def _config_from_args(args) -> SolverConfig:
                               if f.name in given})
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type of an integer that must be at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_seed = _int_at_least(0, "non-negative")
 
 
 def _ratio_list(text: str) -> list[int]:
@@ -294,6 +300,15 @@ def _mse_cell(results, row: int, text: str) -> float:
     return value
 
 
+def _int_cell(results, row: int, column: str, text: str) -> int:
+    """The ``column`` cell of data row ``row`` (from 1) as an int;
+    ValidationError naming the file and the row unless it is an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"{results}: row {row}: {column} {text!r} is not an integer") from None
+
+
 def cmd_compare(args) -> int:
     try:
         raw = Path(args.results).read_bytes()
@@ -322,7 +337,9 @@ def cmd_compare(args) -> int:
                 f"{args.results}: row {number}: has {'more' if None in row else 'fewer'} "
                 "fields than the header"
             )
-        key = (row["bundle"], row["n"], row["K"], row["k"])
+        # Integer keys, so groups sort by the numbers: k = 2 before k = 10.
+        key = (row["bundle"],
+               *(_int_cell(args.results, number, c, row[c]) for c in ("n", "K", "k")))
         # A sweep's ratios may round to the same k (20% and 40% of K = 2
         # are both k = 1); those rows come from one run, so only rows that
         # also share the ratio are duplicates.
@@ -427,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True, help="planted inner dimension")
     p.add_argument("--N", type=int, default=5, help="number of data matrices")
     p.add_argument("--density", type=float, default=0.65)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -470,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--runs", type=_positive_int, default=3, help="runs per (trial, problem)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--k", type=int, default=None, help="override the planted K")
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--point", type=_adam_point, action="append", default=None,

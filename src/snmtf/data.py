@@ -311,7 +311,7 @@ def load_trace_csv(path) -> list[TraceRecord]:
 
 
 def save_factorization(fact: Factorization, trace: ConvergenceTrace, path,
-                       config: SolverConfig | None = None) -> None:
+                       config: SolverConfig) -> None:
     """Write a full run output directory: factors, trace.csv, summary.json.
 
     Output bytes are deterministic for identical inputs except for the
@@ -325,10 +325,9 @@ def save_factorization(fact: Factorization, trace: ConvergenceTrace, path,
         "iterations": trace.iterations,
         "final_se": trace.final.se,
         "final_mse": trace.final.mse,
+        "method": config.method,
+        "config": dataclasses.asdict(config),
     }
-    if config is not None:
-        summary["method"] = config.method
-        summary["config"] = dataclasses.asdict(config)
     with open(path / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -40,7 +40,6 @@ from .gradients import _line_poly, _transformed_step
 from .model import (
     DataBundle,
     Factorization,
-    LinePolynomial,
     SolverConfig,
     Transform,
     check_compatible,
@@ -71,8 +70,9 @@ def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h):
     return _line_poly(bundle, p, _square_line(s, step_s), (h, *rp)), rp
 
 
-def line_poly_coeffs(bundle: DataBundle, g, s, grad_g, grad_s) -> LinePolynomial:
-    """Degree-12 polynomial p(t) = SE((G' - t dG')^2, (S_i' - t dS_i')^2).
+def line_poly_coeffs(bundle: DataBundle, g, s, grad_g, grad_s) -> np.ndarray:
+    """Ascending coefficients of the degree-12 polynomial
+    p(t) = SE((G' - t dG')^2, (S_i' - t dS_i')^2).
 
     ``g`` and ``s`` (a stack or sequence of the S_i') are the raw variables
     and ``grad_g`` / ``grad_s`` the gradients there; the sign flip to the
@@ -86,7 +86,7 @@ def line_poly_coeffs(bundle: DataBundle, g, s, grad_g, grad_s) -> LinePolynomial
     h = bundle.times(native.G)
     step_g = -np.asarray(grad_g, dtype=float)
     step_s = -np.asarray(grad_s, dtype=float)
-    return LinePolynomial(_line_poly_coefficients(bundle, g, s, step_g, step_s, h)[0])
+    return _line_poly_coefficients(bundle, g, s, step_g, step_s, h)[0]
 
 
 def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng):
@@ -102,7 +102,7 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
     se_value, dg, ds = _transformed_step(bundle, SQUARE, g, s, h)
     while (yield se_value):
         coeffs, (rp1, rp2) = _line_poly_coefficients(bundle, g, s, -dg, -ds, h)
-        t = poly_minimize(LinePolynomial(coeffs))
+        t = poly_minimize(coeffs)
         if t != 0.0:
             g -= t * dg
             s -= t * ds

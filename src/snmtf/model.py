@@ -283,9 +283,6 @@ class Factorization:
     def N(self) -> int:
         return len(self.S)
 
-    def copy(self) -> "Factorization":
-        return Factorization(self.G.copy(), self.S)
-
 
 def _check_native(fact: Factorization, label: str) -> None:
     """Raise ValidationError unless G and every S_i are finite and
@@ -489,9 +486,9 @@ class SolverConfig:
     conventional beta^i form.
 
     Raises ValueError on an unknown method, a non-positive integer knob,
-    a negative stopping threshold, ``adam_alpha <= 0``, an ``adam_epsilon``
-    that is not finite and positive, or an adam beta outside the open
-    interval (0, 1).
+    a negative ``seed``, a negative stopping threshold, ``adam_alpha <= 0``,
+    an ``adam_epsilon`` that is not finite and positive, or an adam beta
+    outside the open interval (0, 1).
     """
 
     method: str
@@ -515,6 +512,8 @@ class SolverConfig:
         for name in ("k", "max_iterations", "bcd_inner_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for name in ("mse_stop", "delta_stop"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
@@ -527,34 +526,12 @@ class SolverConfig:
                 raise ValueError(f"{name} must lie in the open interval (0, 1)")
 
 
-@dataclass
-class LinePolynomial:
-    """Univariate step-size polynomial p(t) = sum_j c[j] t^j.
+def poly_minimize(c, lo: float = -np.inf, hi: float = np.inf) -> float:
+    """Global minimizer of p(t) = sum_j c[j] t^j on [lo, hi] among 0, the
+    finite bounds and the real stationary points, each clipped to [lo, hi].
 
-    ``c`` holds ascending coefficients; degree 4 for the coordinate-descent
-    quartic, 12 for the squared-variable exact line search.
-    """
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float).ravel()
-
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1
-
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(t, self.c)
-
-    def derivative_coeffs(self) -> np.ndarray:
-        """Ascending coefficients of p'(t)."""
-        return np.arange(1, len(self.c)) * self.c[1:]
-
-
-def poly_minimize(poly: LinePolynomial, lo: float = -np.inf, hi: float = np.inf) -> float:
-    """Global minimizer of p on [lo, hi] among 0, the finite bounds and the
-    real stationary points, each clipped to [lo, hi].
+    ``c`` holds ascending coefficients: degree 4 for bcd's quartic, 12 for
+    gmels' squared-variable exact line search.
 
     Stationary points are the roots of p', found as eigenvalues of the
     balanced companion matrix after stripping leading coefficients below
@@ -563,12 +540,13 @@ def poly_minimize(poly: LinePolynomial, lo: float = -np.inf, hi: float = np.inf)
     smaller p, then smaller |t|, then the negative sign: a flat polynomial
     gives 0 whenever 0 is in range.
     """
-    dc = poly.derivative_coeffs()
+    c = np.asarray(c, dtype=float)
+    dc = np.arange(1, len(c)) * c[1:]
     keep = np.nonzero(np.abs(dc) > LEADING_COEFF_RTOL * np.abs(dc).max(initial=0.0))[0]
     roots = np.roots(dc[: keep[-1] + 1][::-1]) if keep.size else []
     real = [float(r.real) for r in roots if abs(r.imag) <= REAL_ROOT_IMAG_RTOL * (1.0 + abs(r.real))]
     bounds = [b for b in (lo, hi) if np.isfinite(b)]
     candidates = np.clip([0.0] + bounds + real, lo, hi)
-    values = poly(candidates)
+    values = np.polynomial.polynomial.polyval(candidates, c)
     order = np.lexsort((candidates, np.abs(candidates), values))
     return float(candidates[order[0]])

@@ -183,7 +183,7 @@ class TestProperties:
             g = rng.standard_normal((6, 2)) * 0.5
             s_list = [(lambda s: (s + s.T) / 2)(rng.standard_normal((2, 2)) * 0.5) for _ in range(2)]
             grads = grad_transformed(bundle, Transform.SQUARE, g, s_list)
-            poly = line_poly_coeffs(bundle, g, s_list, *grads)
+            c = line_poly_coeffs(bundle, g, s_list, *grads)
 
             def direct(t):
                 trial_g = Transform.SQUARE.apply(g - t * grads[0])
@@ -193,9 +193,9 @@ class TestProperties:
 
             for t in rng.uniform(-1.0, 1.0, 20):
                 val = direct(t)
-                worst_eval = max(worst_eval, abs(poly(t) - val) / abs(val))
+                worst_eval = max(worst_eval, abs(np.polynomial.polynomial.polyval(t, c) - val) / abs(val))
             interpolated = np.linalg.solve(vander, [direct(t) for t in nodes])
-            worst_coeff = max(worst_coeff, float(np.max(np.abs(interpolated - poly.c) / np.abs(poly.c))))
+            worst_coeff = max(worst_coeff, float(np.max(np.abs(interpolated - c) / np.abs(c))))
         ok = worst_eval <= 1e-8 and worst_coeff <= 1e-6
         assert report(
             6, ok,
@@ -210,11 +210,11 @@ class TestProperties:
         s_list = [(lambda s: (s + s.T) / 2)(rng.random((2, 2))) for _ in range(3)]
         fact = Factorization(g, s_list)
         dg, _ = grad_native(bundle, fact)
-        poly = quartic_coeffs(bundle, fact, dg)
+        c = quartic_coeffs(bundle, fact, dg)
         worst = 0.0
         for t in (-1.0, -0.5, -0.1, 0.1, 0.5):
             direct = se(bundle, Factorization(g + t * dg, s_list))
-            worst = max(worst, abs(poly(t) - direct) / direct)
+            worst = max(worst, abs(np.polynomial.polynomial.polyval(t, c) - direct) / direct)
 
         # S-step closed form vs a 10^6-point grid search on ||Z - t W||^2.
         small = random_bundle(rng, 6, 1)

@@ -629,6 +629,23 @@ def test_unwritable_out_exits_3(tmp_path, capsys, command):
     assert afile.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "solve", "benchmark", "tune"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
+    out = tmp_path / "out"
+    argv = {
+        "generate": ("--n", 12, "--K", 2),
+        "solve": ("--bundle", bundle_dir, "--method", "fpm", "--k", 2),
+        "benchmark": ("--suite", bundle_dir, "--methods", "fpm", "--ratios", 100),
+        "tune": ("--suite", bundle_dir, "--trials", 1, "--runs", 1, "--max-iters", 5),
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, *argv, "--seed", -1, "--out", out)
+    assert err.value.code == cli.EXIT_USAGE
+    assert "non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCompare:
     def _write_results(self, path, rows):
         with open(path, "w", newline="") as fh:
@@ -678,7 +695,11 @@ class TestCompare:
         (b"b,fpm,10,2,2,0.5\nb,adam,10,2,2,0.4,x\n", "row 2: has more fields than the header"),
         (b"b,fpm,10,2,2,0.5\nb,\xff,10,2,2,0.4\n", "row 2: not UTF-8 text"),
         (b"b,fpm,10,2,2,0.5\n\xff", "row 2: not UTF-8 text"),
-    ], ids=["short", "long", "not-utf8", "not-utf8-last-line"])
+        (b"b,fpm,abc,2,x,0.5\n", "row 1: n 'abc' is not an integer"),
+        (b"b,fpm,10,2,2,0.5\nb,adam,10,2.5,2,0.4\n", "row 2: K '2.5' is not an integer"),
+        (b"b,fpm,10,2,,0.5\n", "row 1: k '' is not an integer"),
+    ], ids=["short", "long", "not-utf8", "not-utf8-last-line", "n-not-integer",
+            "K-not-integer", "k-empty"])
     def test_malformed_row_is_validation_error(self, tmp_path, capsys, content, message):
         results = tmp_path / "results.csv"
         results.write_bytes(b"bundle,method,n,K,k,final_mse\n" + content)
@@ -687,6 +708,15 @@ class TestCompare:
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {results}: {message}\n"
         assert not out.exists()
+
+    def test_groups_sort_by_number(self, tmp_path):
+        # A default-ratio sweep at K = 10 writes k = 2, 4, ..., 12.
+        results = tmp_path / "results.csv"
+        self._write_results(results, [self._row("fpm", "0.3", k=k) for k in ("10", "12", "2", "4")])
+        out = tmp_path / "winners.csv"
+        assert run_cli("compare", "--results", results, "--out", out) == 0
+        with open(out) as fh:
+            assert [row["k"] for row in csv.DictReader(fh)] == ["2", "4", "10", "12"]
 
     def test_duplicate_run_is_validation_error(self, tmp_path, capsys):
         # A later row used to overwrite the earlier one's MSE without a word.

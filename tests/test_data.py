@@ -422,7 +422,7 @@ class TestFactorizationIO:
 
     def test_round_trip(self, rng, tmp_path):
         fact = Factorization(rng.random((5, 2)), [rng.random((2, 2)) for _ in range(2)])
-        data.save_factorization(fact, self._trace(), tmp_path / "run")
+        data.save_factorization(fact, self._trace(), tmp_path / "run", SolverConfig(method="fpm", k=2))
         back = data.load_factors(tmp_path / "run")
         assert np.array_equal(back.G, fact.G)
         for x, y in zip(back.S, fact.S):
@@ -462,7 +462,7 @@ class TestFactorizationIO:
     def test_trace_row_count(self, rng, tmp_path):
         fact = Factorization(rng.random((3, 1)), [rng.random((1, 1))])
         trace = self._trace()
-        data.save_factorization(fact, trace, tmp_path / "run")
+        data.save_factorization(fact, trace, tmp_path / "run", SolverConfig(method="fpm", k=1))
         records = data.load_trace_csv(tmp_path / "run" / "trace.csv")
         assert len(records) == len(trace.records)
         assert [r.iteration for r in records] == [0, 1, 2]

@@ -7,7 +7,6 @@ from snmtf.gmels import line_poly_coeffs, poly_minimize
 from snmtf.gradients import grad_transformed
 from snmtf.model import (
     Factorization,
-    LinePolynomial,
     SolverConfig,
     Transform,
     ValidationError,
@@ -48,22 +47,22 @@ class TestLinePolyCoeffs:
         bundle = random_bundle(rng, 6, 2)
         g, s = square_point(rng, 6, 2, 2)
         zero = (np.zeros_like(g), [np.zeros_like(x) for x in s])
-        poly = line_poly_coeffs(bundle, g, s, *zero)
-        assert poly.degree == 12
-        assert poly.c[0] == pytest.approx(transformed_se(bundle, g, s), rel=1e-12)
-        np.testing.assert_allclose(poly.c[1:], 0.0, atol=1e-9)
+        c = line_poly_coeffs(bundle, g, s, *zero)
+        assert len(c) == 13
+        assert c[0] == pytest.approx(transformed_se(bundle, g, s), rel=1e-12)
+        np.testing.assert_allclose(c[1:], 0.0, atol=1e-9)
 
     def test_c12_is_top_term_norm(self, rng):
         bundle = random_bundle(rng, 5, 2)
         g, s = square_point(rng, 5, 2, 2)
         dg, ds = grad_transformed(bundle, SQUARE, g, s)
-        poly = line_poly_coeffs(bundle, g, s, dg, ds)
+        c = line_poly_coeffs(bundle, g, s, dg, ds)
         expected = 0.0
         for dsi in ds:
             top = ((dg * dg) @ (dsi * dsi)) @ (dg * dg).T
             expected += float(np.sum(top * top))
-        assert poly.c[12] == pytest.approx(expected, rel=1e-10)
-        assert poly.c[12] >= 0.0
+        assert c[12] == pytest.approx(expected, rel=1e-10)
+        assert c[12] >= 0.0
 
     def test_matches_vandermonde_interpolation(self, rng):
         # 13-node exact interpolation through direct SE values at
@@ -73,75 +72,74 @@ class TestLinePolyCoeffs:
         bundle = random_bundle(rng, 6, 2)
         point = square_point(rng, 6, 2, 2, scale=0.5)
         grads = grad_transformed(bundle, SQUARE, *point)
-        poly = line_poly_coeffs(bundle, *point, *grads)
+        c = line_poly_coeffs(bundle, *point, *grads)
 
         nodes = np.array([0.0] + [s * 0.1 * j for j in range(1, 7) for s in (1, -1)])
         values = [transformed_se(bundle, *trial_point(point, grads, t)) for t in nodes]
         vander = np.vander(nodes, 13, increasing=True)
         interpolated = np.linalg.solve(vander, values)
-        rel = np.abs(interpolated - poly.c) / np.abs(poly.c)
+        rel = np.abs(interpolated - c) / np.abs(c)
         assert rel.max() <= 1e-6
 
     def test_horner_matches_direct_se_along_step(self, rng):
         bundle = random_bundle(rng, 6, 2)
         point = square_point(rng, 6, 2, 2)
         grads = grad_transformed(bundle, SQUARE, *point)
-        poly = line_poly_coeffs(bundle, *point, *grads)
+        c = line_poly_coeffs(bundle, *point, *grads)
         for t in rng.uniform(-1.0, 1.0, 20):
             direct = transformed_se(bundle, *trial_point(point, grads, t))
-            assert poly(t) == pytest.approx(direct, rel=1e-8)
+            assert np.polynomial.polynomial.polyval(t, c) == pytest.approx(direct, rel=1e-8)
 
 
 class TestPolyMinimize:
     def test_shifted_parabola(self):
         # p(t) = (t - 3)^2 = 9 - 6t + t^2
-        assert poly_minimize(LinePolynomial([9.0, -6.0, 1.0])) == pytest.approx(3.0, abs=1e-12)
+        assert poly_minimize([9.0, -6.0, 1.0]) == pytest.approx(3.0, abs=1e-12)
 
     def test_double_well(self):
         # p(t) = t^4 - 2 t^2: global minima at -1 and +1, both value -1.
-        t = poly_minimize(LinePolynomial([0.0, 0.0, -2.0, 0.0, 1.0]))
+        c = [0.0, 0.0, -2.0, 0.0, 1.0]
+        t = poly_minimize(c)
         assert abs(t) == pytest.approx(1.0, abs=1e-10)
-        poly = LinePolynomial([0.0, 0.0, -2.0, 0.0, 1.0])
-        assert poly(t) == pytest.approx(-1.0, abs=1e-12)
+        assert np.polynomial.polynomial.polyval(t, c) == pytest.approx(-1.0, abs=1e-12)
 
     def test_flat_polynomial_returns_zero(self):
-        assert poly_minimize(LinePolynomial([5.0])) == 0.0
-        assert poly_minimize(LinePolynomial(np.zeros(13))) == 0.0
+        assert poly_minimize([5.0]) == 0.0
+        assert poly_minimize(np.zeros(13)) == 0.0
 
     def test_bounded_stationary_point_outside_gives_best_endpoint(self):
         # (t - 3)^2 and (t + 3)^2 have their minimizers outside [-1, 0].
-        assert poly_minimize(LinePolynomial([9.0, -6.0, 1.0]), -1.0, 0.0) == 0.0
-        assert poly_minimize(LinePolynomial([9.0, 6.0, 1.0]), -1.0, 0.0) == -1.0
+        assert poly_minimize([9.0, -6.0, 1.0], -1.0, 0.0) == 0.0
+        assert poly_minimize([9.0, 6.0, 1.0], -1.0, 0.0) == -1.0
         # p(t) = t is linear: no stationary point, the lower bound wins.
-        assert poly_minimize(LinePolynomial([0.0, 1.0]), -1.0, 0.0) == -1.0
+        assert poly_minimize([0.0, 1.0], -1.0, 0.0) == -1.0
         # (t + 1/2)^2 has its minimizer inside.
-        assert poly_minimize(LinePolynomial([0.25, 1.0, 1.0]), -1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
+        assert poly_minimize([0.25, 1.0, 1.0], -1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
         # t^4 - 2 t^2 on [0, 2]: only the well at +1 is in range.
-        assert poly_minimize(LinePolynomial([0.0, 0.0, -2.0, 0.0, 1.0]), 0.0, 2.0) == pytest.approx(1.0, abs=1e-10)
+        assert poly_minimize([0.0, 0.0, -2.0, 0.0, 1.0], 0.0, 2.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_bounded_flat_polynomial_returns_zero(self):
-        assert poly_minimize(LinePolynomial([5.0]), -1.0, 0.0) == 0.0
-        assert poly_minimize(LinePolynomial(np.zeros(5)), -1.0, 0.0) == 0.0
+        assert poly_minimize([5.0], -1.0, 0.0) == 0.0
+        assert poly_minimize(np.zeros(5), -1.0, 0.0) == 0.0
 
     def test_random_degree_12_against_grid(self, rng):
         for _ in range(5):
             c = rng.standard_normal(13)
             c[12] = abs(c[12]) + 0.5  # positive leading coefficient
-            poly = LinePolynomial(c)
-            t = poly_minimize(poly)
+            t = poly_minimize(c)
 
             ts = np.linspace(-10.0, 10.0, 10**7)
             best = np.inf
             for chunk in np.array_split(ts, 20):
-                best = min(best, float(np.min(poly(chunk))))
+                best = min(best, float(np.min(np.polynomial.polynomial.polyval(chunk, c))))
             # the analytic minimizer is at least as good as the grid optimum
-            assert poly(t) <= best + 1e-8 * (1.0 + abs(best))
+            assert np.polynomial.polynomial.polyval(t, c) <= best + 1e-8 * (1.0 + abs(best))
 
     def test_tiny_leading_coefficients_stripped(self):
         c = np.zeros(13)
         c[0], c[1], c[2] = 1.0, -2.0, 1.0  # (t - 1)^2
         c[12] = 1e-30
-        assert poly_minimize(LinePolynomial(c)) == pytest.approx(1.0, abs=1e-9)
+        assert poly_minimize(c) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSolve:
@@ -248,6 +246,6 @@ class TestSolve:
         if trace.stop_reason == "delta_threshold":
             lifted = SQUARE.lift(fact.G), SQUARE.lift(fact.S)
             grads = grad_transformed(bundle, SQUARE, *lifted)
-            poly = line_poly_coeffs(bundle, *lifted, *grads)
-            t = poly_minimize(poly)
-            assert abs(poly(t) - poly.c[0]) <= 1e-8 * (1.0 + poly.c[0])
+            c = line_poly_coeffs(bundle, *lifted, *grads)
+            t = poly_minimize(c)
+            assert abs(np.polynomial.polynomial.polyval(t, c) - c[0]) <= 1e-8 * (1.0 + c[0])

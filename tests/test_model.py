@@ -13,7 +13,6 @@ from snmtf.model import (
     DataBundle,
     DimensionError,
     Factorization,
-    LinePolynomial,
     SolverConfig,
     SolverDivergedError,
     Transform,
@@ -216,10 +215,6 @@ class TestFactorLayout:
         fact.S[0] = 0.0
         np.testing.assert_array_equal(s, before)
 
-    def test_copy_keeps_the_stack(self, rng):
-        fact = random_native_fact(rng, 6, 3, 4)
-        assert_block_stack(fact.copy().S, 4, 3)
-
     def test_constructor_checks_shapes(self, rng):
         with pytest.raises(DimensionError, match="G has shape"):
             Factorization(rng.random(5), [np.eye(1)])
@@ -270,6 +265,7 @@ class TestSolverConfig:
             ("adam_alpha", 0.0), ("adam_alpha", -0.002),
             ("adam_epsilon", 0.0), ("adam_epsilon", -1.0),
             ("adam_epsilon", float("inf")), ("adam_epsilon", float("nan")),
+            ("seed", -1),
         ],
     )
     def test_rejects_out_of_range_knobs(self, field, value):
@@ -383,13 +379,3 @@ class TestDrive:
         with pytest.raises(SolverDivergedError, match="step 2 failed") as err:
             drive(self.UNIT, config, self._steps([1.0, 0.9, 0.8], fail_at=2))
         assert [(r.iteration, r.se) for r in err.value.records] == [(0, 1.0), (1, 0.9)]
-
-
-class TestLinePolynomial:
-    def test_evaluation_and_derivative(self):
-        poly = LinePolynomial([1.0, -2.0, 3.0])
-        assert poly(2.0) == pytest.approx(1 - 4 + 12)
-        np.testing.assert_allclose(poly.derivative_coeffs(), [-2.0, 6.0])
-
-    def test_degree(self):
-        assert LinePolynomial(np.zeros(13)).degree == 12

@@ -96,8 +96,7 @@ class TestRunDispatch:
     @pytest.mark.parametrize("method", ["fpm", "bcd", "gmels", "adam"])
     @pytest.mark.parametrize("block", ["G", "S_2"])
     def test_explicit_negative_start_rejected(self, planted_bundle, method, block):
-        _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
-        start = planted.copy()
+        _, start = generate_synthetic(n=24, K=3, N=3, seed=8)
         target = start.G if block == "G" else start.S[1]
         target[1, 1] = -0.25
         config = SolverConfig(method=method, k=3, seed=0)
@@ -111,8 +110,7 @@ class TestRunDispatch:
         pytest.param("asymmetric S_1", "start S_1 is not symmetric", id="asymmetric-S_1"),
     ])
     def test_explicit_malformed_start_rejected(self, planted_bundle, method, case, message):
-        _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
-        start = planted.copy()
+        _, start = generate_synthetic(n=24, K=3, N=3, seed=8)
         if case == "nan G":
             start.G[2, 0] = np.nan
         elif case == "inf S_3":
@@ -126,8 +124,7 @@ class TestRunDispatch:
 
     def test_start_within_iterate_symmetry_tolerance_accepted(self, planted_bundle):
         # A previous run's output, symmetric up to rounding, chains in.
-        _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
-        start = planted.copy()
+        _, start = generate_synthetic(n=24, K=3, N=3, seed=8)
         start.S[0, 0, 1] += 0.5 * SYMMETRY_ITERATE_RTOL * np.abs(start.S[0]).max()
         run(planted_bundle, SolverConfig(method="adam", k=3, max_iterations=2), start=start)
 
@@ -136,8 +133,7 @@ class TestRunDispatch:
         # The solver starts from the exact symmetric part of an accepted
         # start, so even a start that is symmetric only to the tolerance
         # gives exactly symmetric output.
-        _, planted = generate_synthetic(n=24, K=3, N=3, seed=8)
-        start = planted.copy()
+        _, start = generate_synthetic(n=24, K=3, N=3, seed=8)
         start.S[0, 0, 1] += 0.5 * SYMMETRY_ITERATE_RTOL * np.abs(start.S[0]).max()
         config = SolverConfig(method=method, k=3, max_iterations=2, mse_stop=0.0)
         fact, _ = run(planted_bundle, config, start=start)
@@ -164,7 +160,7 @@ class TestSolverContract:
     def test_run_equals_direct_solver_call(self, planted_bundle, method, init):
         config = SolverConfig(method=method, k=3, seed=4, max_iterations=12, mse_stop=0.0)
         start = build_start(planted_bundle, config, init)
-        before = start.copy()
+        before = Factorization(start.G.copy(), start.S)
         fact, trace = run(planted_bundle, config, start=start)
         steps = SOLVERS[method](planted_bundle, config, start, np.random.default_rng(config.seed))
         direct, direct_trace = drive(planted_bundle, config, steps)
