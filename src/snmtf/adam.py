@@ -11,9 +11,9 @@ Per step and per variable X (X ranges over G' and the stack of the S_i'):
     V_X <- beta2 V_X + (1 - beta2) dX * dX
     X   <- X - eta * M_X / (sqrt(V_X) + eps)
 
-with element-wise products, division and square root.  The step size follows
-the schedule eta = alpha * sqrt(1 - (1 - beta2)^i) / (1 - (1 - beta1)^i); a
-config switch selects the conventional beta^i correction factors instead.
+with element-wise products, division and square root, and the fixed
+eps = ``EPSILON`` = 1e-8.  The step size at step i is
+eta = alpha * sqrt(1 - (1 - beta2)^i) / (1 - (1 - beta1)^i).
 No descent guarantee holds, so no monotonicity is asserted anywhere.
 
 The objective and gradient come from the shared Gram step, and no n x n
@@ -44,6 +44,8 @@ from .model import (
 
 ABS = Transform.ABS
 
+EPSILON = 1e-8
+
 TUNE_ALPHA_RANGE = (1e-4, 1e-1)
 TUNE_BETA1_RANGE = (0.2, 0.999)
 TUNE_BETA2_RANGE = (0.1, 0.999)
@@ -70,11 +72,9 @@ class AdamState:
         )
 
 
-def adam_eta(alpha: float, beta1: float, beta2: float, i: int,
-             standard_bias_correction: bool = False) -> float:
-    """Step size at step i >= 1; tends to alpha as i grows."""
-    if standard_bias_correction:
-        return alpha * math.sqrt(1.0 - beta2**i) / (1.0 - beta1**i)
+def adam_eta(alpha: float, beta1: float, beta2: float, i: int) -> float:
+    """Step size alpha * sqrt(1 - (1 - beta2)^i) / (1 - (1 - beta1)^i) at
+    step i >= 1; tends to alpha as i grows."""
     return alpha * math.sqrt(1.0 - (1.0 - beta2) ** i) / (1.0 - (1.0 - beta1) ** i)
 
 
@@ -113,14 +113,11 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
     it = 0
     while (yield se_value):
         it += 1
-        eta = adam_eta(
-            config.adam_alpha, config.adam_beta1, config.adam_beta2, it,
-            config.standard_bias_correction,
-        )
+        eta = adam_eta(config.adam_alpha, config.adam_beta1, config.adam_beta2, it)
         if not (np.isfinite(dg).all() and np.isfinite(ds).all()):
             raise SolverDivergedError(f"gradient became non-finite at iteration {it}")
         adam_step(state, g, s, (dg, ds), eta, config.adam_beta1,
-                  config.adam_beta2, config.adam_epsilon)
+                  config.adam_beta2, EPSILON)
         se_value, dg, ds = _transformed_step(bundle, ABS, g, s, bundle.times(ABS.apply(g)))
     yield Factorization(ABS.apply(g), ABS.apply(s))
 

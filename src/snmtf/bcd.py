@@ -1,7 +1,8 @@
 """Two-block coordinate descent with projected-gradient inner solves.
 
-Each outer iteration solves the S-block, then the G-block, each by a fixed
-number of projected-gradient steps with exact line search:
+Each outer iteration solves the S-block, then the G-block, each by the
+paper's fixed ``INNER_STEPS`` = 10 projected-gradient steps with exact line
+search:
 
 * S-block: for fixed G the problem splits into N independent convex
   quadratics.  Along the gradient direction dS_i the objective is a quadratic
@@ -22,8 +23,8 @@ All line-search quantities are reduced to k x k products (Frobenius traces),
 so the cost is dominated by the data passes (see ``DataBundle.times``):
 N at the start, then 2 N per G step (R_i dG for the quartic, then R_i G at
 the new point, which also serves the next G step and the trace), i.e. 20 N
-per outer iteration at the default 10 inner steps.  The S block needs
-M_i = G^T R_i G only, which the last G step's products already hold.
+per outer iteration.  The S block needs M_i = G^T R_i G only, which the last
+G step's products already hold.
 R_i G is formed afresh rather than carried through the projection, as gmels
 carries it along its line: on planted instances the projection clips 60-83%
 of G's entries per step, so the correction R_i C for the clipped part C
@@ -53,6 +54,7 @@ from .model import (
 SEARCH_INTERVAL = (-1.0, 0.0)
 MIN_DECREASE = 1e-3
 PERTURBATION_SCALE = 1e-5
+INNER_STEPS = 10
 
 
 def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> np.ndarray:
@@ -136,8 +138,8 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization,
     norms = bundle.norms_sq
     gram, h, mid = _gram_products(bundle, g)
     while (yield se_from_gram(norms, gram, mid, s)):
-        s = _s_inner_solve(gram, mid, s, config.bcd_inner_iterations, norms, substep_log)
-        for _ in range(config.bcd_inner_iterations):
+        s = _s_inner_solve(gram, mid, s, INNER_STEPS, norms, substep_log)
+        for _ in range(INNER_STEPS):
             g = _g_step(bundle, g, gram, h, s, rng)
             gram, h, mid = _gram_products(bundle, g)
     yield Factorization(g, s)

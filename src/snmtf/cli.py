@@ -122,14 +122,9 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     flag("--max-iters", "max_iterations", type=int, help="iteration cap (default: per-method)")
     flag("--mse-stop", "mse_stop", type=float)
     flag("--delta-stop", "delta_stop", type=float)
-    flag("--bcd-inner", "bcd_inner_iterations", type=int,
-         help="projected-gradient steps per coordinate block")
     flag("--adam-alpha", "adam_alpha", type=float)
     flag("--adam-beta1", "adam_beta1", type=float)
     flag("--adam-beta2", "adam_beta2", type=float)
-    flag("--adam-eps", "adam_epsilon", type=float)
-    flag("--standard-bias-correction", "standard_bias_correction", action="store_true",
-         help="use beta^i bias-correction factors in the adam schedule")
 
 
 def cmd_generate(args) -> int:
@@ -290,23 +285,29 @@ def _aggregate_rows(rows):
 def _mse_cell(results, row: int, text: str) -> float:
     """The final_mse cell of data row ``row`` (from 1) as a float;
     ValidationError naming the file and the row unless it is a finite
-    number."""
+    non-negative number."""
     try:
         value = float(text)
     except ValueError:
         value = np.nan
     if not np.isfinite(value):
         raise ValidationError(f"{results}: row {row}: final_mse {text!r} is not a finite number")
+    if value < 0.0:
+        raise ValidationError(f"{results}: row {row}: final_mse {text!r} is negative")
     return value
 
 
 def _int_cell(results, row: int, column: str, text: str) -> int:
     """The ``column`` cell of data row ``row`` (from 1) as an int;
-    ValidationError naming the file and the row unless it is an integer."""
+    ValidationError naming the file and the row unless it is an integer
+    of at least 1."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValidationError(f"{results}: row {row}: {column} {text!r} is not an integer") from None
+    if value < 1:
+        raise ValidationError(f"{results}: row {row}: {column} {text!r} is below 1")
+    return value
 
 
 def cmd_compare(args) -> int:
@@ -337,6 +338,8 @@ def cmd_compare(args) -> int:
                 f"{args.results}: row {number}: has {'more' if None in row else 'fewer'} "
                 "fields than the header"
             )
+        if not row["method"]:
+            raise ValidationError(f"{args.results}: row {number}: empty method")
         # Integer keys, so groups sort by the numbers: k = 2 before k = 10.
         key = (row["bundle"],
                *(_int_cell(args.results, number, c, row[c]) for c in ("n", "K", "k")))

@@ -480,15 +480,13 @@ class SolverConfig:
     """Method choice plus every knob the four solvers read.
 
     ``max_iterations`` defaults per method: 4000 (fpm), 300 (bcd), 1000
-    (gmels), 3000 (adam).  ``bcd_inner_iterations`` is the projected-gradient
-    step count per block.  ``standard_bias_correction`` switches the adam
-    step-size schedule from the default (1-beta)^i correction factors to the
-    conventional beta^i form.
+    (gmels), 3000 (adam).  The paper fixes bcd's inner step count
+    (``bcd.INNER_STEPS``) and adam's eps (``adam.EPSILON``); they are
+    constants there, not knobs.
 
-    Raises ValueError on an unknown method, a non-positive integer knob,
-    a negative ``seed``, a negative stopping threshold, ``adam_alpha <= 0``,
-    an ``adam_epsilon`` that is not finite and positive, or an adam beta
-    outside the open interval (0, 1).
+    Raises ValueError on an unknown method, a non-positive ``k`` or
+    ``max_iterations``, a negative ``seed``, a negative stopping threshold,
+    ``adam_alpha <= 0``, or an adam beta outside the open interval (0, 1).
     """
 
     method: str
@@ -500,16 +498,13 @@ class SolverConfig:
     adam_alpha: float = 0.002
     adam_beta1: float = 0.95
     adam_beta2: float = 0.995
-    adam_epsilon: float = 1e-8
-    standard_bias_correction: bool = False
-    bcd_inner_iterations: int = 10
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.max_iterations is None:
             self.max_iterations = DEFAULT_MAX_ITERATIONS[self.method]
-        for name in ("k", "max_iterations", "bcd_inner_iterations"):
+        for name in ("k", "max_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if self.seed < 0:
@@ -519,8 +514,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be non-negative")
         if not self.adam_alpha > 0.0:
             raise ValueError("adam_alpha must be positive")
-        if not 0.0 < self.adam_epsilon < np.inf:
-            raise ValueError("adam_epsilon must be finite and positive")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in the open interval (0, 1)")

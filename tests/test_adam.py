@@ -42,12 +42,6 @@ class TestEta:
         assert eta >= 0.01 * (1 - 1e-12)
         assert eta == pytest.approx(0.01 / math.sqrt(1.0 - (1.0 - beta) ** i), rel=1e-12)
 
-    def test_standard_bias_correction_variant(self):
-        expected = 0.002 * math.sqrt(1.0 - 0.995) / (1.0 - 0.95)
-        assert adam_eta(0.002, 0.95, 0.995, 1, standard_bias_correction=True) == pytest.approx(
-            expected, rel=1e-15
-        )
-
 
 class TestStep:
     def _point(self, rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from snmtf.bcd import (
+    INNER_STEPS,
     _s_inner_solve,
     iterate,
     linesearch_g,
@@ -245,19 +246,11 @@ class TestSolve:
 
         work = Factorization(start.G.copy(), start.S)
         for i in range(2):
-            for _ in range(config.bcd_inner_iterations):
+            for _ in range(INNER_STEPS):
                 work.S[i] = linesearch_s(bundle, work, i)
         manual_rng = np.random.default_rng(config.seed)
-        for _ in range(config.bcd_inner_iterations):
+        for _ in range(INNER_STEPS):
             work.G = linesearch_g(bundle, work, manual_rng)
         np.testing.assert_array_equal(fact.G, work.G)
         for a, b in zip(fact.S, work.S):
             np.testing.assert_array_equal(a, b)
-
-    def test_inner_iteration_count_is_configurable(self, rng):
-        bundle = random_bundle(rng, 6, 2)
-        config = SolverConfig(
-            method="bcd", k=2, seed=0, max_iterations=3, mse_stop=0.0, bcd_inner_iterations=2
-        )
-        fact, trace = run(bundle, config, start=random_native_fact(rng, 6, 2, bundle.N))
-        assert trace.iterations <= 3

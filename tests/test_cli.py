@@ -266,18 +266,29 @@ class TestSolve:
         rc = run_cli(
             "solve", "--bundle", bundle_dir, "--method", "adam", "--k", 2, "--out", out,
             "--seed", 5, "--max-iters", 7, "--mse-stop", 0, "--delta-stop", 0,
-            "--bcd-inner", 3, "--adam-alpha", 0.001, "--adam-beta1", 0.9,
-            "--adam-beta2", 0.99, "--adam-eps", 1e-7, "--standard-bias-correction",
+            "--adam-alpha", 0.001, "--adam-beta1", 0.9, "--adam-beta2", 0.99,
         )
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         expected = SolverConfig(
             method="adam", k=2, seed=5, max_iterations=7, mse_stop=0.0, delta_stop=0.0,
-            bcd_inner_iterations=3, adam_alpha=0.001, adam_beta1=0.9, adam_beta2=0.99,
-            adam_epsilon=1e-7, standard_bias_correction=True,
+            adam_alpha=0.001, adam_beta1=0.9, adam_beta2=0.99,
         )
         assert summary["config"] == dataclasses.asdict(expected)
         assert summary["iterations"] == 7
+
+    @pytest.mark.parametrize("argv", [
+        ("--bcd-inner", 3), ("--adam-eps", 1e-7), ("--standard-bias-correction",),
+    ], ids=["bcd-inner", "adam-eps", "standard-bias-correction"])
+    def test_removed_solver_flag_is_usage_error(self, tmp_path, argv):
+        # bcd's inner step count and adam's eps and schedule are fixed
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as err:
+            run_cli("solve", "--bundle", bundle_dir, "--method", "adam", "--k", 2,
+                    "--out", out, *argv)
+        assert err.value.code == cli.EXIT_USAGE
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
@@ -698,8 +709,13 @@ class TestCompare:
         (b"b,fpm,abc,2,x,0.5\n", "row 1: n 'abc' is not an integer"),
         (b"b,fpm,10,2,2,0.5\nb,adam,10,2.5,2,0.4\n", "row 2: K '2.5' is not an integer"),
         (b"b,fpm,10,2,,0.5\n", "row 1: k '' is not an integer"),
+        (b"b,fpm,10,2,-3,0.5\n", "row 1: k '-3' is below 1"),
+        (b"b,fpm,0,0,0,0.4\n", "row 1: n '0' is below 1"),
+        (b"b,fpm,10,2,2,-0.5\nb,adam,10,2,2,0.4\n", "row 1: final_mse '-0.5' is negative"),
+        (b"b,,10,2,2,0.1\nb,adam,10,2,2,0.4\n", "row 1: empty method"),
     ], ids=["short", "long", "not-utf8", "not-utf8-last-line", "n-not-integer",
-            "K-not-integer", "k-empty"])
+            "K-not-integer", "k-empty", "k-negative", "n-K-k-zero", "mse-negative",
+            "method-empty"])
     def test_malformed_row_is_validation_error(self, tmp_path, capsys, content, message):
         results = tmp_path / "results.csv"
         results.write_bytes(b"bundle,method,n,K,k,final_mse\n" + content)
