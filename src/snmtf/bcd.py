@@ -13,18 +13,20 @@ search:
   is not finite and positive is frozen for the rest of the solve.  dS_i
   comes from the Gram kernel (``gradients._grad_s``) and is exactly
   symmetric, so every S_i stays exactly symmetric.
-* G-block: along dG the objective is a quartic p(t), the line polynomial of
-  ``gradients._line_poly`` with G(t) = G + t dG and S fixed; ``poly_minimize``
-  minimizes it over [-1, 0].  When the best step is t = 0 or the decrease is
-  smaller than 1e-3, a small uniform random perturbation (scale 1e-5) is
-  added before projecting, to escape flat spots.
+* G-block: along dG, with S fixed, the objective is a quartic
+  p(t) = SE(G + t dG) - SE(G) (``_quartic``), built from terms the G step
+  already holds: A = G^T G, the gradient's numerator sum_i R_i G S_i and
+  the one new product R_i dG.  ``poly_minimize`` minimizes it over [-1, 0].
+  When the best step is t = 0 or the decrease is smaller than 1e-3, a small
+  uniform random perturbation (scale 1e-5) is added before projecting, to
+  escape flat spots.
 
 All line-search quantities are reduced to k x k products (Frobenius traces),
 so the cost is dominated by the data passes (see ``DataBundle.times``):
 N at the start, then 2 N per G step (R_i dG for the quartic, then R_i G at
 the new point, which also serves the next G step and the trace), i.e. 20 N
-per outer iteration.  The S block needs M_i = G^T R_i G only, which the last
-G step's products already hold.
+per outer iteration.  The S block and the trace need M_i = G^T R_i G, which
+is formed once per G block from the last G step's products.
 R_i G is formed afresh rather than carried through the projection, as gmels
 carries it along its line: on planted instances the projection clips 60-83%
 of G's entries per step, so the correction R_i C for the clipped part C
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradients import _grad_g, _grad_s, _gram_products, _line_poly
+from .gradients import _g_terms, _grad_g, _grad_s, _gram_products, _grams
 from .model import (
     DataBundle,
     Factorization,
@@ -59,22 +61,52 @@ INNER_STEPS = 10
 
 def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> np.ndarray:
     """Ascending coefficients of the quartic
-    p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2 along dG: the line
-    polynomial with P = (G, dG), Q = (S,)."""
+    p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2 along dG: SE at G as
+    c0, the rest from ``_quartic``."""
     check_compatible(bundle, fact)
-    g, dg = fact.G, np.asarray(dg, float)
-    rp = (bundle.times(g), bundle.times(dg))
-    return _line_poly(bundle, (g, dg), fact.S[None], rp)
+    g, s, dg = fact.G, fact.S, np.asarray(dg, float)
+    gram, h, mid = _gram_products(bundle, g)
+    c = _quartic(g, dg, gram, s, _g_terms(gram, h, s)[0], bundle.times(dg))
+    c[0] = se_from_gram(bundle.norms_sq, gram, mid, s)
+    return c
+
+
+def _pair(x, y) -> float:
+    """<X, Y^T> summed over two (N, k, k) stacks: sum_i trace(X_i Y_i)."""
+    return float(_traces(x, y.swapaxes(-1, -2)).sum())
+
+
+def _quartic(g, dg, gram, s, num, rdg) -> np.ndarray:
+    """Ascending coefficients of p(t) = SE(G + t dG) - SE(G) for the (N, k, k)
+    stack ``s`` of symmetric S_i; c0 = 0.
+
+    With A_0 = ``gram`` = G^T G, A_1 = G^T dG + dG^T G, A_2 = dG^T dG and
+    B_a = A_a S_i, the fit term <A S_i, (A S_i)^T> gives the pairs
+    <B_a, B_b^T>.  The data term -2 <G^T R_i G, S_i> gives
+    -4 t <num, dG> with ``num`` = sum_i H_i S_i, the gradient's numerator,
+    and -2 t^2 <E_i, S_i> with E_i = dG^T R_i dG from ``rdg``, the (N, n, k)
+    stack R_i dG.  So no G^T R_i dG product is formed, and no data pass.
+    """
+    x = g.T @ dg
+    b0, b1, b2 = (a @ s for a in (gram, x + x.T, dg.T @ dg))
+    e = dg.T @ rdg
+    return np.array([
+        0.0,
+        2.0 * _pair(b0, b1) - 4.0 * float(np.vdot(num, dg)),
+        2.0 * _pair(b0, b2) + _pair(b1, b1) - 2.0 * float(_traces(e, s).sum()),
+        2.0 * _pair(b1, b2),
+        _pair(b2, b2),
+    ])
 
 
 def _g_step(bundle: DataBundle, g, gram, h, s, rng):
     """One projected-gradient step on G with exact quartic line search, given
     A = G^T G and the products H_i = R_i G; R_i dG is its one data pass."""
-    dg = _grad_g(g, gram, h, s)
-    c = _line_poly(bundle, (g, dg), s[None], (h, bundle.times(dg)))
+    dg, num = _grad_g(g, gram, h, s)
+    c = _quartic(g, dg, gram, s, num, bundle.times(dg))
     t = poly_minimize(c, *SEARCH_INTERVAL)
     g_new = g + t * dg
-    if t == 0.0 or np.polynomial.polynomial.polyval(t, c) - c[0] > -MIN_DECREASE:
+    if t == 0.0 or np.polynomial.polynomial.polyval(t, c) > -MIN_DECREASE:
         g_new = g_new + PERTURBATION_SCALE * rng.random(g.shape)
     return np.maximum(g_new, 0.0)
 
@@ -140,6 +172,7 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization,
     while (yield se_from_gram(norms, gram, mid, s)):
         s = _s_inner_solve(gram, mid, s, INNER_STEPS, norms, substep_log)
         for _ in range(INNER_STEPS):
-            g = _g_step(bundle, g, gram, h, s, rng)
-            gram, h, mid = _gram_products(bundle, g)
+            g = _g_step(bundle, g, g.T @ g, h, s, rng)
+            h = bundle.times(g)
+        gram, mid = _grams(g, h)
     yield Factorization(g, s)

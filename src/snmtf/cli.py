@@ -338,11 +338,17 @@ def cmd_compare(args) -> int:
                 f"{args.results}: row {number}: has {'more' if None in row else 'fewer'} "
                 "fields than the header"
             )
-        if not row["method"]:
-            raise ValidationError(f"{args.results}: row {number}: empty method")
+        for column in ("bundle", "method"):
+            if not row[column]:
+                raise ValidationError(f"{args.results}: row {number}: empty {column}")
         # Integer keys, so groups sort by the numbers: k = 2 before k = 10.
         key = (row["bundle"],
                *(_int_cell(args.results, number, c, row[c]) for c in ("n", "K", "k")))
+        # A sweep records a run at k > n as an error, with no final_mse; only
+        # a result at such a k is impossible.
+        if key[3] > key[1] and row["final_mse"] != "":
+            raise ValidationError(
+                f"{args.results}: row {number}: k {row['k']!r} exceeds n {row['n']!r}")
         # A sweep's ratios may round to the same k (20% and 40% of K = 2
         # are both k = 1); those rows come from one run, so only rows that
         # also share the ratio are duplicates.

@@ -82,7 +82,8 @@ def generate_synthetic(n: int, K: int, N: int = 5, density: float = 0.65, seed: 
         block[...] = np.where(np.triu(keep) | np.triu(keep, 1).T, vals, 0.0)
 
     label = f"synthetic-n{n}-K{K}-N{N}-seed{seed}"
-    bundle = DataBundle.from_matrices(g @ s @ g.T, label=label)
+    # One R_i at a time, so no (N, n, n) product is built beside the stack.
+    bundle = DataBundle._from_iterable(((g @ block) @ g.T for block in s), N, label, False)
     return bundle, Factorization(g, s)
 
 

@@ -33,9 +33,11 @@ fpm's ratio, gmels' chain rule and step, adam's moments and bcd's projected
 step all act element-wise on such operands, so a symmetric start stays
 exactly symmetric in every solver.
 
-Both exact line searches (bcd's quartic in G, gmels' degree-12 polynomial)
-restrict SE to a line G(t) = sum_a t^a P_a, S_i(t) = sum_b t^b Q_b and get
-its coefficients from :func:`_line_poly`, given the products R_i P_a.
+gmels' exact line search restricts SE to a line G(t) = sum_a t^a P_a,
+S_i(t) = sum_b t^b Q_b and gets its degree-12 coefficients from
+:func:`_line_poly`, given the products R_i P_a.  bcd's quartic in G builds
+its coefficients from terms its G step already holds, the gradient's
+numerator sum_i H_i S_i among them (``bcd._quartic``).
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ def _g_terms(gram, h, s):
 
 
 def _grad_g(g, gram, h, s):
-    """dG at (G, S) from A = G^T G and the products H_i = R_i G."""
+    """dG at (G, S) from A = G^T G and the products H_i = R_i G, and the
+    numerator sum_i H_i S_i it is built from (bcd's quartic reads it)."""
     num, sas = _g_terms(gram, h, s)
-    return 4.0 * (g @ sas - num)
+    return 4.0 * (g @ sas - num), num
 
 
 def _gram_step(bundle: DataBundle, g, s, h):
@@ -113,7 +116,7 @@ def _gram_step(bundle: DataBundle, g, s, h):
     """
     gram, mid = _grams(g, h)
     ds, asa = _grad_s(gram, mid, s)
-    return _se_from_asa(bundle.norms_sq, mid, s, asa), _grad_g(g, gram, h, s), ds
+    return _se_from_asa(bundle.norms_sq, mid, s, asa), _grad_g(g, gram, h, s)[0], ds
 
 
 def _poly_matmul(x, y) -> np.ndarray:

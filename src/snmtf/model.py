@@ -38,6 +38,15 @@ STOP_REASONS = (MSE_THRESHOLD, DELTA_THRESHOLD, MAX_ITERATIONS)
 SYMMETRY_INPUT_RTOL = 1e-12
 SYMMETRY_ITERATE_RTOL = 1e-10
 
+# DataBundle.times forms the products as one GEMM over a transposed view of
+# the stack when each product R_i X holds at least this many entries (n m);
+# below it the batched R @ X was the faster orientation (README, "Data
+# products").
+VIEW_PRODUCT_MIN_ENTRIES = 4000
+
+# Rows of the n x n difference that _check_symmetric forms at a time.
+SYMMETRY_CHECK_ROWS = 64
+
 # G = 0 already scores MSE 1, so a run whose MSE climbs past this multiple of
 # max(1, MSE_0) has diverged even while its iterates stay finite.
 DIVERGENCE_MSE_FACTOR = 1e6
@@ -133,9 +142,17 @@ def _check_finite(r: np.ndarray, name: str) -> None:
 
 
 def _check_symmetric(r: np.ndarray, name: str, rtol: float, hint: str = "") -> None:
-    scale = float(np.abs(r).max()) if r.size else 0.0
-    diff = r - r.T
-    asym = float(np.abs(diff, out=diff).max()) if r.size else 0.0
+    """ValidationError unless max|X - X^T| <= rtol max|X| for the square X.
+
+    Both maxima are taken without an n x n temporary: the scale from the
+    extremes of X, the asymmetry over blocks of ``SYMMETRY_CHECK_ROWS`` rows
+    of X - X^T.
+    """
+    scale = max(float(r.max()), -float(r.min())) if r.size else 0.0
+    asym = 0.0
+    for i in range(0, len(r), SYMMETRY_CHECK_ROWS):
+        block = r[i:i + SYMMETRY_CHECK_ROWS] - r[:, i:i + SYMMETRY_CHECK_ROWS].T
+        asym = max(asym, float(np.abs(block, out=block).max()))
     if asym > rtol * scale:
         raise ValidationError(
             f"{name} is not symmetric: max |X - X^T| = {asym:.3e} "
@@ -241,12 +258,26 @@ class DataBundle:
         return w, v
 
     def times(self, x: np.ndarray) -> np.ndarray:
-        """The products R_i X for every i, as one (N, n, m) array.
+        """The products R_i X for every i, as one writable (N, n, m) array.
 
         The one place where the solvers multiply by the data.  One data pass
         is the N products R_i X with X of k columns.
+
+        When each product holds at least ``VIEW_PRODUCT_MIN_ENTRIES`` entries
+        (n m >= 4000), the N products are one GEMM in BLAS's faster
+        orientation, X^T (R_1 ... R_N): an (m x n) by (n x N n) product over
+        the transposed view of the row-stacked (N n, n) bundle, so nothing
+        is copied, and the (N, n, m) result is a transposed view of that
+        product's (m, N n) output.  It does not use the symmetry of the R_i.
+        At n = 1000, m = 50 (2 BLAS threads, OpenBLAS 0.3.31) it takes about
+        0.75 of the batched ``R @ X``; narrower or smaller products keep the
+        batched form, which was as fast or faster there (README, "Data
+        products", has the measured table).
         """
-        return self.R @ x
+        n, m = x.shape
+        if n * m < VIEW_PRODUCT_MIN_ENTRIES:
+            return self.R @ x
+        return (x.T @ self.R.reshape(-1, n).T).T.reshape(self.N, n, m)
 
 
 @dataclass

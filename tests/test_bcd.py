@@ -3,13 +3,14 @@ import pytest
 
 from snmtf.bcd import (
     INNER_STEPS,
+    _quartic,
     _s_inner_solve,
     iterate,
     linesearch_g,
     linesearch_s,
     quartic_coeffs,
 )
-from snmtf.gradients import _gram_products, grad_native
+from snmtf.gradients import _grad_g, _gram_products, _line_poly, grad_native
 from snmtf.model import (
     DataBundle,
     Factorization,
@@ -48,6 +49,23 @@ class TestQuarticCoeffs:
         for t in (-1.0, -0.5, -0.1, 0.1, 0.5):
             direct = se(bundle, Factorization(fact.G + t * dg, fact.S))
             assert np.polynomial.polynomial.polyval(t, c) == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("direction", ["gradient", "random"])
+    def test_quartic_matches_the_line_polynomial(self, rng, direction):
+        # The G step's quartic from its own terms against the general line
+        # polynomial with P = (G, dG), Q = (S,); only c0 = SE is left out.
+        bundle = random_bundle(rng, 9, 3)
+        fact = random_native_fact(rng, 9, 4, 3)
+        g, s = fact.G, fact.S
+        gram, h, _ = _gram_products(bundle, g)
+        dg, num = _grad_g(g, gram, h, s)
+        if direction == "random":
+            dg = rng.standard_normal(g.shape)
+        rdg = bundle.times(dg)
+        c = _quartic(g, dg, gram, s, num, rdg)
+        assert c[0] == 0.0
+        reference = _line_poly(bundle, (g, dg), s[None], (h, rdg))
+        np.testing.assert_allclose(c[1:], reference[1:], rtol=1e-10)
 
     def test_c4_nonnegative(self, rng):
         bundle = random_bundle(rng, 6, 2)

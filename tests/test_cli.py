@@ -664,9 +664,9 @@ class TestCompare:
             writer.writeheader()
             writer.writerows(rows)
 
-    def _row(self, method, mse, bundle="b", k="2"):
+    def _row(self, method, mse, bundle="b", k="2", n="10"):
         return {
-            "bundle": bundle, "method": method, "n": "10", "K": "2", "k": k,
+            "bundle": bundle, "method": method, "n": n, "K": "2", "k": k,
             "k_over_K_pct": "100", "final_mse": mse, "iterations": "5",
             "seconds": "0.1", "stop_reason": "max_iterations",
         }
@@ -713,9 +713,11 @@ class TestCompare:
         (b"b,fpm,0,0,0,0.4\n", "row 1: n '0' is below 1"),
         (b"b,fpm,10,2,2,-0.5\nb,adam,10,2,2,0.4\n", "row 1: final_mse '-0.5' is negative"),
         (b"b,,10,2,2,0.1\nb,adam,10,2,2,0.4\n", "row 1: empty method"),
+        (b",fpm,10,2,2,0.5\n", "row 1: empty bundle"),
+        (b"b,fpm,10,2,2,0.5\nb,fpm,10,2,30,0.5\n", "row 2: k '30' exceeds n '10'"),
     ], ids=["short", "long", "not-utf8", "not-utf8-last-line", "n-not-integer",
             "K-not-integer", "k-empty", "k-negative", "n-K-k-zero", "mse-negative",
-            "method-empty"])
+            "method-empty", "bundle-empty", "k-above-n"])
     def test_malformed_row_is_validation_error(self, tmp_path, capsys, content, message):
         results = tmp_path / "results.csv"
         results.write_bytes(b"bundle,method,n,K,k,final_mse\n" + content)
@@ -728,7 +730,8 @@ class TestCompare:
     def test_groups_sort_by_number(self, tmp_path):
         # A default-ratio sweep at K = 10 writes k = 2, 4, ..., 12.
         results = tmp_path / "results.csv"
-        self._write_results(results, [self._row("fpm", "0.3", k=k) for k in ("10", "12", "2", "4")])
+        self._write_results(results, [self._row("fpm", "0.3", k=k, n="20")
+                                      for k in ("10", "12", "2", "4")])
         out = tmp_path / "winners.csv"
         assert run_cli("compare", "--results", results, "--out", out) == 0
         with open(out) as fh:
@@ -746,6 +749,19 @@ class TestCompare:
             f"error: {results}: rows 1 and 3 both hold method 'fpm' on bundle 'b' "
             "at n=10, K=2, k=2\n")
         assert not out.exists()
+
+    def test_sweep_error_row_above_n_is_accepted(self, tmp_path, capsys):
+        # 120% of K = n = 5 is k = 6: the sweep records that run as an error
+        # with no final_mse, so compare must still take the sweep's output.
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=5, K=5)
+        res = tmp_path / "res"
+        assert run_cli("benchmark", "--suite", bundle_dir, "--methods", "fpm",
+                       "--ratios", "100,120", "--max-iters", 3, "--out", res) == 0
+        out = tmp_path / "winners.csv"
+        assert run_cli("compare", "--results", res / "results.csv", "--out", out) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["k"], row["status"]) for row in rows] == [("5", "ok"), ("6", "incomplete")]
 
     def test_creates_parent_of_out(self, tmp_path):
         results = tmp_path / "results.csv"

@@ -89,6 +89,13 @@ class TestGenerateSynthetic:
         bundle, planted = data.generate_synthetic(n=50, K=5, N=5, seed=0)
         assert mse(bundle, planted) <= 1e-20
 
+    def test_r_is_the_planted_product_bit_for_bit(self):
+        # Each R_i is formed on its own as (G S_i) G^T; the batched
+        # G @ S @ G^T it replaced gives the same bits.
+        bundle, planted = data.generate_synthetic(n=37, K=5, N=3, seed=1)
+        g, s = planted.G, planted.S
+        assert bundle.R.tobytes() == (g @ s @ g.T).tobytes()
+
     def test_planted_columns_exactly_orthogonal(self):
         _, planted = data.generate_synthetic(n=37, K=4, N=2, seed=1)
         gram = planted.G.T @ planted.G

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from snmtf.model import (
     MAX_ITERATIONS,
     METHODS,
     MSE_THRESHOLD,
+    SYMMETRY_INPUT_RTOL,
     ConvergenceTrace,
     DataBundle,
     DimensionError,
@@ -17,6 +20,7 @@ from snmtf.model import (
     SolverDivergedError,
     Transform,
     ValidationError,
+    _check_symmetric,
     drive,
     mse,
     residuals,
@@ -194,6 +198,45 @@ class TestDataBundle:
         assert_one_stack(bundle)
         with pytest.raises(ValueError):
             bundle.R[0][0, 0] = 1.0
+
+    @pytest.mark.parametrize("m", [1, 6, 20, 40])  # 1, 6, k and 2k at k = 20
+    def test_times_matches_a_loop_without_assuming_symmetry(self, rng, m):
+        # n = 200 takes the batched product for m = 1, 6 and the transposed
+        # view for m = 20, 40 (n m >= VIEW_PRODUCT_MIN_ENTRIES).  Each R_i is
+        # symmetric only to 1e-13: a product that used R_i^T for R_i would
+        # be off by about 2e-13 relative in the first rows.
+        n = 200
+        mats = []
+        for _ in range(3):
+            r = rng.random((n, n))
+            r = (r + r.T) / 2.0
+            r[np.triu_indices(n, 1)] += 1e-13
+            mats.append(r)
+        bundle = DataBundle.from_matrices(mats)
+        assert not np.array_equal(bundle.R[0], bundle.R[0].T)
+        x = rng.random((n, m))
+        out = bundle.times(x)
+        assert out.shape == (3, n, m) and out.flags.writeable
+        np.testing.assert_allclose(out, np.stack([r @ x for r in bundle.R]), rtol=1e-13, atol=0.0)
+
+    def test_symmetry_check_takes_no_n_by_n_temporary(self, rng):
+        # It used to hold |X| and X - X^T, each a full n x n float array.
+        r = rng.random((400, 400))
+        r = (r + r.T) / 2.0
+        tracemalloc.start()
+        try:
+            _check_symmetric(r, "R_1", SYMMETRY_INPUT_RTOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * r.nbytes
+
+    def test_symmetry_message_names_both_maxima(self):
+        r = np.array([[1.0, -3.0], [-3.0 + 1e-9, 2.0]])
+        with pytest.raises(ValidationError) as info:
+            _check_symmetric(r, "R_1", SYMMETRY_INPUT_RTOL)
+        assert str(info.value) == (
+            "R_1 is not symmetric: max |X - X^T| = 1.000e-09 exceeds 1e-12 * max|X| = 3.000e-12")
 
 
 class TestFactorLayout:
