@@ -17,8 +17,9 @@ quadratic in t, G(t) = P0 + t P1 + t^2 P2 and S_i(t) = Q0 + t Q1 + t^2 Q2, and
 with A(t) = G(t)^T G(t).  Given R_i P0 (the products the gradient already
 needs), only R_i P1 and R_i P2 touch the data; the coefficients then come
 from the line-polynomial kernel ``gradients._line_poly``, k x k polynomial
-algebra in which no n x n matrix is formed.  Every iteration steps all variables by the global minimizer t*
-of p (``poly_minimize``, unbounded), so SE never increases.
+algebra in which no n x n matrix is formed.  Every iteration steps all
+variables by the global minimizer t* of p (``poly_minimize``, unbounded), so
+SE never increases.
 
 The products R_i G at the new point follow from the same ones: G(t*) is on
 the line, so R_i G(t*) = R_i P0 + t* R_i P1 + t*^2 R_i P2.  The solver

@@ -38,12 +38,6 @@ STOP_REASONS = (MSE_THRESHOLD, DELTA_THRESHOLD, MAX_ITERATIONS)
 SYMMETRY_INPUT_RTOL = 1e-12
 SYMMETRY_ITERATE_RTOL = 1e-10
 
-# DataBundle.times forms the products as one GEMM over a transposed view of
-# the stack when each product R_i X holds at least this many entries (n m);
-# below it the batched R @ X was the faster orientation (README, "Data
-# products").
-VIEW_PRODUCT_MIN_ENTRIES = 4000
-
 # Rows of the n x n difference that _check_symmetric forms at a time.
 SYMMETRY_CHECK_ROWS = 64
 
@@ -263,20 +257,17 @@ class DataBundle:
         The one place where the solvers multiply by the data.  One data pass
         is the N products R_i X with X of k columns.
 
-        When each product holds at least ``VIEW_PRODUCT_MIN_ENTRIES`` entries
-        (n m >= 4000), the N products are one GEMM in BLAS's faster
-        orientation, X^T (R_1 ... R_N): an (m x n) by (n x N n) product over
-        the transposed view of the row-stacked (N n, n) bundle, so nothing
-        is copied, and the (N, n, m) result is a transposed view of that
+        The N products are one GEMM in BLAS's faster orientation,
+        X^T (R_1 ... R_N): an (m x n) by (n x N n) product over the
+        transposed view of the row-stacked (N n, n) bundle, so nothing is
+        copied, and the (N, n, m) result is a transposed view of that
         product's (m, N n) output.  It does not use the symmetry of the R_i.
         At n = 1000, m = 50 (2 BLAS threads, OpenBLAS 0.3.31) it takes about
-        0.75 of the batched ``R @ X``; narrower or smaller products keep the
-        batched form, which was as fast or faster there (README, "Data
-        products", has the measured table).
+        0.75 of the batched ``R @ X``.  Narrow products at n <= 400 are
+        slower this way in isolation, but keeping ``R @ X`` for them moved
+        no benchmark workload past noise (README, "Data products").
         """
         n, m = x.shape
-        if n * m < VIEW_PRODUCT_MIN_ENTRIES:
-            return self.R @ x
         return (x.T @ self.R.reshape(-1, n).T).T.reshape(self.N, n, m)
 
 

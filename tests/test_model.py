@@ -201,10 +201,8 @@ class TestDataBundle:
 
     @pytest.mark.parametrize("m", [1, 6, 20, 40])  # 1, 6, k and 2k at k = 20
     def test_times_matches_a_loop_without_assuming_symmetry(self, rng, m):
-        # n = 200 takes the batched product for m = 1, 6 and the transposed
-        # view for m = 20, 40 (n m >= VIEW_PRODUCT_MIN_ENTRIES).  Each R_i is
-        # symmetric only to 1e-13: a product that used R_i^T for R_i would
-        # be off by about 2e-13 relative in the first rows.
+        # Each R_i is symmetric only to 1e-13: a product that used R_i^T for
+        # R_i would be off by about 2e-13 relative in the first rows.
         n = 200
         mats = []
         for _ in range(3):
