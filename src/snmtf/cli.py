@@ -4,8 +4,8 @@ Subcommands::
 
     snmtf generate  --n 100 --K 10 --seed 7 --out bundles/b0
     snmtf solve     --bundle bundles/b0 --method adam --k 10 --out runs/r0
-    snmtf benchmark --suite bundles --out results
-    snmtf compare   --results results/results.csv --out results/winners.csv
+    snmtf benchmark --suite bundles --out results   # results, aggregate, winners.csv
+    snmtf compare   --results merged/results.csv --out merged/winners.csv
     snmtf tune      --suite bundles --trials 100 --out tune.csv
 
 Exit codes: 0 normal stop, 2 usage error, 3 data validation error or an
@@ -47,6 +47,7 @@ RESULT_COLUMNS = (
     "bundle", "method", "n", "K", "k", "k_over_K_pct",
     "final_mse", "iterations", "seconds", "stop_reason",
 )
+WINNER_COLUMNS = ("bundle", "n", "K", "k", "winner", "best_mse", "tie", "status", "missing")
 
 
 def _checked_config(**fields) -> SolverConfig:
@@ -251,20 +252,21 @@ def cmd_benchmark(args) -> int:
         del bundle
     rows.sort(key=lambda r: (r["bundle"], r["method"], r["k"]))
 
-    results_path = out / "results.csv"
-    with open(results_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-    aggregate = _aggregate_rows(rows)
-    agg_path = out / "aggregate.csv"
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "k_over_K_pct", "method", "mean_mse", "runs"])
-        writer.writerows(aggregate)
-    print(f"wrote {results_path} ({len(rows)} rows) and {agg_path}")
+    _write_csv(out / "results.csv", RESULT_COLUMNS,
+               ([row[c] for c in RESULT_COLUMNS] for row in rows))
+    _write_csv(out / "aggregate.csv", ("n", "k_over_K_pct", "method", "mean_mse", "runs"),
+               _aggregate_rows(rows))
+    _write_csv(out / "winners.csv", WINNER_COLUMNS, _winner_rows(rows))
+    print(f"wrote {out / 'results.csv'} ({len(rows)} rows), aggregate.csv and winners.csv")
     return EXIT_OK
+
+
+def _write_csv(path, columns, rows) -> None:
+    """Write the header ``columns``, then ``rows`` (sequences in column order)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _aggregate_rows(rows):
@@ -280,6 +282,31 @@ def _aggregate_rows(rows):
         [n, pct, method, repr(float(np.mean(vals))), len(vals)]
         for (n, pct, method), vals in sorted(groups.items())
     ]
+
+
+def _winner_rows(rows) -> list[list]:
+    """The winners.csv rows of results rows, one per (bundle, n, K, k) in
+    numeric order: the lowest-MSE method, exact ties broken by name and
+    flagged, and a group that lacks any of the rows' methods marked
+    incomplete. A failed run's row, with an empty final_mse, counts as
+    missing."""
+    methods = sorted({row["method"] for row in rows})
+    groups: dict[tuple, dict[str, float]] = {}
+    for row in rows:
+        # Integer keys, so groups sort by the numbers: k = 2 before k = 10.
+        key = (row["bundle"], *(int(row[c]) for c in ("n", "K", "k")))
+        entry = groups.setdefault(key, {})
+        if row["final_mse"] != "":
+            entry[row["method"]] = float(row["final_mse"])
+    out_rows = []
+    for key, present in sorted(groups.items()):
+        missing = [m for m in methods if m not in present]
+        best = min(present.values(), default="")
+        winners = sorted(m for m, v in present.items() if v == best)
+        out_rows.append([*key, winners[0] if winners else "", repr(best) if present else "",
+                         int(len(winners) > 1), "incomplete" if missing else "ok",
+                         ";".join(missing)])
+    return out_rows
 
 
 def _mse_cell(results, row: int, text: str) -> float:
@@ -327,8 +354,6 @@ def cmd_compare(args) -> int:
     missing = [c for c in ("bundle", "method", "n", "K", "k", "final_mse") if c not in rows[0]]
     if missing:
         raise ValidationError(f"{args.results}: results file lacks columns {', '.join(missing)}")
-    methods = sorted({row["method"] for row in rows})
-    groups: dict[tuple, dict[str, float]] = {}
     first_rows: dict[tuple, int] = {}
     for number, row in enumerate(rows, start=1):
         # DictReader fills a short row's missing cells with None and keeps a
@@ -341,7 +366,6 @@ def cmd_compare(args) -> int:
         for column in ("bundle", "method"):
             if not row[column]:
                 raise ValidationError(f"{args.results}: row {number}: empty {column}")
-        # Integer keys, so groups sort by the numbers: k = 2 before k = 10.
         key = (row["bundle"],
                *(_int_cell(args.results, number, c, row[c]) for c in ("n", "K", "k")))
         # A sweep records a run at k > n as an error, with no final_mse; only
@@ -359,41 +383,12 @@ def cmd_compare(args) -> int:
                 f"{args.results}: rows {first} and {number} both hold method {row['method']!r} "
                 f"on bundle {row['bundle']!r} at n={row['n']}, K={row['K']}, k={row['k']}"
             )
-        entry = groups.setdefault(key, {})
         if row["final_mse"] != "":
-            entry[row["method"]] = _mse_cell(args.results, number, row["final_mse"])
+            _mse_cell(args.results, number, row["final_mse"])
 
-    out_rows = []
-    for key in sorted(groups):
-        present = groups[key]
-        missing = [m for m in methods if m not in present]
-        if present:
-            best = min(present.values())
-            winners = sorted(m for m, v in present.items() if v == best)
-            winner = winners[0]
-            tie = len(winners) > 1
-        else:
-            winner, best, tie = "", "", False
-        out_rows.append(
-            {
-                "bundle": key[0],
-                "n": key[1],
-                "K": key[2],
-                "k": key[3],
-                "winner": winner,
-                "best_mse": repr(best) if best != "" else "",
-                "tie": int(tie),
-                "status": "incomplete" if missing else "ok",
-                "missing": ";".join(missing),
-            }
-        )
+    out_rows = _winner_rows(rows)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["bundle", "n", "K", "k", "winner", "best_mse", "tie", "status", "missing"]
-        )
-        writer.writeheader()
-        writer.writerows(out_rows)
+    _write_csv(args.out, WINNER_COLUMNS, out_rows)
     print(f"wrote {args.out} ({len(out_rows)} groups)")
     return EXIT_OK
 
@@ -419,16 +414,11 @@ def cmd_tune(args) -> int:
         problems, trials=args.trials, seed=args.seed, points=args.point,
         runs_per_problem=args.runs, max_iterations=args.max_iters,
     )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "alpha", "beta1", "beta2"]
-                        + [f"mean_mse_{label}" for label in labels] + ["score"])
-        for row in sorted(ranked, key=lambda r: r["trial"]):
-            writer.writerow(
-                [row["trial"], repr(row["alpha"]), repr(row["beta1"]), repr(row["beta2"])]
-                + [repr(v) for v in row["per_problem_mse"]]
-                + [repr(row["score"])]
-            )
+    _write_csv(args.out, ["trial", "alpha", "beta1", "beta2"]
+               + [f"mean_mse_{label}" for label in labels] + ["score"],
+               ([row["trial"], *map(repr, (row["alpha"], row["beta1"], row["beta2"],
+                                           *row["per_problem_mse"], row["score"]))]
+                for row in sorted(ranked, key=lambda r: r["trial"])))
     best = ranked[0]
     if not np.isfinite(best["score"]):
         raise SolverDivergedError(

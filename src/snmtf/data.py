@@ -205,8 +205,9 @@ def read_manifest(path) -> dict:
     present) ``planted_K`` must be positive integers, ``norm_sq_total``
     (when present) a finite number, ``label`` (when present) a string that
     is not ``.`` or ``..`` and holds no path separator, and ``matrices``
-    (when present) a list of N file names, or ValidationError is raised.  A
-    missing ``label`` is filled in as the directory's name."""
+    (when present) a list of N file names, none absolute or with a ``..``
+    component, or ValidationError is raised.  A missing ``label`` is filled
+    in as the directory's name."""
     manifest_path = Path(path) / MANIFEST_NAME
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -252,6 +253,13 @@ def read_manifest(path) -> dict:
             f"{manifest_path}: manifest matrices must be a list of N = {manifest['N']} "
             f"file names, got {names!r}"
         )
+    # A matrix file is read from the bundle directory, so its name may not climb out.
+    for name in names or ():
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            raise ValidationError(
+                f"{manifest_path}: manifest matrices entry {name!r} may not be an absolute "
+                "path or hold a '..' component"
+            )
     return manifest
 
 

@@ -335,6 +335,21 @@ class TestSolve:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "manifest matrices must be a list of N = 5 file names" in err
 
+    @pytest.mark.parametrize("escape", ["parent", "absolute"])
+    def test_matrix_name_outside_the_bundle_is_validation_error(self, tmp_path, capsys, escape):
+        # Each name would load a valid matrix of another bundle.
+        other = make_bundle_dir(tmp_path, "other", n=20, K=2)
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
+        bad = {"parent": "../other/R_1.npy", "absolute": str(other / "R_1.npy")}[escape]
+        set_manifest_key(bundle_dir, "matrices", [bad, "R_2.npy", "R_3.npy", "R_4.npy", "R_5.npy"])
+        rc = run_cli("solve", "--bundle", bundle_dir, "--method", "fpm", "--k", 2,
+                     "--out", tmp_path / "run")
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == (f"error: {bundle_dir / 'manifest.json'}: manifest matrices entry {bad!r} "
+                       "may not be an absolute path or hold a '..' component\n")
+        assert not (tmp_path / "run").exists()
+
     def test_unreadable_matrix_file_is_validation_error(self, tmp_path, capsys):
         bundle_dir = make_bundle_dir(tmp_path, "b", n=20, K=2)
         (bundle_dir / "R_1.npy").unlink()
@@ -397,6 +412,15 @@ class TestBenchmark:
         assert len(agg) == 4
         for row in agg:
             assert int(row["runs"]) == 2
+        with open(out / "winners.csv") as fh:
+            winners = list(csv.DictReader(fh))
+        # 50% and 100% of K = 2 are k = 1, 2; of K = 3 they are k = 2, 3
+        assert [(row["K"], row["k"]) for row in winners] == [("2", "1"), ("2", "2"),
+                                                              ("3", "2"), ("3", "3")]
+        for row in winners:
+            assert row["winner"] in ("fpm", "bcd") and row["status"] == "ok"
+            assert row["missing"] == "" and float(row["best_mse"]) == min(
+                float(r["final_mse"]) for r in rows if (r["K"], r["k"]) == (row["K"], row["k"]))
 
     def test_failed_row_keeps_error_message(self, suite, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):
@@ -485,6 +509,7 @@ class TestBenchmark:
         with open(winners, newline="") as fh:
             assert [(row["k"], row["status"]) for row in csv.DictReader(fh)] == [
                 ("1", "ok"), ("2", "ok")]
+        assert (out / "winners.csv").read_bytes() == winners.read_bytes()
 
     def test_ratios_that_round_to_one_k_share_one_run(self, tmp_path, monkeypatch):
         # The default ratios on planted K = 2 give 12 rows from 4 runs: each
@@ -521,6 +546,7 @@ class TestBenchmark:
             assert rc == 0
         assert read_rows_without_timing(out_a / "results.csv") == read_rows_without_timing(
             out_b / "results.csv")
+        assert filecmp.cmp(out_a / "winners.csv", out_b / "winners.csv", shallow=False)
         runs_a = sorted((out_a / "runs").iterdir())
         runs_b = sorted((out_b / "runs").iterdir())
         assert len(runs_a) == len(runs_b) == 2
@@ -762,6 +788,7 @@ class TestCompare:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [(row["k"], row["status"]) for row in rows] == [("5", "ok"), ("6", "incomplete")]
+        assert (res / "winners.csv").read_bytes() == out.read_bytes()
 
     def test_creates_parent_of_out(self, tmp_path):
         results = tmp_path / "results.csv"
