@@ -104,8 +104,9 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
     ``model.drive`` (``rng`` is unused).
 
     The start is copied into the raw variables and the result is the
-    element-wise absolute value of the final raw variables.  A non-finite
-    gradient raises SolverDivergedError.
+    element-wise absolute value of the final raw variables.  A diverging run
+    is ended by the trace (``model.ConvergenceTrace.step``): a non-finite
+    gradient makes the next SE non-finite.
     """
     g, s = ABS.lift(start.G), ABS.lift(start.S)
     state = AdamState.zeros_like(g, s)
@@ -114,8 +115,6 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
     while (yield se_value):
         it += 1
         eta = adam_eta(config.adam_alpha, config.adam_beta1, config.adam_beta2, it)
-        if not (np.isfinite(dg).all() and np.isfinite(ds).all()):
-            raise SolverDivergedError(f"gradient became non-finite at iteration {it}")
         adam_step(state, g, s, (dg, ds), eta, config.adam_beta1,
                   config.adam_beta2, EPSILON)
         se_value, dg, ds = _transformed_step(bundle, ABS, g, s, bundle.times(ABS.apply(g)))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradients import _g_terms, _grad_g, _grad_s, _gram_products, _grams
+from .gradients import _g_terms, _grad_g, _grad_s, _gram_products, _grams, _poly_inner
 from .model import (
     DataBundle,
     Factorization,
@@ -71,32 +71,25 @@ def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> n
     return c
 
 
-def _pair(x, y) -> float:
-    """<X, Y^T> summed over two (N, k, k) stacks: sum_i trace(X_i Y_i)."""
-    return float(_traces(x, y.swapaxes(-1, -2)).sum())
-
-
 def _quartic(g, dg, gram, s, num, rdg) -> np.ndarray:
     """Ascending coefficients of p(t) = SE(G + t dG) - SE(G) for the (N, k, k)
     stack ``s`` of symmetric S_i; c0 = 0.
 
     With A_0 = ``gram`` = G^T G, A_1 = G^T dG + dG^T G, A_2 = dG^T dG and
-    B_a = A_a S_i, the fit term <A S_i, (A S_i)^T> gives the pairs
-    <B_a, B_b^T>.  The data term -2 <G^T R_i G, S_i> gives
-    -4 t <num, dG> with ``num`` = sum_i H_i S_i, the gradient's numerator,
-    and -2 t^2 <E_i, S_i> with E_i = dG^T R_i dG from ``rdg``, the (N, n, k)
-    stack R_i dG.  So no G^T R_i dG product is formed, and no data pass.
+    B_a = A_a S_i, the fit term <A S_i, (A S_i)^T> is the line polynomial
+    of the B_a, paired by ``gradients._poly_inner`` as gmels' fit term is.
+    The data term -2 <G^T R_i G, S_i> gives -4 t <num, dG> with ``num`` =
+    sum_i H_i S_i, the gradient's numerator, and -2 t^2 <E_i, S_i> with
+    E_i = dG^T R_i dG from ``rdg``, the (N, n, k) stack R_i dG.  So no
+    G^T R_i dG product is formed, and no data pass.
     """
     x = g.T @ dg
-    b0, b1, b2 = (a @ s for a in (gram, x + x.T, dg.T @ dg))
-    e = dg.T @ rdg
-    return np.array([
-        0.0,
-        2.0 * _pair(b0, b1) - 4.0 * float(np.vdot(num, dg)),
-        2.0 * _pair(b0, b2) + _pair(b1, b1) - 2.0 * float(_traces(e, s).sum()),
-        2.0 * _pair(b1, b2),
-        _pair(b2, b2),
-    ])
+    b = np.stack((gram, x + x.T, dg.T @ dg))[:, None] @ s
+    c = _poly_inner(b, b.swapaxes(-1, -2))
+    c[0] = 0.0
+    c[1] -= 4.0 * float(np.vdot(num, dg))
+    c[2] -= 2.0 * float(_traces(dg.T @ rdg, s).sum())
+    return c
 
 
 def _g_step(bundle: DataBundle, g, gram, h, s, rng):

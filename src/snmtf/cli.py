@@ -9,10 +9,10 @@ Subcommands::
     snmtf tune      --suite bundles --trials 100 --out tune.csv
 
 Exit codes: 0 normal stop, 2 usage error, 3 data validation error or an
-``--out`` that cannot be written, 5 solver divergence (the objective or a
-gradient became non-finite, the MSE ran away, see
-``model.ConvergenceTrace.step``, or the solver returned factors that are not
-native, see ``runner.run``; for ``tune``, every point scored inf).
+``--out`` that cannot be written, 5 solver divergence (the objective became
+non-finite or the MSE ran away, see ``model.ConvergenceTrace.step``, or the
+solver returned factors that are not native, see ``runner.run``; for
+``tune``, every point scored inf).
 """
 
 from __future__ import annotations

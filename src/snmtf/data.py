@@ -147,7 +147,8 @@ def save_bundle(bundle: DataBundle, path, planted: Factorization | None = None,
                 planted_k: int | None = None) -> None:
     """Write a bundle directory: the manifest, each ``R_i`` as ``R_i.npy``
     (binary, bit for bit) and, when given, the planted factors under
-    ``planted/`` (:func:`save_factors`)."""
+    ``planted/`` (:func:`save_factors`).  An empty label is left out of the
+    manifest, so the bundle loads under the directory's name."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     names = [f"R_{i + 1}.npy" for i in range(bundle.N)]
@@ -158,10 +159,11 @@ def save_bundle(bundle: DataBundle, path, planted: Factorization | None = None,
         "matrix_format": "npy",
         "n": bundle.n,
         "N": bundle.N,
-        "label": bundle.label,
         "matrices": names,
         "norm_sq_total": bundle.norm_sq_total,
     }
+    if bundle.label:
+        manifest["label"] = bundle.label
     if planted is not None:
         planted_k = planted.k
     if planted_k is not None:
@@ -204,9 +206,9 @@ def read_manifest(path) -> dict:
     """The bundle's manifest; it must be UTF-8 JSON, ``n``, ``N`` and (when
     present) ``planted_K`` must be positive integers, ``norm_sq_total``
     (when present) a finite number, ``label`` (when present) a string that
-    is not ``.`` or ``..`` and holds no path separator, and ``matrices``
-    (when present) a list of N file names, none absolute or with a ``..``
-    component, or ValidationError is raised.  A missing ``label`` is filled
+    is not empty, ``.`` or ``..`` and holds no path separator, and
+    ``matrices`` (when present) a list of N file names, none absolute or
+    with a ``..`` component, or ValidationError is raised.  A missing ``label`` is filled
     in as the directory's name."""
     manifest_path = Path(path) / MANIFEST_NAME
     try:
@@ -240,11 +242,12 @@ def read_manifest(path) -> dict:
     label = manifest.setdefault("label", Path(path).name)
     if not isinstance(label, str):
         raise ValidationError(f"{manifest_path}: manifest label must be a string, got {label!r}")
-    # The label names the sweep's run directories, so it may not climb out.
-    if label in (".", "..") or "/" in label or "\\" in label:
+    # The label keys the sweep's rows and names its run directories, so it
+    # may not be empty or climb out.
+    if label in ("", ".", "..") or "/" in label or "\\" in label:
         raise ValidationError(
             f"{manifest_path}: manifest label {label!r} may not be '.' or '..' "
-            "or hold a path separator"
+            "or hold a path separator, or be empty"
         )
     names = manifest.get("matrices")
     if names is not None and not (isinstance(names, list) and len(names) == manifest["N"]

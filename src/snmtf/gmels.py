@@ -103,9 +103,8 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
     while (yield se_value):
         coeffs, (rp1, rp2) = _line_poly_coefficients(bundle, g, s, -dg, -ds, h)
         t = poly_minimize(coeffs)
-        if t != 0.0:
-            g -= t * dg
-            s -= t * ds
-            h += t * rp1 + (t * t) * rp2
+        g -= t * dg
+        s -= t * ds
+        h += t * rp1 + (t * t) * rp2
         se_value, dg, ds = _transformed_step(bundle, SQUARE, g, s, h)
     yield Factorization(SQUARE.apply(g), SQUARE.apply(s))

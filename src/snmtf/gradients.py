@@ -37,7 +37,10 @@ gmels' exact line search restricts SE to a line G(t) = sum_a t^a P_a,
 S_i(t) = sum_b t^b Q_b and gets its degree-12 coefficients from
 :func:`_line_poly`, given the products R_i P_a.  bcd's quartic in G builds
 its coefficients from terms its G step already holds, the gradient's
-numerator sum_i H_i S_i among them (``bcd._quartic``).
+numerator sum_i H_i S_i among them (``bcd._quartic``).  Both take the fit
+term <A S_i, (A S_i)^T>(t) from :func:`_poly_inner`, one GEMM over the
+coefficient stacks; their data terms stay separate, since bcd reads its
+linear one from the gradient's numerator and forms no G^T R_i dG.
 """
 
 from __future__ import annotations
@@ -134,8 +137,12 @@ def _poly_matmul(x, y) -> np.ndarray:
 
 def _poly_inner(x, y) -> np.ndarray:
     """Ascending coefficients of the Frobenius product <X(t), Y(t)>, summed
-    over every axis after the first."""
-    pairs = np.tensordot(x, y, axes=(range(1, x.ndim), range(1, y.ndim)))
+    over every axis after the first.
+
+    Every pair <X_a, Y_b> comes from one GEMM over the flattened coefficient
+    stacks (``reshape`` copies a view such as a ``swapaxes`` transpose).
+    """
+    pairs = x.reshape(len(x), -1) @ y.reshape(len(y), -1).T
     out = np.zeros(len(x) + len(y) - 1)
     for a, row in enumerate(pairs):
         out[a:a + len(y)] += row

@@ -61,9 +61,9 @@ class ValidationError(ValueError):
 
 
 class SolverDivergedError(RuntimeError):
-    """The objective or a gradient became non-finite during a run, the MSE
-    ran away (see :meth:`ConvergenceTrace.step`), or the solver returned
-    factors that are not native (see ``runner.run``).
+    """The objective became non-finite during a run or the MSE ran away
+    (see :meth:`ConvergenceTrace.step`), or the solver returned factors that
+    are not native (see ``runner.run``).
 
     ``records`` carries the per-iteration records collected before the abort,
     for diagnosis.

@@ -74,8 +74,8 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     _check_native(start, "start")
     start = Factorization(start.G, _symmetric_part(start.S))
 
-    # Overflow and NaN are detected explicitly (a non-finite SE or adam
-    # gradient raises SolverDivergedError), so numpy's warnings would only
+    # Overflow and NaN are detected explicitly (the trace raises
+    # SolverDivergedError on a non-finite SE), so numpy's warnings would only
     # repeat that report.
     with np.errstate(over="ignore", invalid="ignore"):
         fact, trace = drive(bundle, config, SOLVERS[config.method](bundle, config, start, rng))

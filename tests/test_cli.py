@@ -471,6 +471,34 @@ class TestBenchmark:
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {suite_path}: suite is not a directory\n"
 
+    @pytest.mark.parametrize("command", ["benchmark", "tune"])
+    def test_suite_without_bundles_is_validation_error(self, tmp_path, capsys, command):
+        suite_path = tmp_path / "suite"
+        (suite_path / "not_a_bundle").mkdir(parents=True)
+        rc = run_cli(command, "--suite", suite_path, "--out", tmp_path / "out")
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {suite_path}: no bundle directories found\n"
+
+    @pytest.mark.parametrize("command", [
+        ("benchmark", "--methods", "fpm", "--ratios", "100", "--out", "res"),
+        ("tune", "--point", "0.01,0.9,0.99", "--runs", 1, "--out", "res/tune.csv"),
+    ], ids=["benchmark", "tune"])
+    def test_missing_planted_k_is_validation_error(self, tmp_path, capsys, monkeypatch, command):
+        # tune falls back on the planted K only when no --k is given.
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
+        manifest = json.loads((bundle_dir / "manifest.json").read_text())
+        del manifest["planted_K"]
+        (bundle_dir / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.chdir(tmp_path)
+        rc = run_cli(command[0], "--suite", bundle_dir, "--max-iters", 5, *command[1:])
+        assert rc == cli.EXIT_VALIDATION
+        message = {
+            "benchmark": "manifest has no planted_K; the sweep needs it to place the k grid",
+            "tune": "no planted_K in manifest and no --k given",
+        }[command[0]]
+        assert capsys.readouterr().err == f"error: {bundle_dir}: {message}\n"
+        assert not (tmp_path / "res").exists()
+
     @pytest.mark.parametrize("command", [
         ("benchmark", "--methods", "fpm", "--ratios", "100", "--out", "res"),
         ("tune", "--point", "0.01,0.9,0.99", "--runs", 1, "--out", "res/tune.csv"),
@@ -666,6 +694,29 @@ def test_unwritable_out_exits_3(tmp_path, capsys, command):
     assert afile.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "benchmark", "tune"])
+def test_empty_label_exits_3_before_loading(tmp_path, capsys, monkeypatch, command):
+    # compare refuses a results row with an empty bundle cell, so no sweep
+    # may write one.
+    bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
+    set_manifest_key(bundle_dir, "label", "")
+    loaded = []
+    monkeypatch.setattr(data, "load_matrix", lambda *args: loaded.append(args))
+    out = tmp_path / "out"
+    argv = {
+        "solve": ("--bundle", bundle_dir, "--method", "fpm", "--k", 2, "--out", out),
+        "benchmark": ("--suite", bundle_dir, "--methods", "fpm", "--ratios", 100, "--out", out),
+        "tune": ("--suite", bundle_dir, "--trials", 1, "--runs", 1, "--max-iters", 5,
+                 "--out", out / "tune.csv"),
+    }[command]
+    rc = run_cli(command, *argv)
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {bundle_dir / 'manifest.json'}: manifest label '' may not be '.' or '..' "
+        "or hold a path separator, or be empty\n")
+    assert loaded == [] and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "solve", "benchmark", "tune"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
@@ -741,9 +792,10 @@ class TestCompare:
         (b"b,,10,2,2,0.1\nb,adam,10,2,2,0.4\n", "row 1: empty method"),
         (b",fpm,10,2,2,0.5\n", "row 1: empty bundle"),
         (b"b,fpm,10,2,2,0.5\nb,fpm,10,2,30,0.5\n", "row 2: k '30' exceeds n '10'"),
+        (b"", "empty results file"),
     ], ids=["short", "long", "not-utf8", "not-utf8-last-line", "n-not-integer",
             "K-not-integer", "k-empty", "k-negative", "n-K-k-zero", "mse-negative",
-            "method-empty", "bundle-empty", "k-above-n"])
+            "method-empty", "bundle-empty", "k-above-n", "header-only"])
     def test_malformed_row_is_validation_error(self, tmp_path, capsys, content, message):
         results = tmp_path / "results.csv"
         results.write_bytes(b"bundle,method,n,K,k,final_mse\n" + content)

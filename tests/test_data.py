@@ -118,6 +118,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValidationError, match=f"N must be a positive integer, got {N}"):
             data.generate_synthetic(n=20, K=3, N=N)
 
+    @pytest.mark.parametrize("density", [0.0, -0.5, 1.5])
+    def test_rejects_density_outside_unit_interval(self, density):
+        with pytest.raises(ValidationError, match=r"density must be in \(0, 1\]"):
+            data.generate_synthetic(n=20, K=3, density=density)
+
     def test_s_density_tracks_target(self):
         # Mean nonzero fraction over 100 seeds for K = 50.
         fractions = []
@@ -331,6 +336,26 @@ class TestBundleIO:
         with pytest.raises(ValidationError, match=f"manifest {key} must be a positive integer"):
             data.load_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("key", ["n", "N"])
+    def test_manifest_lacks_a_count(self, tmp_path, key):
+        bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
+        data.save_bundle(bundle, tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        del manifest[key]
+        (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match=f"manifest lacks required key '{key}'"):
+            data.read_manifest(tmp_path / "b")
+
+    def test_manifest_n_must_match_the_matrices(self, tmp_path):
+        # N cannot disagree: the matrix list is checked to hold N names.
+        bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
+        data.save_bundle(bundle, tmp_path / "b")
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        manifest["n"] = 7
+        (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="manifest promises n=7, N=2, matrices give n=6, N=2"):
+            data.load_bundle(tmp_path / "b")
+
     @pytest.mark.parametrize("value", ["abc", [1], float("nan"), float("inf"), True, None, 10**400],
                              ids=["string", "list", "nan", "inf", "bool", "null", "huge-int"])
     def test_manifest_norm_must_be_a_finite_number(self, tmp_path, value):
@@ -366,9 +391,10 @@ class TestBundleIO:
         with pytest.raises(ValidationError, match="manifest label must be a string"):
             data.load_bundle(tmp_path / "b")
 
-    @pytest.mark.parametrize("label", ["../x", "../../escaped", "a/b", "a\\b", ".", ".."])
+    @pytest.mark.parametrize("label", ["../x", "../../escaped", "a/b", "a\\b", ".", "..",
+                                       pytest.param("", id="empty")])
     def test_manifest_label_may_not_be_a_path(self, tmp_path, label):
-        # The label names the sweep's run directories.
+        # The label keys the sweep's rows and names its run directories.
         bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
         data.save_bundle(bundle, tmp_path / "b")
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
@@ -384,6 +410,10 @@ class TestBundleIO:
         del manifest["label"]
         (tmp_path / "b" / "manifest.json").write_text(json.dumps(manifest))
         assert data.read_manifest(tmp_path / "b")["label"] == "b"
+        assert data.load_bundle(tmp_path / "b").label == "b"
+
+    def test_unlabelled_bundle_saves_under_the_directory_name(self, tmp_path):
+        data.save_bundle(DataBundle.from_matrices([VALID_R]), tmp_path / "b")
         assert data.load_bundle(tmp_path / "b").label == "b"
 
     def test_manifest_must_be_an_object(self, tmp_path):
@@ -460,6 +490,17 @@ class TestFactorizationIO:
         back = data.load_factors(tmp_path)
         assert back.G.tobytes() == new.G.tobytes()
         assert back.S.tobytes() == new.S.tobytes()
+
+    def test_text_g_without_s_files(self, rng, tmp_path):
+        save_dense_matrix(tmp_path / "G.txt", rng.random((5, 2)))
+        with pytest.raises(ValidationError, match="no S_i.txt files found"):
+            data.load_factors(tmp_path)
+
+    def test_trace_header_mismatch(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iteration,mse\n0,0.5\n")
+        with pytest.raises(ValidationError, match="unexpected trace header 'iteration,mse'"):
+            data.load_trace_csv(path)
 
     def test_loaded_s_is_one_stack(self, rng, tmp_path):
         fact = Factorization(rng.random((5, 2)), rng.random((3, 2, 2)))

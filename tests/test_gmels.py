@@ -157,6 +157,16 @@ class TestSolve:
             for a, b in zip(ses, ses[1:]):
                 assert b <= a * (1 + 1e-12)
 
+    def test_zero_g_start_takes_only_zero_steps(self, rng):
+        # At G = 0 both gradients are exactly 0, so every step is an exact
+        # no-op and the lifted start comes back unchanged.
+        bundle = random_bundle(rng, 6, 2)
+        s = np.array([(lambda x: (x + x.T) / 2.0)(rng.random((2, 2))) for _ in range(2)])
+        config = SolverConfig(method="gmels", k=2, max_iterations=5, mse_stop=0.0, delta_stop=0.0)
+        fact, _ = run(bundle, config, start=Factorization(np.zeros((6, 2)), s))
+        assert not fact.G.any()
+        assert fact.S.tobytes() == SQUARE.apply(SQUARE.lift(s)).tobytes()
+
     def test_returns_native_nonnegative(self, rng):
         bundle = random_bundle(rng, 6, 2)
         start = native_start(*square_point(rng, 6, 2, 2))

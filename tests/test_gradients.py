@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from snmtf.gradients import _gram_step, _transformed_step, grad_native, grad_transformed
+from snmtf.gradients import (
+    _gram_step,
+    _poly_inner,
+    _transformed_step,
+    grad_native,
+    grad_transformed,
+)
 from snmtf.model import DataBundle, Factorization, Transform, residuals, se_from_gram
 
 from conftest import assert_block_stack, exact_fit_pair, random_bundle, random_native_fact
@@ -52,6 +58,19 @@ def fd_check_point(bundle, transform, g, s, h, rtol, kink_tol=None):
         if kink_tol is not None:
             smask = np.abs(s[i]) > kink_tol
         assert np.linalg.norm((fd_s - ds[i])[smask]) <= rtol * np.linalg.norm(ds[i][smask])
+
+
+class TestPolyInner:
+    @pytest.mark.parametrize("lengths", [(3, 3), (7, 7), (5, 3), (2, 4)])
+    def test_matches_a_double_loop_over_pairs(self, rng, lengths):
+        # y is a transposed view, as bcd's quartic and gmels pass it.
+        x = rng.random((lengths[0], 3, 4, 4))
+        y = rng.random((lengths[1], 3, 4, 4)).swapaxes(-1, -2)
+        expected = np.zeros(sum(lengths) - 1)
+        for a, xa in enumerate(x):
+            for b, yb in enumerate(y):
+                expected[a + b] += np.sum(xa * yb)
+        np.testing.assert_allclose(_poly_inner(x, y), expected, rtol=1e-13)
 
 
 class TestGradNative:

@@ -90,6 +90,11 @@ class TestSE:
         with pytest.raises(DimensionError, match="G"):
             se(bundle, Factorization(np.zeros((5, 2)), [np.zeros((2, 2))] * 2))
 
+    def test_block_count_mismatch(self, rng):
+        bundle = random_bundle(rng, 6, 2)
+        with pytest.raises(DimensionError, match="factorization has 1 S matrices, bundle has N = 2"):
+            se(bundle, Factorization(np.zeros((6, 2)), [np.zeros((2, 2))]))
+
 
 class TestMSE:
     def test_zero_factors_give_one(self, rng):
@@ -179,6 +184,10 @@ class TestDataBundle:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError, match="not square"):
             DataBundle.from_matrices([np.zeros((3, 4))])
+
+    def test_rejects_no_matrices(self):
+        with pytest.raises(ValidationError, match="a bundle needs at least one matrix"):
+            DataBundle.from_matrices([])
 
     def test_rejects_mixed_orders(self, rng):
         a = random_bundle(rng, 4, 1).R[0]
