@@ -28,9 +28,14 @@ the new point, which also serves the next G step and the trace), i.e. 20 N
 per outer iteration.  The S block and the trace need M_i = G^T R_i G, which
 is formed once per G block from the last G step's products.
 R_i G is formed afresh rather than carried through the projection, as gmels
-carries it along its line: on planted instances the projection clips 60-83%
-of G's entries per step, so the correction R_i C for the clipped part C
-would cost about a full pass itself.
+carries it along its line.  Measured per G step on the three benchmark
+suites, 57-80% of G's entries sit at the active set (G = 0, dG > 0) and stay
+0, and only 0.3-1.3% cross zero on average (15% at most), but the crossings
+fall in 5.5-34% of the rows (92% at most); the escape perturbation fired in
+none of 620 steps.  Carrying R_i G would take R_i dG over the active and the
+free entries apart, one 2k-wide pass where the quartic and the fresh product
+take k each, plus a correction for the rows that cross.  A prototype of
+that was slower: bcd 1.28x at n = 1000 and 1.17x at n = 200.
 
 ``iterate`` is the solver, an iteration generator that ``runner.run`` hands
 to ``model.drive``; ``linesearch_g`` and ``linesearch_s`` are single steps.
@@ -50,6 +55,7 @@ from .model import (
     _traces,
     check_compatible,
     poly_minimize,
+    poly_value,
     se_from_gram,
 )
 
@@ -99,7 +105,7 @@ def _g_step(bundle: DataBundle, g, gram, h, s, rng):
     c = _quartic(g, dg, gram, s, num, bundle.times(dg))
     t = poly_minimize(c, *SEARCH_INTERVAL)
     g_new = g + t * dg
-    if t == 0.0 or np.polynomial.polynomial.polyval(t, c) > -MIN_DECREASE:
+    if t == 0.0 or poly_value(c, t) > -MIN_DECREASE:
         g_new = g_new + PERTURBATION_SCALE * rng.random(g.shape)
     return np.maximum(g_new, 0.0)
 

@@ -148,7 +148,13 @@ def save_bundle(bundle: DataBundle, path, planted: Factorization | None = None,
     """Write a bundle directory: the manifest, each ``R_i`` as ``R_i.npy``
     (binary, bit for bit) and, when given, the planted factors under
     ``planted/`` (:func:`save_factors`).  An empty label is left out of the
-    manifest, so the bundle loads under the directory's name."""
+    manifest, so the bundle loads under the directory's name.  A label that
+    :func:`read_manifest` would refuse raises ValidationError before any
+    file is written."""
+    if bundle.label and _label_climbs_out(bundle.label):
+        raise ValidationError(
+            f"bundle label {bundle.label!r} may not be '.' or '..' or hold a path separator"
+        )
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     names = [f"R_{i + 1}.npy" for i in range(bundle.N)]
@@ -173,6 +179,16 @@ def save_bundle(bundle: DataBundle, path, planted: Factorization | None = None,
         fh.write("\n")
     if planted is not None:
         save_factors(planted, path / "planted")
+
+
+def _label_climbs_out(label: str) -> bool:
+    """Whether a bundle label is ``.`` or ``..`` or holds a path separator.
+
+    The label keys a sweep's rows and names its run directories, so
+    :func:`read_manifest` refuses such a label, and an empty one too, and
+    :func:`save_bundle` refuses to write it.
+    """
+    return label in (".", "..") or "/" in label or "\\" in label
 
 
 def load_bundle(path, symmetrize: bool = False) -> DataBundle:
@@ -242,9 +258,7 @@ def read_manifest(path) -> dict:
     label = manifest.setdefault("label", Path(path).name)
     if not isinstance(label, str):
         raise ValidationError(f"{manifest_path}: manifest label must be a string, got {label!r}")
-    # The label keys the sweep's rows and names its run directories, so it
-    # may not be empty or climb out.
-    if label in ("", ".", "..") or "/" in label or "\\" in label:
+    if not label or _label_climbs_out(label):
         raise ValidationError(
             f"{manifest_path}: manifest label {label!r} may not be '.' or '..' "
             "or hold a path separator, or be empty"

@@ -15,11 +15,14 @@ quadratic in t, G(t) = P0 + t P1 + t^2 P2 and S_i(t) = Q0 + t Q1 + t^2 Q2, and
     p(t) = sum_i ||R_i||^2 - 2 <G(t)^T R_i G(t), S_i(t)> + <A S_i, (A S_i)^T>(t)
 
 with A(t) = G(t)^T G(t).  Given R_i P0 (the products the gradient already
-needs), only R_i P1 and R_i P2 touch the data; the coefficients then come
-from the line-polynomial kernel ``gradients._line_poly``, k x k polynomial
-algebra in which no n x n matrix is formed.  Every iteration steps all
-variables by the global minimizer t* of p (``poly_minimize``, unbounded), so
-SE never increases.
+needs), only R_i P1 and R_i P2 touch the data, as one n x 2k pass over the
+last 2k columns of the n x 3k matrix [P0 P1 P2].  The coefficients then come
+from the line-polynomial kernel ``gradients._line_poly``: a few GEMMs that
+read the products in the (m, N n) layout the pass leaves them in, and k x k
+polynomial algebra, in which no n x n matrix is formed.  Every iteration
+steps all variables by the global minimizer t* of p (``poly_minimize``,
+unbounded), so SE never increases.  The carried H_i below keeps that layout,
+since it is updated in place.
 
 The products R_i G at the new point follow from the same ones: G(t*) is on
 the line, so R_i G(t*) = R_i P0 + t* R_i P1 + t*^2 R_i P2.  The solver
@@ -60,12 +63,16 @@ def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h):
 
     ``g`` and the (N, k, k) stack ``s`` are the raw variables G' and S_i'
     and ``h`` holds the stack R_i P0 = R_i (G * G), the native products at
-    the current point.  The products R_i [P1, P2] are this function's one
-    n x 2k data pass.
+    the current point.  P0, P1 and P2 are written side by side into one
+    n x 3k matrix, and R_i [P1, P2], over its last 2k columns, is this
+    function's one data pass.
     """
     k = g.shape[1]
-    p = _square_line(g, step_g)
-    rp = bundle.times(np.hstack((p[1], p[2])))
+    p = np.empty((len(g), 3 * k))
+    np.multiply(g, g, out=p[:, :k])
+    np.multiply(2.0 * g, step_g, out=p[:, k:2 * k])
+    np.multiply(step_g, step_g, out=p[:, 2 * k:])
+    rp = bundle.times(p[:, k:])
     rp = (rp[..., :k], rp[..., k:])
     return _line_poly(bundle, p, _square_line(s, step_s), (h, *rp)), rp
 
@@ -105,6 +112,11 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
         t = poly_minimize(coeffs)
         g -= t * dg
         s -= t * ds
-        h += t * rp1 + (t * t) * rp2
+        # h + (t rp1 + t^2 rp2), summed in the products' own storage: they
+        # are spent after this step, and no N x n x k temporary is made
+        rp1 *= t
+        rp2 *= t * t
+        rp1 += rp2
+        h += rp1
         se_value, dg, ds = _transformed_step(bundle, SQUARE, g, s, h)
     yield Factorization(SQUARE.apply(g), SQUARE.apply(s))

@@ -35,7 +35,10 @@ exactly symmetric in every solver.
 
 gmels' exact line search restricts SE to a line G(t) = sum_a t^a P_a,
 S_i(t) = sum_b t^b Q_b and gets its degree-12 coefficients from
-:func:`_line_poly`, given the products R_i P_a.  bcd's quartic in G builds
+:func:`_line_poly`, given the products R_i P_a.  It reads each (N, n, k)
+stack of products as the (k N, n) matrix of the (R_i P_a)^T, which is the
+data pass's own (m, N n) output and so needs no copy, and takes every
+P_b^T R_i P_a it needs from one GEMM per a.  bcd's quartic in G builds
 its coefficients from terms its G step already holds, the gradient's
 numerator sum_i H_i S_i among them (``bcd._quartic``).  Both take the fit
 term <A S_i, (A S_i)^T>(t) from :func:`_poly_inner`, one GEMM over the
@@ -122,19 +125,6 @@ def _gram_step(bundle: DataBundle, g, s, h):
     return _se_from_asa(bundle.norms_sq, mid, s, asa), _grad_g(g, gram, h, s)[0], ds
 
 
-def _poly_matmul(x, y) -> np.ndarray:
-    """Stacked coefficients of the matrix polynomial product X(t) Y(t).
-
-    Axis 0 indexes the power of t; the rest broadcast as in ``matmul``.
-    """
-    shape = np.broadcast_shapes(x.shape[1:-2], y.shape[1:-2]) + (x.shape[-2], y.shape[-1])
-    out = np.zeros((len(x) + len(y) - 1,) + shape)
-    for a, xa in enumerate(x):
-        for b, yb in enumerate(y):
-            out[a + b] += xa @ yb
-    return out
-
-
 def _poly_inner(x, y) -> np.ndarray:
     """Ascending coefficients of the Frobenius product <X(t), Y(t)>, summed
     over every axis after the first.
@@ -149,32 +139,58 @@ def _poly_inner(x, y) -> np.ndarray:
     return out
 
 
-def _paired_products(p, y) -> np.ndarray:
-    """Stacked coefficients of sum_{a,b} t^(a+b) P_a^T Y_b when
-    P_b^T Y_a = (P_a^T Y_b)^T, as for Y = P or Y_b = R_i P_b: each unordered
-    pair (a, b) is multiplied once and its transpose added."""
-    out = np.zeros((2 * len(p) - 1,) + y[0].shape[:-2] + (p[0].shape[1],) * 2)
-    for a in range(len(p)):
-        for b in range(a, len(p)):
-            x = p[a].T @ y[b]
-            out[a + b] += x if a == b else x + x.swapaxes(-1, -2)
-    return out
+def _rows(y) -> np.ndarray:
+    """The (N, n, m) stack of products R_i X as the (m N, n) matrix whose
+    row (j, i) is column j of R_i X.
+
+    A view of ``DataBundle.times`` output, whose (m, N n) product it
+    reads back, and of that output's column slices; a copy for any other
+    layout.
+    """
+    return y.transpose(2, 0, 1).reshape(-1, y.shape[1])
 
 
 def _line_poly(bundle: DataBundle, p, q, rp) -> np.ndarray:
     """Ascending coefficients of SE along G(t) = sum_a t^a P_a,
-    S_i(t) = sum_b t^b Q_b:
+    S_i(t) = sum_c t^c Q_c:
 
         p(t) = sum_i ||R_i||^2 - 2 <G(t)^T R_i G(t), S_i(t)> + <A S_i, (A S_i)^T>(t)
 
-    with A(t) = G(t)^T G(t).  ``p`` holds the n x k matrices P_a, ``q`` the
-    (N, k, k) stacks Q_b and ``rp`` the (N, n, k) data products R_i P_a, so
-    the rest is k x k polynomial algebra and no data pass.
+    with A(t) = G(t)^T G(t).  ``p`` holds the n x k matrices P_a, either as
+    a sequence or side by side as the one n x (A k) matrix [P_0 P_1 ...]
+    (no copy then); ``q`` holds the (N, k, k) stacks Q_c of symmetric
+    blocks and ``rp`` the A (N, n, k) data products R_i P_a, so the rest is
+    k x k polynomial algebra and no data pass.
+
+    Fit term: every P_a^T P_b comes from one GEMM over [P_0 P_1 ...], and
+    the products A_d Q_c from one batched matmul per d (a single one over
+    every (d, c) pair leaves a temporary large enough that allocating and
+    freeing it each iteration costs page faults).  Data term: for each a,
+    one GEMM of [P_a P_a+1 ...]^T with the rows of R_i P_a (:func:`_rows`)
+    gives P_b^T R_i P_a for every b >= a and i, and one more traces that
+    block against the flattened Q stack.  <P_b^T R_i P_a, Q_c,i> equals
+    <P_a^T R_i P_b, Q_c,i>, since R_i and Q_c,i are symmetric, so a pair
+    b > a counts twice and is formed once.
     """
-    mid = _paired_products(p, rp)
-    asq = _poly_matmul(_paired_products(p, p), q)
+    q = np.asarray(q)
+    pk = p if isinstance(p, np.ndarray) else np.concatenate(p, axis=1)
+    na, nc = len(rp), len(q)
+    k = pk.shape[1] // na
+    blocks = (pk.T @ pk).reshape(na, k, na, k)
+    gram = np.zeros((2 * na - 1, k, k))
+    for a in range(na):
+        for b in range(na):
+            gram[a + b] += blocks[a, :, b]
+    asq = np.zeros((len(gram) + nc - 1,) + q.shape[1:])
+    for d, x in enumerate(gram):
+        asq[d:d + nc] += x @ q
     coeffs = _poly_inner(asq, asq.swapaxes(-1, -2))
-    coeffs[:len(mid) + len(q) - 1] -= 2.0 * _poly_inner(mid, q)
+    flat_q = q.transpose(0, 2, 3, 1).reshape(nc, -1)  # Q_c,i[l, j] at (l, j, i)
+    for a, y in enumerate(rp):
+        traces = (pk[:, a * k:].T @ _rows(y).T).reshape(na - a, -1) @ flat_q.T
+        traces[1:] *= 2.0
+        for b, row in enumerate(traces, start=a):
+            coeffs[a + b:a + b + nc] -= 2.0 * row
     coeffs[0] += bundle.norm_sq_total
     return coeffs
 

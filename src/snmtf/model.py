@@ -549,19 +549,39 @@ def poly_minimize(c, lo: float = -np.inf, hi: float = np.inf) -> float:
     gmels' squared-variable exact line search.
 
     Stationary points are the roots of p', found as eigenvalues of the
-    balanced companion matrix after stripping leading coefficients below
-    1e-14 of the largest.  Near-real roots (|imag| <= 1e-8 (1 + |real|)) are
-    kept, so a root outside [lo, hi] yields the nearer bound.  Ties prefer
-    smaller p, then smaller |t|, then the negative sign: a flat polynomial
-    gives 0 whenever 0 is in range.
+    companion matrix (built as ``np.roots`` builds it, and balanced by
+    ``eigvals``) after stripping leading coefficients below 1e-14 of the
+    largest and trailing exact zeros, whose roots at 0 are already a
+    candidate.  Near-real roots (|imag| <= 1e-8 (1 + |real|)) are kept, so a
+    root outside [lo, hi] yields the nearer bound.  The candidates are scored
+    by :func:`poly_value`.  Ties prefer smaller p, then smaller |t|, then the
+    negative sign: a flat polynomial gives 0 whenever 0 is in range.
     """
     c = np.asarray(c, dtype=float)
     dc = np.arange(1, len(c)) * c[1:]
-    keep = np.nonzero(np.abs(dc) > LEADING_COEFF_RTOL * np.abs(dc).max(initial=0.0))[0]
-    roots = np.roots(dc[: keep[-1] + 1][::-1]) if keep.size else []
-    real = [float(r.real) for r in roots if abs(r.imag) <= REAL_ROOT_IMAG_RTOL * (1.0 + abs(r.real))]
-    bounds = [b for b in (lo, hi) if np.isfinite(b)]
-    candidates = np.clip([0.0] + bounds + real, lo, hi)
-    values = np.polynomial.polynomial.polyval(candidates, c)
-    order = np.lexsort((candidates, np.abs(candidates), values))
+    keep = np.flatnonzero(np.abs(dc) > LEADING_COEFF_RTOL * np.abs(dc).max(initial=0.0))
+    candidates = [[0.0], [b for b in (lo, hi) if np.isfinite(b)]]
+    if keep.size:
+        # p' in descending powers, without the stripped terms at either end
+        desc = dc[np.flatnonzero(dc)[0]:keep[-1] + 1][::-1]
+        if len(desc) > 1:
+            companion = np.eye(len(desc) - 1, k=-1)
+            companion[0] = -desc[1:] / desc[0]
+            roots = np.linalg.eigvals(companion)
+            candidates.append(roots.real[np.abs(roots.imag) <= REAL_ROOT_IMAG_RTOL * (1.0 + np.abs(roots.real))])
+    candidates = np.clip(np.concatenate(candidates), lo, hi)
+    order = np.lexsort((candidates, np.abs(candidates), poly_value(c, candidates)))
     return float(candidates[order[0]])
+
+
+def poly_value(c, t):
+    """p(t) = sum_j c[j] t^j by Horner's rule, for a scalar or an array ``t``.
+
+    The same operations in the same order as
+    ``numpy.polynomial.polynomial.polyval``, so the same value bit for bit.
+    """
+    c = np.asarray(c, dtype=float).tolist()
+    value = c[-1] + t * 0.0
+    for cj in c[-2::-1]:
+        value = cj + value * t
+    return value

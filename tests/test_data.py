@@ -403,6 +403,14 @@ class TestBundleIO:
         with pytest.raises(ValidationError, match="may not be '.' or '..' or hold a path separator"):
             data.read_manifest(tmp_path / "b")
 
+    @pytest.mark.parametrize("label", ["../x", "a/b", "a\\b", ".", ".."])
+    def test_save_refuses_a_label_the_manifest_refuses(self, tmp_path, label):
+        # save_bundle used to write such a label, and load_bundle refused it.
+        bundle = DataBundle.from_matrices([VALID_R], label=label)
+        with pytest.raises(ValidationError, match="may not be '.' or '..' or hold a path separator"):
+            data.save_bundle(bundle, tmp_path / "b")
+        assert not (tmp_path / "b").exists()
+
     def test_missing_label_is_the_directory_name(self, tmp_path):
         bundle, _ = data.generate_synthetic(n=6, K=2, N=2, seed=4)
         data.save_bundle(bundle, tmp_path / "b")

@@ -3,6 +3,7 @@ import pytest
 
 from snmtf.gradients import (
     _gram_step,
+    _line_poly,
     _poly_inner,
     _transformed_step,
     grad_native,
@@ -71,6 +72,58 @@ class TestPolyInner:
             for b, yb in enumerate(y):
                 expected[a + b] += np.sum(xa * yb)
         np.testing.assert_allclose(_poly_inner(x, y), expected, rtol=1e-13)
+
+
+def line_poly_by_pairs(bundle, p, q, rp):
+    """SE's coefficients along G(t) = sum_a t^a P_a, S_i(t) = sum_c t^c Q_c,
+    one k x k product per pair of coefficients: G(t)^T R_i G(t) from the
+    P_a^T R_i P_b, A(t) S_i(t) from the P_a^T P_b and the Q_c, and every
+    Frobenius product summed term by term."""
+    k = p[0].shape[1]
+    mid = np.zeros((2 * len(p) - 1, bundle.N, k, k))
+    gram = np.zeros((2 * len(p) - 1, k, k))
+    for a, pa in enumerate(p):
+        for b, pb in enumerate(p):
+            mid[a + b] += pa.T @ rp[b]
+            gram[a + b] += pa.T @ pb
+    asq = np.zeros((len(gram) + len(q) - 1, bundle.N, k, k))
+    for d, x in enumerate(gram):
+        for c, y in enumerate(q):
+            asq[d + c] += x @ y
+    coeffs = np.zeros(2 * len(asq) - 1)
+    for e, x in enumerate(asq):
+        for f, y in enumerate(asq):
+            coeffs[e + f] += np.sum(x * y.swapaxes(-1, -2))
+    for e, x in enumerate(mid):
+        for c, y in enumerate(q):
+            coeffs[e + c] -= 2.0 * np.sum(x * y)
+    coeffs[0] += bundle.norm_sq_total
+    return coeffs
+
+
+class TestLinePoly:
+    @pytest.mark.parametrize("n_p", [1, 2, 3])
+    @pytest.mark.parametrize("n_q", [1, 3])
+    @pytest.mark.parametrize("layout", ["times", "contiguous", "matrix"])
+    def test_matches_a_loop_over_pairs(self, rng, n_p, n_q, layout):
+        # "times" passes the column slices of one DataBundle.times output,
+        # as gmels does, so _line_poly reads them in place; "contiguous"
+        # passes C-contiguous (N, n, k) stacks, which it copies; "matrix"
+        # passes the P_a side by side as one n x (A k) matrix.
+        n, k, N = 9, 4, 3
+        bundle = random_bundle(rng, n, N)
+        p = [rng.standard_normal((n, k)) for _ in range(n_p)]
+        q = rng.standard_normal((n_q, N, k, k))
+        q = q + q.swapaxes(-1, -2)
+        pk = np.hstack(p)
+        products = bundle.times(pk)
+        rp = [products[..., a * k:(a + 1) * k] for a in range(n_p)]
+        if layout == "contiguous":
+            rp = [np.ascontiguousarray(y) for y in rp]
+        expected = line_poly_by_pairs(bundle, p, q, rp)
+        got = _line_poly(bundle, pk if layout == "matrix" else p, q, rp)
+        assert got.shape == (4 * n_p + 2 * n_q - 5,)
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
 
 
 class TestGradNative:

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from snmtf import adam, bcd, runner
 from snmtf.model import (
     DELTA_THRESHOLD,
+    LEADING_COEFF_RTOL,
     MAX_ITERATIONS,
     METHODS,
     MSE_THRESHOLD,
     SYMMETRY_INPUT_RTOL,
     ConvergenceTrace,
+    REAL_ROOT_IMAG_RTOL,
     DataBundle,
     DimensionError,
     Factorization,
@@ -23,6 +25,8 @@ from snmtf.model import (
     _check_symmetric,
     drive,
     mse,
+    poly_minimize,
+    poly_value,
     residuals,
     se,
     se_from_gram,
@@ -427,3 +431,56 @@ class TestDrive:
         with pytest.raises(SolverDivergedError, match="step 2 failed") as err:
             drive(self.UNIT, config, self._steps([1.0, 0.9, 0.8], fail_at=2))
         assert [(r.iteration, r.se) for r in err.value.records] == [(0, 1.0), (1, 0.9)]
+
+
+def poly_minimize_by_roots(c, lo=-np.inf, hi=np.inf):
+    """The minimizer as it was first written: ``np.roots`` for the stationary
+    points and ``polyval`` for the scores."""
+    c = np.asarray(c, dtype=float)
+    dc = np.arange(1, len(c)) * c[1:]
+    keep = np.nonzero(np.abs(dc) > LEADING_COEFF_RTOL * np.abs(dc).max(initial=0.0))[0]
+    roots = np.roots(dc[: keep[-1] + 1][::-1]) if keep.size else []
+    real = [float(r.real) for r in roots if abs(r.imag) <= REAL_ROOT_IMAG_RTOL * (1.0 + abs(r.real))]
+    bounds = [b for b in (lo, hi) if np.isfinite(b)]
+    candidates = np.clip([0.0] + bounds + real, lo, hi)
+    values = np.polynomial.polynomial.polyval(candidates, c)
+    order = np.lexsort((candidates, np.abs(candidates), values))
+    return float(candidates[order[0]])
+
+
+class TestPolyMinimizeMatchesRoots:
+    INTERVALS = [(-np.inf, np.inf), (-1.0, 0.0), (0.0, 2.0), (-np.inf, 0.0), (0.5, np.inf), (-3.0, 3.0)]
+
+    def test_same_minimizer_bit_for_bit(self):
+        # About 10^4 polynomials of degree 0-12 whose coefficients span 12
+        # decades: some with exact-zero low-order terms (a root of p' at 0),
+        # with scattered zeros, the zero polynomial, linear ones, and ones
+        # whose top terms fall below the stripping threshold.
+        rng = np.random.default_rng(90210)
+        for trial in range(10_000):
+            degree = int(rng.integers(0, 13))
+            c = rng.standard_normal(degree + 1) * 10.0 ** rng.integers(-6, 7, degree + 1)
+            kind = trial % 6
+            if kind == 1:
+                c[:rng.integers(1, degree + 2)] = 0.0
+            elif kind == 2:
+                c[rng.random(degree + 1) < 0.4] = 0.0
+            elif kind == 3 and trial % 12 == 3:
+                c[:] = 0.0
+            elif kind == 4:
+                c = c[:2]
+            elif kind == 5:
+                c[1:] *= 1e-16 * rng.random(degree)
+            lo, hi = self.INTERVALS[trial % len(self.INTERVALS)]
+            expected = poly_minimize_by_roots(c, lo, hi)
+            got = poly_minimize(c, lo, hi)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (c.tolist(), lo, hi)
+
+    def test_value_is_polyval_bit_for_bit(self, rng):
+        # bcd's decrease test reads the quartic through poly_value.
+        for degree in range(13):
+            c = rng.standard_normal(degree + 1)
+            t = rng.standard_normal(20) * 3.0
+            assert poly_value(c, t).tobytes() == np.polynomial.polynomial.polyval(t, c).tobytes()
+            for x in (-1.0, -0.25, 0.0, 0.7):
+                assert poly_value(c, x) == np.polynomial.polynomial.polyval(x, c)
