@@ -176,11 +176,10 @@ def _line_poly(bundle: DataBundle, p, q, rp) -> np.ndarray:
     pk = p if isinstance(p, np.ndarray) else np.concatenate(p, axis=1)
     na, nc = len(rp), len(q)
     k = pk.shape[1] // na
-    blocks = (pk.T @ pk).reshape(na, k, na, k)
+    blocks = (pk.T @ pk).reshape(na, k, na, k).swapaxes(1, 2)  # [a, b] = P_a^T P_b
     gram = np.zeros((2 * na - 1, k, k))
     for a in range(na):
-        for b in range(na):
-            gram[a + b] += blocks[a, :, b]
+        gram[a:a + na] += blocks[a]
     asq = np.zeros((len(gram) + nc - 1,) + q.shape[1:])
     for d, x in enumerate(gram):
         asq[d:d + nc] += x @ q
