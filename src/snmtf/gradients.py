@@ -34,7 +34,7 @@ step all act element-wise on such operands, so a symmetric start stays
 exactly symmetric in every solver.
 
 gmels' exact line search restricts SE to a line G(t) = sum_a t^a P_a,
-S_i(t) = sum_b t^b Q_b and gets its degree-12 coefficients from
+S_i(t) = sum_c t^c Q_c and gets its degree-12 coefficients from
 :func:`_line_poly`, given the products R_i P_a.  It reads each (N, n, k)
 stack of products as the (k N, n) matrix of the (R_i P_a)^T, which is the
 data pass's own (m, N n) output and so needs no copy, and takes every
