@@ -113,10 +113,12 @@ def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng)
         g -= t * dg
         s -= t * ds
         # h + (t rp1 + t^2 rp2), summed in the products' own storage: they
-        # are spent after this step, and no N x n x k temporary is made
+        # are spent after this step, and no N x n x k temporary is made.
+        # Dropping them here keeps them from living on beside the next pass.
         rp1 *= t
         rp2 *= t * t
         rp1 += rp2
         h += rp1
+        del rp1, rp2
         se_value, dg, ds = _transformed_step(bundle, SQUARE, g, s, h)
     yield Factorization(SQUARE.apply(g), SQUARE.apply(s))

@@ -568,7 +568,8 @@ def poly_minimize(c, lo: float = -np.inf, hi: float = np.inf) -> float:
             companion = np.eye(len(desc) - 1, k=-1)
             companion[0] = -desc[1:] / desc[0]
             roots = np.linalg.eigvals(companion)
-            candidates.append(roots.real[np.abs(roots.imag) <= REAL_ROOT_IMAG_RTOL * (1.0 + np.abs(roots.real))])
+            real = np.abs(roots.imag) <= REAL_ROOT_IMAG_RTOL * (1.0 + np.abs(roots.real))
+            candidates.append(roots.real[real])
     candidates = np.clip(np.concatenate(candidates), lo, hi)
     order = np.lexsort((candidates, np.abs(candidates), poly_value(c, candidates)))
     return float(candidates[order[0]])

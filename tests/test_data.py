@@ -405,7 +405,7 @@ class TestBundleIO:
 
     @pytest.mark.parametrize("label", ["../x", "a/b", "a\\b", ".", ".."])
     def test_save_refuses_a_label_the_manifest_refuses(self, tmp_path, label):
-        # save_bundle used to write such a label, and load_bundle refused it.
+        # load_bundle refuses such a label, so a saved bundle could not be read.
         bundle = DataBundle.from_matrices([VALID_R], label=label)
         with pytest.raises(ValidationError, match="may not be '.' or '..' or hold a path separator"):
             data.save_bundle(bundle, tmp_path / "b")

@@ -434,8 +434,8 @@ class TestDrive:
 
 
 def poly_minimize_by_roots(c, lo=-np.inf, hi=np.inf):
-    """The minimizer as it was first written: ``np.roots`` for the stationary
-    points and ``polyval`` for the scores."""
+    """The reference minimizer: ``np.roots`` for the stationary points and
+    ``polyval`` for the scores."""
     c = np.asarray(c, dtype=float)
     dc = np.arange(1, len(c)) * c[1:]
     keep = np.nonzero(np.abs(dc) > LEADING_COEFF_RTOL * np.abs(dc).max(initial=0.0))[0]
