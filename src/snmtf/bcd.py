@@ -85,16 +85,18 @@ def _quartic(g, dg, gram, s, num, rdg) -> np.ndarray:
     B_a = A_a S_i, the fit term <A S_i, (A S_i)^T> is the line polynomial
     of the B_a, paired by ``gradients._poly_inner`` as gmels' fit term is.
     The data term -2 <G^T R_i G, S_i> gives -4 t <num, dG> with ``num`` =
-    sum_i H_i S_i, the gradient's numerator, and -2 t^2 <E_i, S_i> with
-    E_i = dG^T R_i dG from ``rdg``, the (N, n, k) stack R_i dG.  So no
-    G^T R_i dG product is formed, and no data pass.
+    sum_i H_i S_i, the gradient's numerator, and -2 t^2 sum_i <E_i, S_i>
+    with E_i = dG^T R_i dG.  One GEMM of the (k N, n) matrix of the
+    (R_i dG)^T, from ``rdg`` (the (k, N, n) products R_i dG), with dG gives
+    every E_i^T, which pairs with S_i^T = S_i.  So no G^T R_i dG product is
+    formed, and no data pass.
     """
     x = g.T @ dg
     b = np.stack((gram, x + x.T, dg.T @ dg))[:, None] @ s
     c = _poly_inner(b, b.swapaxes(-1, -2))
     c[0] = 0.0
     c[1] -= 4.0 * float(np.vdot(num, dg))
-    c[2] -= 2.0 * float(_traces(dg.T @ rdg, s).sum())
+    c[2] -= 2.0 * float(np.vdot(rdg.reshape(-1, len(dg)) @ dg, s.swapaxes(0, 1)))
     return c
 
 

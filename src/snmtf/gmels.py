@@ -17,12 +17,10 @@ quadratic in t, G(t) = P0 + t P1 + t^2 P2 and S_i(t) = Q0 + t Q1 + t^2 Q2, and
 with A(t) = G(t)^T G(t).  Given R_i P0 (the products the gradient already
 needs), only R_i P1 and R_i P2 touch the data, as one n x 2k pass over the
 last 2k columns of the n x 3k matrix [P0 P1 P2].  The coefficients then come
-from the line-polynomial kernel ``gradients._line_poly``: a few GEMMs that
-read the products in the (m, N n) layout the pass leaves them in, and k x k
-polynomial algebra, in which no n x n matrix is formed.  Every iteration
-steps all variables by the global minimizer t* of p (``poly_minimize``,
-unbounded), so SE never increases.  The carried H_i below keeps that layout,
-since it is updated in place.
+from the line-polynomial kernel ``gradients._line_poly``: a few GEMMs over
+the products as the pass returns them, and k x k polynomial algebra, in which
+no n x n matrix is formed.  Every iteration steps all variables by the global
+minimizer t* of p (``poly_minimize``, unbounded), so SE never increases.
 
 The products R_i G at the new point follow from the same ones: G(t*) is on
 the line, so R_i G(t*) = R_i P0 + t* R_i P1 + t*^2 R_i P2.  The solver
@@ -59,13 +57,15 @@ def _square_line(x, d) -> np.ndarray:
 
 def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h):
     """Ascending coefficients of p(t) = SE(G + t step_G, S_i + t step_S_i),
-    and the products (R_i P1, R_i P2) as (N, n, k) stacks.
+    and the products (R_i P1, R_i P2).
 
     ``g`` and the (N, k, k) stack ``s`` are the raw variables G' and S_i'
-    and ``h`` holds the stack R_i P0 = R_i (G * G), the native products at
-    the current point.  P0, P1 and P2 are written side by side into one
+    and ``h`` holds R_i P0 = R_i (G * G), the native products at the
+    current point.  P0, P1 and P2 are written side by side into one
     n x 3k matrix, and R_i [P1, P2], over its last 2k columns, is this
-    function's one data pass.
+    function's one data pass; its (2k, N, n) output splits into the
+    contiguous (k, N, n) halves R_i P1 and R_i P2, in the layout of ``h``
+    (see ``DataBundle.times``).
     """
     k = g.shape[1]
     p = np.empty((len(g), 3 * k))
@@ -73,7 +73,7 @@ def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h):
     np.multiply(2.0 * g, step_g, out=p[:, k:2 * k])
     np.multiply(step_g, step_g, out=p[:, 2 * k:])
     rp = bundle.times(p[:, k:])
-    rp = (rp[..., :k], rp[..., k:])
+    rp = (rp[:k], rp[k:])
     return _line_poly(bundle, p, _square_line(s, step_s), (h, *rp)), rp
 
 

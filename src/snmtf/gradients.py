@@ -21,8 +21,9 @@ the products A S_i A with dS_i.  Every solver gets its objective and gradient
 from that one Gram step; in raw variables the gradient follows by the chain
 rule, dX' = f'(X') * dX.  A Gram step takes the products H_i = R_i G from its
 caller, who forms them with one data pass (see ``DataBundle.times``) or, as
-gmels does, carries them along its line search; the step itself is batched
-k x k algebra on the (N, k, k) stack of the S_i.
+gmels does, carries them along its line search.  Each kernel reads that
+pass's (k, N, n) output with one GEMM over its (k N, n) reshape, the matrix
+of every H_i^T; the rest is batched k x k algebra on the stack of the S_i.
 :func:`grad_transformed` evaluates the formulas above from the n x n residuals
 instead and is kept as the independent reference the tests compare against.
 
@@ -35,15 +36,14 @@ exactly symmetric in every solver.
 
 gmels' exact line search restricts SE to a line G(t) = sum_a t^a P_a,
 S_i(t) = sum_c t^c Q_c and gets its degree-12 coefficients from
-:func:`_line_poly`, given the products R_i P_a.  It reads each (N, n, k)
-stack of products as the (k N, n) matrix of the (R_i P_a)^T, which is the
-data pass's own (m, N n) output and so needs no copy, and takes every
-P_b^T R_i P_a it needs from one GEMM per a.  bcd's quartic in G builds
-its coefficients from terms its G step already holds, the gradient's
-numerator sum_i H_i S_i among them (``bcd._quartic``).  Both take the fit
-term <A S_i, (A S_i)^T>(t) from :func:`_poly_inner`, one GEMM over the
-coefficient stacks; their data terms stay separate, since bcd reads its
-linear one from the gradient's numerator and forms no G^T R_i dG.
+:func:`_line_poly`, given the products R_i P_a, and takes every
+P_b^T R_i P_a it needs from one GEMM per a over the same (k N, n)
+matrices.  bcd's quartic in G builds its coefficients from terms its G
+step already holds, the gradient's numerator sum_i H_i S_i among them
+(``bcd._quartic``).  Both take the fit term <A S_i, (A S_i)^T>(t) from
+:func:`_poly_inner`, one GEMM over the coefficient stacks; their data terms
+stay separate, since bcd reads its linear one from the gradient's numerator
+and forms no G^T R_i dG.
 """
 
 from __future__ import annotations
@@ -78,15 +78,18 @@ def grad_native(bundle: DataBundle, fact: Factorization):
 
 def _grams(g, h):
     """A = G^T G and the (N, k, k) stack of the symmetric parts of
-    M_i = G^T H_i, given the (N, n, k) stack of the products H_i = R_i G."""
-    return g.T @ g, _symmetric_part(g.T @ h)
+    M_i = G^T H_i, given the (k, N, n) products H_i = R_i G: one GEMM gives
+    the M_i^T, whose symmetric parts are those of the M_i bit for bit."""
+    k, nb, n = h.shape
+    mt = (h.reshape(-1, n) @ g).reshape(k, nb, k)  # [j, i, l] = M_i[l, j]
+    return g.T @ g, _symmetric_part(mt.swapaxes(0, 1))
 
 
 def _gram_products(bundle: DataBundle, g):
     """A = G^T G, the products H_i = R_i G and the symmetric parts of
     M_i = G^T H_i: one data pass.
 
-    H and M come back as (N, n, k) and (N, k, k) stacks.
+    H and M come back as (k, N, n) and (N, k, k) arrays.
     """
     h = bundle.times(g)
     gram, mid = _grams(g, h)
@@ -102,8 +105,10 @@ def _grad_s(gram, mid, s):
 
 
 def _g_terms(gram, h, s):
-    """The two halves of dG: sum_i H_i S_i and sum_i S_i A S_i."""
-    return (h @ s).sum(axis=0), (s @ gram @ s).sum(axis=0)
+    """The two halves of dG: sum_i H_i S_i, one GEMM over the (k N, n)
+    matrix of the H_i^T (row (j, i) meets row j of S_i), and sum_i S_i A S_i."""
+    num = s.swapaxes(0, 1).reshape(-1, s.shape[-1]).T @ h.reshape(-1, h.shape[-1])
+    return num.T, (s @ gram @ s).sum(axis=0)
 
 
 def _grad_g(g, gram, h, s):
@@ -116,8 +121,8 @@ def _grad_g(g, gram, h, s):
 def _gram_step(bundle: DataBundle, g, s, h):
     """SE and native gradient at (G, S) from the N products H_i = R_i G.
 
-    ``s`` is the (N, k, k) stack of the S_i and ``h`` the (N, n, k) stack of
-    the H_i.  Returns (SE, dG, dS) with dS as a stack.  No data pass is
+    ``s`` is the (N, k, k) stack of the S_i and ``h`` the (k, N, n) array
+    of the H_i.  Returns (SE, dG, dS) with dS as a stack.  No data pass is
     taken and no n x n matrix is formed.
     """
     gram, mid = _grams(g, h)
@@ -139,44 +144,30 @@ def _poly_inner(x, y) -> np.ndarray:
     return out
 
 
-def _rows(y) -> np.ndarray:
-    """The (N, n, m) stack of products R_i X as the (m N, n) matrix whose
-    row (j, i) is column j of R_i X.
-
-    A view of ``DataBundle.times`` output, whose (m, N n) product it
-    reads back, and of that output's column slices; a copy for any other
-    layout.
-    """
-    return y.transpose(2, 0, 1).reshape(-1, y.shape[1])
-
-
 def _line_poly(bundle: DataBundle, p, q, rp) -> np.ndarray:
     """Ascending coefficients of SE along G(t) = sum_a t^a P_a,
     S_i(t) = sum_c t^c Q_c:
 
         p(t) = sum_i ||R_i||^2 - 2 <G(t)^T R_i G(t), S_i(t)> + <A S_i, (A S_i)^T>(t)
 
-    with A(t) = G(t)^T G(t).  ``p`` holds the n x k matrices P_a, either as
-    a sequence or side by side as the one n x (A k) matrix [P_0 P_1 ...]
-    (no copy then); ``q`` holds the (N, k, k) stacks Q_c of symmetric
-    blocks and ``rp`` the A (N, n, k) data products R_i P_a, so the rest is
-    k x k polynomial algebra and no data pass.
+    with A(t) = G(t)^T G(t).  ``p`` is the n x (A k) matrix [P_0 P_1 ...],
+    ``q`` the stack of the (N, k, k) stacks Q_c of symmetric blocks and
+    ``rp`` the A (k, N, n) data products R_i P_a, so the rest is k x k
+    polynomial algebra and no data pass.
 
     Fit term: every P_a^T P_b comes from one GEMM over [P_0 P_1 ...], and
     the products A_d Q_c from one batched matmul per d (a single one over
     every (d, c) pair leaves a temporary large enough that allocating and
     freeing it each iteration costs page faults).  Data term: for each a,
-    one GEMM of [P_a P_a+1 ...]^T with the rows of R_i P_a (:func:`_rows`)
-    gives P_b^T R_i P_a for every b >= a and i, and one more traces that
-    block against the flattened Q stack.  <P_b^T R_i P_a, Q_c,i> equals
+    one GEMM of [P_a P_a+1 ...]^T with the (k N, n) rows of R_i P_a gives
+    P_b^T R_i P_a for every b >= a and i, and one more traces that block
+    against the flattened Q stack.  <P_b^T R_i P_a, Q_c,i> equals
     <P_a^T R_i P_b, Q_c,i>, since R_i and Q_c,i are symmetric, so a pair
     b > a counts twice and is formed once.
     """
-    q = np.asarray(q)
-    pk = p if isinstance(p, np.ndarray) else np.concatenate(p, axis=1)
-    na, nc = len(rp), len(q)
-    k = pk.shape[1] // na
-    blocks = (pk.T @ pk).reshape(na, k, na, k).swapaxes(1, 2)  # [a, b] = P_a^T P_b
+    n, na, nc = len(p), len(rp), len(q)
+    k = p.shape[1] // na
+    blocks = (p.T @ p).reshape(na, k, na, k).swapaxes(1, 2)  # [a, b] = P_a^T P_b
     gram = np.zeros((2 * na - 1, k, k))
     for a in range(na):
         gram[a:a + na] += blocks[a]
@@ -186,7 +177,7 @@ def _line_poly(bundle: DataBundle, p, q, rp) -> np.ndarray:
     coeffs = _poly_inner(asq, asq.swapaxes(-1, -2))
     flat_q = q.transpose(0, 2, 3, 1).reshape(nc, -1)  # Q_c,i[l, j] at (l, j, i)
     for a, y in enumerate(rp):
-        traces = (pk[:, a * k:].T @ _rows(y).T).reshape(na - a, -1) @ flat_q.T
+        traces = (p[:, a * k:].T @ y.reshape(-1, n).T).reshape(na - a, -1) @ flat_q.T
         traces[1:] *= 2.0
         for b, row in enumerate(traces, start=a):
             coeffs[a + b:a + b + nc] -= 2.0 * row
@@ -199,8 +190,8 @@ def _transformed_step(bundle: DataBundle, transform: Transform, g, s, h):
     of the substitution X = f(X'), f = ``transform``.
 
     Runs :func:`_gram_step` at the native point (f(G'), f(S')), given the
-    (N, n, k) stack ``h`` of the products R_i f(G'), and applies the chain
-    rule dX' = f'(X') * dX.  Returns (SE, dG', dS') with dS' as a stack.
+    (k, N, n) products ``h`` = R_i f(G'), and applies the chain rule
+    dX' = f'(X') * dX.  Returns (SE, dG', dS') with dS' as a stack.
     """
     f = transform
     se_value, dg, ds = _gram_step(bundle, f.apply(g), f.apply(s), h)

@@ -252,7 +252,8 @@ class DataBundle:
         return w, v
 
     def times(self, x: np.ndarray) -> np.ndarray:
-        """The products R_i X for every i, as one writable (N, n, m) array.
+        """The products R_i X for every i, as one writable, C-contiguous
+        (m, N, n) array Y whose Y[j, i] is column j of R_i X.
 
         The one place where the solvers multiply by the data.  One data pass
         is the N products R_i X with X of k columns.
@@ -260,15 +261,16 @@ class DataBundle:
         The N products are one GEMM in BLAS's faster orientation,
         X^T (R_1 ... R_N): an (m x n) by (n x N n) product over the
         transposed view of the row-stacked (N n, n) bundle, so nothing is
-        copied, and the (N, n, m) result is a transposed view of that
-        product's (m, N n) output.  It does not use the symmetry of the R_i.
+        copied, and Y is that product's (m, N n) output: ``Y.reshape(-1, n)``
+        is the (m N, n) matrix of every (R_i X)^T, the one layout every
+        kernel reads.  It does not use the symmetry of the R_i.
         At n = 1000, m = 50 (2 BLAS threads, OpenBLAS 0.3.31) it takes about
         0.75 of the batched ``R @ X``.  Narrow products at n <= 400 are
         slower this way in isolation, but keeping ``R @ X`` for them moved
         no benchmark workload past noise (README, "Data products").
         """
         n, m = x.shape
-        return (x.T @ self.R.reshape(-1, n).T).T.reshape(self.N, n, m)
+        return (x.T @ self.R.reshape(-1, n).T).reshape(m, self.N, n)
 
 
 @dataclass

@@ -64,7 +64,7 @@ class TestQuarticCoeffs:
         rdg = bundle.times(dg)
         c = _quartic(g, dg, gram, s, num, rdg)
         assert c[0] == 0.0
-        reference = _line_poly(bundle, (g, dg), s[None], (h, rdg))
+        reference = _line_poly(bundle, np.hstack((g, dg)), s[None], (h, rdg))
         np.testing.assert_allclose(c[1:], reference[1:], rtol=1e-10)
 
     def test_c4_nonnegative(self, rng):

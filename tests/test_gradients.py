@@ -104,24 +104,19 @@ def line_poly_by_pairs(bundle, p, q, rp):
 class TestLinePoly:
     @pytest.mark.parametrize("n_p", [1, 2, 3])
     @pytest.mark.parametrize("n_q", [1, 3])
-    @pytest.mark.parametrize("layout", ["times", "contiguous", "matrix"])
-    def test_matches_a_loop_over_pairs(self, rng, n_p, n_q, layout):
-        # "times" passes the column slices of one DataBundle.times output,
-        # as gmels does, so _line_poly reads them in place; "contiguous"
-        # passes C-contiguous (N, n, k) stacks, which it copies; "matrix"
-        # passes the P_a side by side as one n x (A k) matrix.
+    def test_matches_a_loop_over_pairs(self, rng, n_p, n_q):
+        # P goes in as the one n x (A k) matrix gmels writes, and rp as the
+        # (k, N, n) slices of one DataBundle.times output, as gmels splits
+        # its pass; the loop reads them as (N, n, k) stacks R_i P_a.
         n, k, N = 9, 4, 3
         bundle = random_bundle(rng, n, N)
         p = [rng.standard_normal((n, k)) for _ in range(n_p)]
         q = rng.standard_normal((n_q, N, k, k))
         q = q + q.swapaxes(-1, -2)
-        pk = np.hstack(p)
-        products = bundle.times(pk)
-        rp = [products[..., a * k:(a + 1) * k] for a in range(n_p)]
-        if layout == "contiguous":
-            rp = [np.ascontiguousarray(y) for y in rp]
-        expected = line_poly_by_pairs(bundle, p, q, rp)
-        got = _line_poly(bundle, pk if layout == "matrix" else p, q, rp)
+        products = bundle.times(np.hstack(p))
+        rp = [products[a * k:(a + 1) * k] for a in range(n_p)]
+        expected = line_poly_by_pairs(bundle, p, q, [y.transpose(1, 2, 0) for y in rp])
+        got = _line_poly(bundle, np.hstack(p), q, rp)
         assert got.shape == (4 * n_p + 2 * n_q - 5,)
         np.testing.assert_allclose(got, expected, rtol=1e-13)
 
@@ -163,16 +158,19 @@ class TestGradNative:
     def test_gram_step_se_is_se_from_gram_bit_for_bit(self, rng):
         bundle = random_bundle(rng, 9, 3)
         fact = random_native_fact(rng, 9, 4, 3)
-        h_list = bundle.times(fact.G)
-        se_value, _, _ = _gram_step(bundle, fact.G, np.array(fact.S), h_list)
+        h = bundle.times(fact.G)
+        se_value, _, _ = _gram_step(bundle, fact.G, np.array(fact.S), h)
+        h_list = h.transpose(1, 2, 0)  # the (N, n, k) stack of the R_i G
         gram = fact.G.T @ fact.G
-        mid = [fact.G.T @ h for h in h_list]
+        mid = [fact.G.T @ x for x in h_list]
         assert se_value == se_from_gram(bundle.norms_sq, gram, mid, fact.S)
 
     def test_gram_step_matches_per_matrix_loop(self, rng):
-        # The batched kernel does the per-i arithmetic of a loop over the
-        # matrices, in the same order, so the results are bit-identical.
-        # M_i and A S_i A enter through their symmetric parts.
+        # The kernel does the per-i arithmetic of a loop over the matrices,
+        # so H, dS and SE are bit-identical.  M_i and A S_i A enter through
+        # their symmetric parts.  dG is not: its sum_i H_i S_i is one GEMM
+        # over the (k N, n) products, which sums over i and j in BLAS's
+        # order instead of the loop's, so it agrees to rounding.
         def sym(x):
             return (x + x.T) / 2.0
 
@@ -188,8 +186,9 @@ class TestGradNative:
         for x, s in zip(h_loop, fact.S):
             num += x @ s
             sas += s @ gram @ s
-        np.testing.assert_array_equal(h, h_loop)
-        np.testing.assert_array_equal(dg, 4.0 * (g @ sas - num))
+        np.testing.assert_array_equal(h.transpose(1, 2, 0), h_loop)
+        expected_dg = 4.0 * (g @ sas - num)
+        assert np.abs(dg - expected_dg).max() <= 1e-14 * np.abs(expected_dg).max()
         np.testing.assert_array_equal(
             ds, [2.0 * (sym(gram @ s @ gram) - m) for s, m in zip(fact.S, mid)])
         assert se_value == se_from_gram(bundle.norms_sq, gram, mid, fact.S)

@@ -227,8 +227,11 @@ class TestDataBundle:
         assert not np.array_equal(bundle.R[0], bundle.R[0].T)
         x = rng.random((n, m))
         out = bundle.times(x)
-        assert out.shape == (3, n, m) and out.flags.writeable
-        np.testing.assert_allclose(out, np.stack([r @ x for r in bundle.R]), rtol=1e-13, atol=0.0)
+        # out[j, i] is column j of R_i X; out.reshape(-1, n) is a view.
+        assert out.shape == (m, 3, n) and out.flags.c_contiguous and out.flags.writeable
+        assert np.shares_memory(out, out.reshape(-1, n))
+        expected = np.stack([r @ x for r in bundle.R]).transpose(2, 0, 1)
+        np.testing.assert_allclose(out, expected, rtol=1e-13, atol=0.0)
 
     def test_symmetry_check_takes_no_n_by_n_temporary(self, rng):
         # It used to hold |X| and X - X^T, each a full n x n float array.
