@@ -38,14 +38,15 @@ take k each, plus a correction for the rows that cross.  A prototype of
 that was slower: bcd 1.28x at n = 1000 and 1.17x at n = 200.
 
 ``iterate`` is the solver, an iteration generator that ``runner.run`` hands
-to ``model.drive``; ``linesearch_g`` and ``linesearch_s`` are single steps.
+to ``model.drive``; ``_s_inner_solve`` is its S block and ``_g_step`` one
+step of its G block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gradients import _g_terms, _grad_g, _grad_s, _gram_products, _grams, _poly_inner
+from .gradients import _grad_g, _grad_s, _gram_products, _grams, _poly_inner
 from .model import (
     DataBundle,
     Factorization,
@@ -53,7 +54,6 @@ from .model import (
     _sandwich,
     _se_terms,
     _traces,
-    check_compatible,
     poly_minimize,
     poly_value,
     se_from_gram,
@@ -63,18 +63,6 @@ SEARCH_INTERVAL = (-1.0, 0.0)
 MIN_DECREASE = 1e-3
 PERTURBATION_SCALE = 1e-5
 INNER_STEPS = 10
-
-
-def quartic_coeffs(bundle: DataBundle, fact: Factorization, dg: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of the quartic
-    p(t) = sum_i ||R_i - (G+t dG) S_i (G+t dG)^T||^2 along dG: SE at G as
-    c0, the rest from ``_quartic``."""
-    check_compatible(bundle, fact)
-    g, s, dg = fact.G, fact.S, np.asarray(dg, float)
-    gram, h, mid = _gram_products(bundle, g)
-    c = _quartic(g, dg, gram, s, _g_terms(gram, h, s)[0], bundle.times(dg))
-    c[0] = se_from_gram(bundle.norms_sq, gram, mid, s)
-    return c
 
 
 def _quartic(g, dg, gram, s, num, rdg) -> np.ndarray:
@@ -110,20 +98,6 @@ def _g_step(bundle: DataBundle, g, gram, h, s, rng):
     if t == 0.0 or poly_value(c, t) > -MIN_DECREASE:
         g_new = g_new + PERTURBATION_SCALE * rng.random(g.shape)
     return np.maximum(g_new, 0.0)
-
-
-def linesearch_g(bundle: DataBundle, fact: Factorization, rng: np.random.Generator) -> np.ndarray:
-    """Projected exact-line-search update of G (gradient direction, [-1, 0])."""
-    check_compatible(bundle, fact)
-    g = fact.G
-    return _g_step(bundle, g, g.T @ g, bundle.times(g), fact.S, rng)
-
-
-def linesearch_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
-    """Projected exact-line-search update of S_i at fixed G."""
-    check_compatible(bundle, fact)
-    gram, _, mid = _gram_products(bundle, fact.G)
-    return _s_inner_solve(gram, mid[i:i + 1], fact.S[i:i + 1], 1)[0]
 
 
 def _s_inner_solve(gram, mid, s, iterations, norms_sq=None, substep_log=None):

@@ -401,9 +401,11 @@ def cmd_tune(args) -> int:
     # Every (k, point) config the tuner builds is checked before the first
     # bundle loads; sampled points lie in range by construction.
     points = [dict(adam_alpha=a, adam_beta1=b1, adam_beta2=b2) for a, b1, b2 in args.point or ()]
-    for bundle_dir, k in zip(bundle_dirs, ks):
+    for (bundle_dir, manifest), k in zip(suite, ks):
         if k is None:
             raise ValidationError(f"{bundle_dir}: no planted_K in manifest and no --k given")
+        if k > manifest["n"]:
+            raise ValidationError(f"{bundle_dir}: k must be in [1, {manifest['n']}], got {k}")
         for knobs in points or [{}]:
             _checked_config(method="adam", k=k, max_iterations=args.max_iters, **knobs)
 

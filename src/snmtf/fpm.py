@@ -14,7 +14,7 @@ Each iteration updates G first, then every S_i using the new G.
 Data passes (see ``DataBundle.times``): N at the start, N per iteration.
 
 ``iterate`` is the solver, an iteration generator that ``runner.run`` hands
-to ``model.drive``; ``fpm_step_g`` and ``fpm_step_s`` are single updates.
+to ``model.drive``; ``_update_g`` and ``_update_s`` are its two updates.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .model import (
     Factorization,
     SolverConfig,
     _sandwich,
-    check_compatible,
     se_from_gram,
 )
 
@@ -43,20 +42,6 @@ def _update_s(gram, mid, s) -> np.ndarray:
     """Multiplicative S update from A = G^T G and M = G^T R_i G (one block or
     a stack of them); with M and A S A symmetric, a symmetric S stays so."""
     return s * np.sqrt(mid / (_sandwich(gram, s) + MACHINE_EPS))
-
-
-def fpm_step_g(bundle: DataBundle, fact: Factorization) -> np.ndarray:
-    """One multiplicative update of G (S blocks held fixed)."""
-    check_compatible(bundle, fact)
-    g = fact.G
-    return _update_g(g, g.T @ g, bundle.times(g), fact.S)
-
-
-def fpm_step_s(bundle: DataBundle, fact: Factorization, i: int) -> np.ndarray:
-    """One multiplicative update of S_i (G held fixed)."""
-    check_compatible(bundle, fact)
-    gram, _, mid = _gram_products(bundle, fact.G)
-    return _update_s(gram, mid[i], fact.S[i])
 
 
 def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng):

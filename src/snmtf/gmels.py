@@ -43,7 +43,6 @@ from .model import (
     Factorization,
     SolverConfig,
     Transform,
-    check_compatible,
     poly_minimize,
 )
 
@@ -75,25 +74,6 @@ def _line_poly_coefficients(bundle: DataBundle, g, s, step_g, step_s, h):
     rp = bundle.times(p[:, k:])
     rp = (rp[:k], rp[k:])
     return _line_poly(bundle, p, _square_line(s, step_s), (h, *rp)), rp
-
-
-def line_poly_coeffs(bundle: DataBundle, g, s, grad_g, grad_s) -> np.ndarray:
-    """Ascending coefficients of the degree-12 polynomial
-    p(t) = SE((G' - t dG')^2, (S_i' - t dS_i')^2).
-
-    ``g`` and ``s`` (a stack or sequence of the S_i') are the raw variables
-    and ``grad_g`` / ``grad_s`` the gradients there; the sign flip to the
-    descent direction happens here, so p describes exactly the trial step
-    the solver takes.
-    """
-    g = np.asarray(g, dtype=float)
-    s = np.asarray(s, dtype=float)
-    native = Factorization(SQUARE.apply(g), SQUARE.apply(s))
-    check_compatible(bundle, native)
-    h = bundle.times(native.G)
-    step_g = -np.asarray(grad_g, dtype=float)
-    step_s = -np.asarray(grad_s, dtype=float)
-    return _line_poly_coefficients(bundle, g, s, step_g, step_s, h)[0]
 
 
 def iterate(bundle: DataBundle, config: SolverConfig, start: Factorization, rng):

@@ -18,14 +18,16 @@ oracle in the test suite pins this down).
 The native gradient needs no residual: with H_i = R_i G it is k x k algebra
 on A = G^T G and M_i = G^T H_i, and so is SE (``se_from_gram``), which shares
 the products A S_i A with dS_i.  Every solver gets its objective and gradient
-from that one Gram step; in raw variables the gradient follows by the chain
-rule, dX' = f'(X') * dX.  A Gram step takes the products H_i = R_i G from its
-caller, who forms them with one data pass (see ``DataBundle.times``) or, as
-gmels does, carries them along its line search.  Each kernel reads that
-pass's (k, N, n) output with one GEMM over its (k N, n) reshape, the matrix
-of every H_i^T; the rest is batched k x k algebra on the stack of the S_i.
-:func:`grad_transformed` evaluates the formulas above from the n x n residuals
-instead and is kept as the independent reference the tests compare against.
+from that one Gram step (``_gram_step``, or its parts ``_grams``, ``_grad_s``
+and ``_grad_g`` where a solver needs only some); in raw variables the
+gradient follows by the chain rule, dX' = f'(X') * dX.  A Gram step takes
+the products H_i = R_i G from its caller, who forms them with one data pass
+(see ``DataBundle.times``) or, as gmels does, carries them along its line
+search.  Each kernel reads that pass's (k, N, n) output with one GEMM over
+its (k N, n) reshape, the matrix of every H_i^T; the rest is batched k x k
+algebra on the stack of the S_i.  :func:`grad_transformed` evaluates the
+formulas above from the n x n residuals instead; it is no solver's kernel,
+only the independent reference the tests compare the Gram step against.
 
 The Gram step takes M_i and A S_i A at their symmetric parts (X + X^T) / 2,
 so every dS_i is exactly symmetric: the gradient on the feasible set of
@@ -57,23 +59,10 @@ from .model import (
     _sandwich,
     _se_from_asa,
     _symmetric_part,
-    check_compatible,
     residuals,
 )
 
-__all__ = ["Transform", "grad_native", "grad_transformed"]
-
-
-def grad_native(bundle: DataBundle, fact: Factorization):
-    """Gradient of SE with respect to G and each S_i.
-
-    Returns (dG, dS) with dS the (N, k, k) stack of the dS_i.  Every dS_i is
-    exactly symmetric: the gradient for a symmetric S_i, and its projection
-    onto the symmetric matrices otherwise.
-    """
-    check_compatible(bundle, fact)
-    _, dg, ds = _gram_step(bundle, fact.G, fact.S, bundle.times(fact.G))
-    return dg, ds
+__all__ = ["Transform", "grad_transformed"]
 
 
 def _grams(g, h):

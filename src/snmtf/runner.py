@@ -35,11 +35,12 @@ SOLVERS = {"fpm": fpm.iterate, "bcd": bcd.iterate, "gmels": gmels.iterate, "adam
 
 def build_start(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
                 rng: np.random.Generator | None = None) -> Factorization:
-    """Starting factorization for a run.
+    """The starting factorization ``run`` builds when it is given none.
 
     ``deterministic`` pairs the spectral G with seeded random symmetric S
     blocks (the S blocks have no deterministic counterpart).  ``random``
-    draws both factors uniform(0,1).
+    draws both factors uniform(0,1).  Only the spectral G checks ``k``
+    against the bundle's n; ``run`` checks it for every start.
     """
     if init not in INIT_KINDS:
         raise ValueError(f"unknown init kind {init!r}, expected one of {INIT_KINDS}")
@@ -56,15 +57,19 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
         start: Factorization | None = None):
     """Run the configured solver; returns (native factorization, trace).
 
-    ``start`` overrides the built starting point; it must match ``config.k``
-    (DimensionError otherwise), every block must be finite and non-negative
-    and every S_i symmetric to the iterate tolerance (ValidationError
-    otherwise).  The solver starts from the exact symmetric part of the
-    S_i, which is the start itself when it is already exactly symmetric.
+    ``config.k`` must lie in [1, n] for every start, built or given
+    (DimensionError otherwise).  ``start`` overrides the built starting
+    point; it must match ``config.k`` (DimensionError otherwise), every
+    block must be finite and non-negative and every S_i symmetric to the
+    iterate tolerance (ValidationError otherwise).  The solver starts from
+    the exact symmetric part of the S_i, which is the start itself when it
+    is already exactly symmetric.
     The returned factors pass the same check, or SolverDivergedError is
     raised with the run's records attached.  bcd's generator receives this
     function's ``rng`` after ``build_start`` has drawn from it.
     """
+    if not 1 <= config.k <= bundle.n:
+        raise DimensionError(f"k must be in [1, {bundle.n}], got {config.k}")
     rng = np.random.default_rng(config.seed)
     if start is None:
         start = build_start(bundle, config, init, rng)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from snmtf.model import DataBundle, Factorization
+from snmtf import bcd, fpm, gmels
+from snmtf.gradients import _g_terms, _gram_products, _gram_step
+from snmtf.model import DataBundle, Factorization, Transform, se_from_gram
 
 
 def random_bundle(rng, n, N, scale=1.0):
@@ -35,6 +37,45 @@ def exact_fit_pair(rng, n, k, N, strictly_positive=True):
         r_list.append((g @ s) @ g.T)
     bundle = DataBundle.from_matrices(r_list, label="exact-fit")
     return bundle, Factorization(g, s_list)
+
+
+# One-call forms of the solvers' kernels at a given point, shared by the
+# acceptance criteria and the solver tests.  Each takes one data pass for
+# the products that the solver would already hold.
+
+def native_gradient(bundle, fact):
+    """(dG, dS) of SE at ``fact`` from the Gram kernel, dS as an (N, k, k) stack."""
+    return _gram_step(bundle, fact.G, fact.S, bundle.times(fact.G))[1:]
+
+
+def quartic_along(bundle, fact, dg):
+    """bcd's quartic p(t) = SE(G + t dG) in ascending coefficients, with
+    c0 = SE at ``fact`` in place of the kernel's 0."""
+    g, s = fact.G, fact.S
+    gram, h, mid = _gram_products(bundle, g)
+    c = bcd._quartic(g, dg, gram, s, _g_terms(gram, h, s)[0], bundle.times(dg))
+    c[0] = se_from_gram(bundle.norms_sq, gram, mid, s)
+    return c
+
+
+def square_line_poly(bundle, g, s, dg, ds):
+    """gmels' degree-12 polynomial p(t) = SE((G' - t dG')^2, (S' - t dS')^2)
+    at the raw point (G', S'), in ascending coefficients."""
+    g, s = np.asarray(g, dtype=float), np.asarray(s, dtype=float)
+    h = bundle.times(Transform.SQUARE.apply(g))
+    return gmels._line_poly_coefficients(bundle, g, s, np.negative(dg), np.negative(ds), h)[0]
+
+
+def fpm_new_g(bundle, fact):
+    """fpm's multiplicative G update at ``fact``."""
+    g = fact.G
+    return fpm._update_g(g, g.T @ g, bundle.times(g), fact.S)
+
+
+def fpm_new_s(bundle, fact):
+    """fpm's multiplicative update of every S_i at ``fact``'s G, as a stack."""
+    gram, _, mid = _gram_products(bundle, fact.G)
+    return fpm._update_s(gram, mid, fact.S)
 
 
 def assert_one_stack(bundle):

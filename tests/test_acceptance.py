@@ -18,9 +18,7 @@ import pytest
 
 from snmtf import bcd, cli, data
 from snmtf.adam import tune_adam
-from snmtf.bcd import quartic_coeffs
-from snmtf.gmels import line_poly_coeffs
-from snmtf.gradients import grad_native, grad_transformed
+from snmtf.gradients import grad_transformed
 from snmtf.model import (
     Factorization,
     SolverConfig,
@@ -31,7 +29,15 @@ from snmtf.model import (
 )
 from snmtf.runner import run
 
-from conftest import exact_fit_pair, random_bundle
+from conftest import (
+    exact_fit_pair,
+    fpm_new_g,
+    fpm_new_s,
+    native_gradient,
+    quartic_along,
+    random_bundle,
+    square_line_poly,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -145,7 +151,7 @@ class TestProperties:
                 if transform is None:
                     g = rng.uniform(0.1, 1.0, (8, 3))
                     s_list = [(lambda s: (s + s.T) / 2)(rng.uniform(0.1, 1.0, (3, 3))) for _ in range(2)]
-                    dg, ds = grad_native(bundle, Factorization(g, s_list))
+                    dg, ds = native_gradient(bundle, Factorization(g, s_list))
                 else:
                     g = rng.standard_normal((8, 3)) * 0.8
                     s_list = [(lambda s: (s + s.T) / 2)(rng.standard_normal((3, 3)) * 0.8) for _ in range(2)]
@@ -183,7 +189,7 @@ class TestProperties:
             g = rng.standard_normal((6, 2)) * 0.5
             s_list = [(lambda s: (s + s.T) / 2)(rng.standard_normal((2, 2)) * 0.5) for _ in range(2)]
             grads = grad_transformed(bundle, Transform.SQUARE, g, s_list)
-            c = line_poly_coeffs(bundle, g, s_list, *grads)
+            c = square_line_poly(bundle, g, s_list, *grads)
 
             def direct(t):
                 trial_g = Transform.SQUARE.apply(g - t * grads[0])
@@ -209,8 +215,8 @@ class TestProperties:
         g = rng.random((5, 2))
         s_list = [(lambda s: (s + s.T) / 2)(rng.random((2, 2))) for _ in range(3)]
         fact = Factorization(g, s_list)
-        dg, _ = grad_native(bundle, fact)
-        c = quartic_coeffs(bundle, fact, dg)
+        dg, _ = native_gradient(bundle, fact)
+        c = quartic_along(bundle, fact, dg)
         worst = 0.0
         for t in (-1.0, -0.5, -0.1, 0.1, 0.5):
             direct = se(bundle, Factorization(g + t * dg, s_list))
@@ -219,7 +225,7 @@ class TestProperties:
         # S-step closed form vs a 10^6-point grid search on ||Z - t W||^2.
         small = random_bundle(rng, 6, 1)
         fact2 = Factorization(rng.random((6, 2)), [(lambda s: (s + s.T) / 2)(rng.random((2, 2)))])
-        _, ds = grad_native(small, fact2)
+        _, ds = native_gradient(small, fact2)
         z = small.R[0] - (fact2.G @ fact2.S[0]) @ fact2.G.T
         w = (fact2.G @ ds[0]) @ fact2.G.T
         t_closed = float(np.sum(z * w)) / float(np.sum(w * w))
@@ -267,14 +273,13 @@ class TestProperties:
         )
 
     def test_criterion_09_fpm_fixed_point(self):
-        from snmtf.fpm import fpm_step_g, fpm_step_s
-
         rng = np.random.default_rng(9009)
         bundle, fact = exact_fit_pair(rng, 8, 3, 2, strictly_positive=True)
-        g_new = fpm_step_g(bundle, fact)
+        g_new = fpm_new_g(bundle, fact)
         rel_g = np.abs(g_new - fact.G).max() / np.abs(fact.G).max()
+        s_new = fpm_new_s(bundle, fact)
         rel_s = max(
-            np.abs(fpm_step_s(bundle, fact, i) - fact.S[i]).max() / np.abs(fact.S[i]).max()
+            np.abs(s_new[i] - fact.S[i]).max() / np.abs(fact.S[i]).max()
             for i in range(2)
         )
 
@@ -286,8 +291,8 @@ class TestProperties:
         nonneg_ok = True
         for _ in range(200):
             work = Factorization(g, s_list)
-            g = fpm_step_g(noisy, work)
-            s_list = [fpm_step_s(noisy, Factorization(g, s_list), i) for i in range(2)]
+            g = fpm_new_g(noisy, work)
+            s_list = fpm_new_s(noisy, Factorization(g, s_list))
             zeros_ok &= g[2, 1] == 0.0
             nonneg_ok &= float(g.min()) >= 0.0 and all(float(s.min()) >= 0.0 for s in s_list)
         ok = rel_g <= 1e-12 and rel_s <= 1e-12 and zeros_ok and nonneg_ok
@@ -335,7 +340,7 @@ class TestProperties:
         s_list = [(lambda s: (s + s.T) / 2)(rng.standard_normal((3, 3)) * 0.8) for _ in range(2)]
         dg_t, ds_t = grad_transformed(bundle, Transform.SQUARE, g, s_list)
         native_point = Factorization(Transform.SQUARE.apply(g), Transform.SQUARE.apply(s_list))
-        dg_n, ds_n = grad_native(bundle, native_point)
+        dg_n, ds_n = native_gradient(bundle, native_point)
         chain_err = np.abs(dg_t - 2.0 * g * dg_n).max() / np.abs(dg_t).max()
         for x, d_t, d_n in zip(s_list, ds_t, ds_n):
             chain_err = max(chain_err, np.abs(d_t - 2.0 * x * d_n).max() / max(np.abs(d_t).max(), 1e-30))

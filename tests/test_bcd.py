@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from snmtf.bcd import (
-    INNER_STEPS,
-    _quartic,
-    _s_inner_solve,
-    iterate,
-    linesearch_g,
-    linesearch_s,
-    quartic_coeffs,
-)
-from snmtf.gradients import _grad_g, _gram_products, _line_poly, grad_native
+from snmtf.bcd import INNER_STEPS, _g_step, _quartic, _s_inner_solve, iterate
+from snmtf.gradients import _grad_g, _gram_products, _line_poly
 from snmtf.model import (
     DataBundle,
     Factorization,
@@ -20,21 +12,21 @@ from snmtf.model import (
 )
 from snmtf.runner import build_start, run
 
-from conftest import exact_fit_pair, random_bundle, random_native_fact
+from conftest import exact_fit_pair, native_gradient, quartic_along, random_bundle, random_native_fact
 
 
 class TestQuarticCoeffs:
     def test_zero_direction(self, rng):
         bundle = random_bundle(rng, 6, 2)
         fact = random_native_fact(rng, 6, 2, 2)
-        c = quartic_coeffs(bundle, fact, np.zeros_like(fact.G))
+        c = quartic_along(bundle, fact, np.zeros_like(fact.G))
         assert c[0] == pytest.approx(se(bundle, fact), rel=1e-12)
         np.testing.assert_allclose(c[1:], 0.0, atol=1e-12)
 
     def test_exact_fit_leaves_only_even_terms(self, rng):
         bundle, fact = exact_fit_pair(rng, 6, 2, 2)
         dg = rng.standard_normal(fact.G.shape)
-        c = quartic_coeffs(bundle, fact, dg)
+        c = quartic_along(bundle, fact, dg)
         scale = bundle.norm_sq_total
         assert abs(c[0]) <= 1e-12 * scale
         assert abs(c[1]) <= 1e-10 * scale
@@ -44,8 +36,8 @@ class TestQuarticCoeffs:
     def test_probe_values_match_direct_se(self, rng):
         bundle = random_bundle(rng, 5, 3)
         fact = random_native_fact(rng, 5, 2, 3)
-        dg, _ = grad_native(bundle, fact)
-        c = quartic_coeffs(bundle, fact, dg)
+        dg, _ = native_gradient(bundle, fact)
+        c = quartic_along(bundle, fact, dg)
         for t in (-1.0, -0.5, -0.1, 0.1, 0.5):
             direct = se(bundle, Factorization(fact.G + t * dg, fact.S))
             assert np.polynomial.polynomial.polyval(t, c) == pytest.approx(direct, rel=1e-9)
@@ -71,7 +63,7 @@ class TestQuarticCoeffs:
         bundle = random_bundle(rng, 6, 2)
         fact = random_native_fact(rng, 6, 3, 2)
         dg = rng.standard_normal(fact.G.shape)
-        assert quartic_coeffs(bundle, fact, dg)[4] >= 0.0
+        assert quartic_along(bundle, fact, dg)[4] >= 0.0
 
 
 class TestLinesearchG:
@@ -80,8 +72,8 @@ class TestLinesearchG:
         # p(t) = (4 - (1 - 12 t)^2)^2 over [-1, 0].
         bundle = DataBundle.from_matrices([np.array([[4.0]])])
         fact = Factorization(np.array([[1.0]]), [np.array([[1.0]])])
-        rng = np.random.default_rng(0)
-        g_new = linesearch_g(bundle, fact, rng)
+        g_new = _g_step(bundle, fact.G, fact.G.T @ fact.G, bundle.times(fact.G), fact.S,
+                        np.random.default_rng(0))
         t_taken = (g_new[0, 0] - 1.0) / -12.0
 
         ts = np.linspace(-1.0, 0.0, 10**6)
@@ -93,7 +85,8 @@ class TestLinesearchG:
         bundle = random_bundle(rng, 8, 2, scale=2.0)
         fact = random_native_fact(rng, 8, 3, 2)
         before = se(bundle, fact)
-        g_new = linesearch_g(bundle, fact, np.random.default_rng(1))
+        g_new = _g_step(bundle, fact.G, fact.G.T @ fact.G, bundle.times(fact.G), fact.S,
+                        np.random.default_rng(1))
         after = se(bundle, Factorization(g_new, fact.S))
         # far from stationarity the decrease clears the perturbation threshold
         assert after < before - 1e-3
@@ -101,7 +94,8 @@ class TestLinesearchG:
 
     def test_perturbation_fires_at_exact_fit(self, rng):
         bundle, fact = exact_fit_pair(rng, 6, 2, 2)
-        g_new = linesearch_g(bundle, fact, np.random.default_rng(5))
+        g_new = _g_step(bundle, fact.G, fact.G.T @ fact.G, bundle.times(fact.G), fact.S,
+                        np.random.default_rng(5))
         delta = g_new - fact.G
         assert np.any(delta != 0.0)
         assert np.abs(delta).max() <= 1e-5  # escape scale
@@ -112,13 +106,14 @@ class TestLinesearchG:
 class TestLinesearchS:
     def test_exact_fit_unchanged(self, rng):
         bundle, fact = exact_fit_pair(rng, 6, 2, 2)
-        s_new = linesearch_s(bundle, fact, 0)
+        gram, _, mid = _gram_products(bundle, fact.G)
+        s_new = _s_inner_solve(gram, mid, fact.S, 1)[0]
         np.testing.assert_allclose(s_new, fact.S[0], atol=1e-12)
 
     def test_t_matches_grid_search(self, rng):
         bundle = random_bundle(rng, 6, 1)
         fact = random_native_fact(rng, 6, 2, 1)
-        _, ds = grad_native(bundle, fact)
+        _, ds = native_gradient(bundle, fact)
         d = ds[0]
         z = bundle.R[0] - (fact.G @ fact.S[0]) @ fact.G.T
         w = (fact.G @ d) @ fact.G.T
@@ -133,7 +128,8 @@ class TestLinesearchS:
                 best_v, best_t = vals[j], chunk[j]
 
         t_closed = float(np.sum(z * w)) / float(np.sum(w * w))
-        s_new = linesearch_s(bundle, fact, 0)
+        gram, _, mid = _gram_products(bundle, fact.G)
+        s_new = _s_inner_solve(gram, mid, fact.S, 1)[0]
         np.testing.assert_allclose(s_new, np.maximum(fact.S[0] + t_closed * d, 0.0), atol=1e-12)
         assert abs(t_closed - best_t) <= 1e-5
 
@@ -143,7 +139,7 @@ class TestLinesearchS:
             r = np.random.default_rng(trial)
             bundle = random_bundle(r, 5, 1)
             fact = random_native_fact(r, 5, 2, 1)
-            _, ds = grad_native(bundle, fact)
+            _, ds = native_gradient(bundle, fact)
             d = ds[0]
             z = bundle.R[0] - (fact.G @ fact.S[0]) @ fact.G.T
             w = (fact.G @ d) @ fact.G.T
@@ -159,7 +155,8 @@ class TestLinesearchS:
         # G = 0 makes ||G dS G^T|| = 0; the update must be a no-op.
         bundle = DataBundle.from_matrices([np.eye(3)])
         fact = Factorization(np.zeros((3, 2)), [np.full((2, 2), 0.5)])
-        s_new = linesearch_s(bundle, fact, 0)
+        gram, _, mid = _gram_products(bundle, fact.G)
+        s_new = _s_inner_solve(gram, mid, fact.S, 1)[0]
         np.testing.assert_array_equal(s_new, fact.S[0])
 
 
@@ -262,13 +259,14 @@ class TestSolve:
         )
         fact, _ = run(bundle, config, start=start)
 
-        work = Factorization(start.G.copy(), start.S)
-        for i in range(2):
-            for _ in range(INNER_STEPS):
-                work.S[i] = linesearch_s(bundle, work, i)
+        gram, _, mid = _gram_products(bundle, start.G)
+        s = start.S
+        for _ in range(INNER_STEPS):
+            s = _s_inner_solve(gram, mid, s, 1)
+        g = start.G
         manual_rng = np.random.default_rng(config.seed)
         for _ in range(INNER_STEPS):
-            work.G = linesearch_g(bundle, work, manual_rng)
-        np.testing.assert_array_equal(fact.G, work.G)
-        for a, b in zip(fact.S, work.S):
+            g = _g_step(bundle, g, g.T @ g, bundle.times(g), s, manual_rng)
+        np.testing.assert_array_equal(fact.G, g)
+        for a, b in zip(fact.S, s):
             np.testing.assert_array_equal(a, b)

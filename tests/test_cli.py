@@ -828,12 +828,14 @@ class TestCompare:
             "at n=10, K=2, k=2\n")
         assert not out.exists()
 
-    def test_sweep_error_row_above_n_is_accepted(self, tmp_path, capsys):
+    @pytest.mark.parametrize("init", ["deterministic", "random"])
+    def test_sweep_error_row_above_n_is_accepted(self, tmp_path, capsys, init):
         # 120% of K = n = 5 is k = 6: the sweep records that run as an error
-        # with no final_mse, so compare must still take the sweep's output.
+        # with no final_mse, whatever the start, so compare must still take
+        # the sweep's output.
         bundle_dir = make_bundle_dir(tmp_path, "b", n=5, K=5)
         res = tmp_path / "res"
-        assert run_cli("benchmark", "--suite", bundle_dir, "--methods", "fpm",
+        assert run_cli("benchmark", "--suite", bundle_dir, "--methods", "fpm", "--init", init,
                        "--ratios", "100,120", "--max-iters", 3, "--out", res) == 0
         out = tmp_path / "winners.csv"
         assert run_cli("compare", "--results", res / "results.csv", "--out", out) == 0
@@ -941,6 +943,21 @@ class TestTune:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("diverged: ") and captured.err.count("\n") == 1
+
+    def test_k_above_n_refused_before_any_load(self, tmp_path, capsys, monkeypatch):
+        bundle_dir = make_bundle_dir(tmp_path, "b", n=5, K=2)
+        out = tmp_path / "tune.csv"
+
+        def no_load(path):
+            raise AssertionError(f"{path} was loaded")
+
+        monkeypatch.setattr(cli.data, "load_bundle", no_load)
+        capsys.readouterr()
+        rc = run_cli("tune", "--suite", bundle_dir, "--k", 8, "--trials", 1, "--runs", 1,
+                     "--max-iters", 5, "--out", out)
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {bundle_dir}: k must be in [1, 5], got 8\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--point", "0.1,1.5,0.9"), ("--point", "x"), ("--point", "0.1,0.5"), ("--k", 0),

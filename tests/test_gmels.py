@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snmtf.gmels import line_poly_coeffs, poly_minimize
+from snmtf.gmels import poly_minimize
 from snmtf.gradients import grad_transformed
 from snmtf.model import (
     Factorization,
@@ -14,7 +14,7 @@ from snmtf.model import (
 )
 from snmtf.runner import run
 
-from conftest import random_bundle
+from conftest import random_bundle, square_line_poly
 
 
 SQUARE = Transform.SQUARE
@@ -47,7 +47,7 @@ class TestLinePolyCoeffs:
         bundle = random_bundle(rng, 6, 2)
         g, s = square_point(rng, 6, 2, 2)
         zero = (np.zeros_like(g), [np.zeros_like(x) for x in s])
-        c = line_poly_coeffs(bundle, g, s, *zero)
+        c = square_line_poly(bundle, g, s, *zero)
         assert len(c) == 13
         assert c[0] == pytest.approx(transformed_se(bundle, g, s), rel=1e-12)
         np.testing.assert_allclose(c[1:], 0.0, atol=1e-9)
@@ -56,7 +56,7 @@ class TestLinePolyCoeffs:
         bundle = random_bundle(rng, 5, 2)
         g, s = square_point(rng, 5, 2, 2)
         dg, ds = grad_transformed(bundle, SQUARE, g, s)
-        c = line_poly_coeffs(bundle, g, s, dg, ds)
+        c = square_line_poly(bundle, g, s, dg, ds)
         expected = 0.0
         for dsi in ds:
             top = ((dg * dg) @ (dsi * dsi)) @ (dg * dg).T
@@ -72,7 +72,7 @@ class TestLinePolyCoeffs:
         bundle = random_bundle(rng, 6, 2)
         point = square_point(rng, 6, 2, 2, scale=0.5)
         grads = grad_transformed(bundle, SQUARE, *point)
-        c = line_poly_coeffs(bundle, *point, *grads)
+        c = square_line_poly(bundle, *point, *grads)
 
         nodes = np.array([0.0] + [s * 0.1 * j for j in range(1, 7) for s in (1, -1)])
         values = [transformed_se(bundle, *trial_point(point, grads, t)) for t in nodes]
@@ -85,7 +85,7 @@ class TestLinePolyCoeffs:
         bundle = random_bundle(rng, 6, 2)
         point = square_point(rng, 6, 2, 2)
         grads = grad_transformed(bundle, SQUARE, *point)
-        c = line_poly_coeffs(bundle, *point, *grads)
+        c = square_line_poly(bundle, *point, *grads)
         for t in rng.uniform(-1.0, 1.0, 20):
             direct = transformed_se(bundle, *trial_point(point, grads, t))
             assert np.polynomial.polynomial.polyval(t, c) == pytest.approx(direct, rel=1e-8)
@@ -256,6 +256,6 @@ class TestSolve:
         if trace.stop_reason == "delta_threshold":
             lifted = SQUARE.lift(fact.G), SQUARE.lift(fact.S)
             grads = grad_transformed(bundle, SQUARE, *lifted)
-            c = line_poly_coeffs(bundle, *lifted, *grads)
+            c = square_line_poly(bundle, *lifted, *grads)
             t = poly_minimize(c)
             assert abs(np.polynomial.polynomial.polyval(t, c) - c[0]) <= 1e-8 * (1.0 + c[0])

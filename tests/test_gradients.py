@@ -6,12 +6,17 @@ from snmtf.gradients import (
     _line_poly,
     _poly_inner,
     _transformed_step,
-    grad_native,
     grad_transformed,
 )
 from snmtf.model import DataBundle, Factorization, Transform, residuals, se_from_gram
 
-from conftest import assert_block_stack, exact_fit_pair, random_bundle, random_native_fact
+from conftest import (
+    assert_block_stack,
+    exact_fit_pair,
+    native_gradient,
+    random_bundle,
+    random_native_fact,
+)
 
 
 def transformed_se(bundle, transform, g, s):
@@ -124,7 +129,7 @@ class TestLinePoly:
 class TestGradNative:
     def test_zero_at_exact_fit(self, rng):
         bundle, fact = exact_fit_pair(rng, 8, 3, 2)
-        dg, ds = grad_native(bundle, fact)
+        dg, ds = native_gradient(bundle, fact)
         scale = bundle.norm_sq_total
         assert np.abs(dg).max() <= 1e-10 * scale
         assert max(np.abs(d).max() for d in ds) <= 1e-10 * scale
@@ -134,7 +139,7 @@ class TestGradNative:
 
         bundle = random_bundle(rng, 8, 2)
         fact = random_native_fact(rng, 8, 3, 2)
-        dg, ds = grad_native(bundle, fact)
+        dg, ds = native_gradient(bundle, fact)
 
         fd_g = fd_grad(lambda g: se(bundle, Factorization(g, fact.S)), fact.G, 1e-6)
         assert np.linalg.norm(fd_g - dg) <= 1e-5 * np.linalg.norm(dg)
@@ -151,7 +156,7 @@ class TestGradNative:
         # R = 4, G = 1, S = 1: d/dG (4 - G S G)^2 = -12, d/dS = -6.
         bundle = DataBundle.from_matrices([np.array([[4.0]])])
         fact = Factorization(np.array([[1.0]]), [np.array([[1.0]])])
-        dg, ds = grad_native(bundle, fact)
+        dg, ds = native_gradient(bundle, fact)
         assert dg[0, 0] == pytest.approx(-12.0)
         assert ds[0][0, 0] == pytest.approx(-6.0)
 
@@ -200,14 +205,14 @@ class TestGradNative:
         bundle = random_bundle(rng, 7, 3)
         fact = random_native_fact(rng, 7, 2, 3)
         if transform is None:
-            assert_block_stack(grad_native(bundle, fact)[1], 3, 2)
+            assert_block_stack(native_gradient(bundle, fact)[1], 3, 2)
         else:
             assert_block_stack(grad_transformed(bundle, transform, fact.G, fact.S)[1], 3, 2)
 
     def test_ds_symmetric(self, rng):
         bundle = random_bundle(rng, 7, 3)
         fact = random_native_fact(rng, 7, 3, 3)
-        _, ds = grad_native(bundle, fact)
+        _, ds = native_gradient(bundle, fact)
         for d in ds:
             assert np.abs(d - d.T).max() <= 1e-10 * max(np.abs(d).max(), 1.0)
 
@@ -217,7 +222,7 @@ class TestGradTransformed:
         # The residual formulas with f = identity, against the Gram kernel.
         bundle = random_bundle(rng, 6, 2)
         fact = random_native_fact(rng, 6, 3, 2)
-        dg_n, ds_n = grad_native(bundle, fact)
+        dg_n, ds_n = native_gradient(bundle, fact)
         g = fact.G
         zs = residuals(bundle, fact)
         dg_t = -4.0 * sum((z @ g) @ s.T for z, s in zip(zs, fact.S))
@@ -254,13 +259,13 @@ class TestGradTransformed:
             fd_check_point(bundle, transform, g, s_list, h=h, rtol=1e-5, kink_tol=kink)
 
     def test_square_chain_rule(self, rng):
-        # d/dX SE(f2(X)) = 2 X * grad_native evaluated at the squared point.
+        # d/dX SE(f2(X)) = 2 X * the native gradient at the squared point.
         bundle = random_bundle(rng, 7, 2)
         g = rng.standard_normal((7, 3)) * 0.8
         s_list = [(lambda s: (s + s.T) / 2.0)(rng.standard_normal((3, 3)) * 0.8) for _ in range(2)]
         dg_t, ds_t = grad_transformed(bundle, Transform.SQUARE, g, s_list)
         native_point = Factorization(g * g, [x * x for x in s_list])
-        dg_n, ds_n = grad_native(bundle, native_point)
+        dg_n, ds_n = native_gradient(bundle, native_point)
         np.testing.assert_allclose(dg_t, 2.0 * g * dg_n, rtol=1e-10, atol=1e-10)
         for x, d_t, d_n in zip(s_list, ds_t, ds_n):
             np.testing.assert_allclose(d_t, 2.0 * x * d_n, rtol=1e-10, atol=1e-10)

@@ -1,16 +1,52 @@
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import snmtf
+from snmtf import bcd, fpm, gmels
 
 
 def test_every_public_name_is_exported():
     public = {name for name, value in vars(snmtf).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(public) == sorted(snmtf.__all__)
+
+
+def test_public_surface_is_the_solver_contract():
+    # run and its types, data I/O, the start, the shared root finder, adam's
+    # step and tuner, and the n x n references the oracles compare against.
+    assert sorted(snmtf.__all__) == [
+        "AdamState", "ConvergenceTrace", "DataBundle", "DimensionError", "Factorization",
+        "SolverConfig", "SolverDivergedError", "Transform", "ValidationError", "adam_eta",
+        "adam_step", "build_start", "deterministic_g", "generate_synthetic",
+        "grad_transformed", "load_bundle", "mse", "poly_minimize", "residuals", "run",
+        "save_bundle", "save_factorization", "se", "tune_adam",
+    ]
+
+
+@pytest.mark.parametrize("module", [fpm, bcd, gmels], ids=lambda m: m.__name__)
+def test_solver_module_defines_no_public_function_but_iterate(module):
+    defined = {name for name, value in vars(module).items()
+               if inspect.isfunction(value) and value.__module__ == module.__name__
+               and not name.startswith("_")}
+    assert defined == {"iterate"}
+
+
+@pytest.mark.parametrize("name", [
+    "fpm_step_g", "fpm_step_s", "linesearch_g", "linesearch_s", "quartic_coeffs",
+    "line_poly_coeffs", "grad_native",
+])
+def test_removed_step_helper_is_nowhere(name):
+    modules = [snmtf] + [importlib.import_module(f"snmtf.{info.name}")
+                         for info in pkgutil.iter_modules(snmtf.__path__)]
+    assert [m.__name__ for m in modules if hasattr(m, name)] == []
 
 
 def test_console_script_imports_no_scipy(tmp_path):

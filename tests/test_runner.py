@@ -93,6 +93,19 @@ class TestRunDispatch:
         with pytest.raises(DimensionError, match="k = 3"):
             run(planted_bundle, config, start=planted)
 
+    def test_k_above_n_rejected_for_the_random_start(self, planted_bundle):
+        # The same message as the spectral start's (deterministic_g).
+        config = SolverConfig(method="fpm", k=25)
+        with pytest.raises(DimensionError, match=r"^k must be in \[1, 24\], got 25$"):
+            run(planted_bundle, config, init="random")
+
+    def test_k_above_n_rejected_for_a_given_start(self, planted_bundle, rng):
+        # The start matches config.k and the bundle's n; only k > n is wrong.
+        start = random_native_fact(rng, 24, 25, 3)
+        config = SolverConfig(method="fpm", k=25)
+        with pytest.raises(DimensionError, match=r"^k must be in \[1, 24\], got 25$"):
+            run(planted_bundle, config, start=start)
+
     @pytest.mark.parametrize("method", ["fpm", "bcd", "gmels", "adam"])
     @pytest.mark.parametrize("block", ["G", "S_2"])
     def test_explicit_negative_start_rejected(self, planted_bundle, method, block):
