@@ -3,9 +3,7 @@ matrix tri-factorization: given symmetric non-negative R_1 .. R_N, find
 non-negative G and symmetric non-negative S_i minimizing
 sum_i ||R_i - G S_i G^T||^2."""
 
-from .adam import AdamState, adam_eta, adam_step, tune_adam
 from .data import generate_synthetic, load_bundle, save_bundle, save_factorization
-from .gmels import poly_minimize
 from .gradients import grad_transformed
 from .initialization import deterministic_g
 from .model import (
@@ -18,13 +16,13 @@ from .model import (
     Transform,
     ValidationError,
     mse,
+    poly_minimize,
     residuals,
     se,
 )
-from .runner import build_start, run
+from .runner import build_start, run, tune_adam
 
 __all__ = [
-    "AdamState",
     "ConvergenceTrace",
     "DataBundle",
     "DimensionError",
@@ -33,8 +31,6 @@ __all__ = [
     "SolverDivergedError",
     "Transform",
     "ValidationError",
-    "adam_eta",
-    "adam_step",
     "build_start",
     "deterministic_g",
     "generate_synthetic",

@@ -9,10 +9,11 @@ Subcommands::
     snmtf tune      --suite bundles --trials 100 --out tune.csv
 
 Exit codes: 0 normal stop, 2 usage error, 3 data validation error or an
-``--out`` that cannot be written, 5 solver divergence (the objective became
-non-finite or the MSE ran away, see ``model.ConvergenceTrace.step``, or the
-solver returned factors that are not native, see ``runner.run``; for
-``tune``, every point scored inf).
+``--out`` that cannot be written (refused before any bundle loads when it
+exists as the wrong kind or lies under a file), 5 solver divergence (the
+objective became non-finite or the MSE ran away, see
+``model.ConvergenceTrace.step``, or the solver returned factors that are not
+native, see ``runner.run``; for ``tune``, every point scored inf).
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import io
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import adam as adam_mod
 from . import data, runner
 from .model import (
     METHODS,
@@ -128,6 +130,21 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     flag("--adam-beta2", "adam_beta2", type=float)
 
 
+def _check_out(out: Path, is_dir: bool) -> None:
+    """Raise the OSError of an output path that exists as the wrong kind (a
+    file where a directory is written, or the reverse) or whose nearest
+    existing ancestor is not a directory.  Creates nothing; a permission
+    error still shows only when the output is written."""
+    if out.exists():
+        if out.is_dir() != is_dir:
+            code = errno.EEXIST if is_dir else errno.EISDIR
+            raise OSError(code, os.strerror(code), str(out))
+        return
+    ancestor = next(p for p in out.parents if p.exists())
+    if not ancestor.is_dir():
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(ancestor))
+
+
 def cmd_generate(args) -> int:
     bundle, planted = data.generate_synthetic(
         n=args.n, K=args.K, N=args.N, density=args.density, seed=args.seed
@@ -138,10 +155,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    out = Path(args.out)
+    _check_out(out, is_dir=True)
     bundle = data.load_bundle(args.bundle, symmetrize=args.symmetrize)
     config = _config_from_args(args)
     start = data.load_factors(args.start_from) if args.start_from else None
-    out = Path(args.out)
     fact, trace = runner.run(bundle, config, init=args.init, start=start)
     data.save_factorization(fact, trace, out, config)
     final = trace.final
@@ -395,7 +413,6 @@ def cmd_compare(args) -> int:
 
 def cmd_tune(args) -> int:
     suite = _read_suite(args.suite)
-    bundle_dirs = [bundle_dir for bundle_dir, _ in suite]
     ks = [args.k if args.k is not None else manifest.get("planted_K") for _, manifest in suite]
 
     # Every (k, point) config the tuner builds is checked before the first
@@ -409,10 +426,12 @@ def cmd_tune(args) -> int:
         for knobs in points or [{}]:
             _checked_config(method="adam", k=k, max_iterations=args.max_iters, **knobs)
 
-    problems = [(data.load_bundle(d), k) for d, k in zip(bundle_dirs, ks)]
+    out = Path(args.out)
+    _check_out(out, is_dir=False)
+    problems = [(data.load_bundle(d), k) for (d, _), k in zip(suite, ks)]
     labels = [bundle.label for bundle, _ in problems]
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    ranked = adam_mod.tune_adam(
+    out.parent.mkdir(parents=True, exist_ok=True)
+    ranked = runner.tune_adam(
         problems, trials=args.trials, seed=args.seed, points=args.point,
         runs_per_problem=args.runs, max_iterations=args.max_iters,
     )
@@ -487,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="random-search adam hyper-parameter tuning")
     p.add_argument("--suite", required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--runs", type=_positive_int, default=3, help="runs per (trial, problem)")
+    p.add_argument("--runs", type=_positive_int, default=runner.TUNE_RUNS_PER_PROBLEM,
+                   help="runs per (trial, problem)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--k", type=int, default=None, help="override the planted K")
     p.add_argument("--max-iters", type=int, default=None)

@@ -7,6 +7,9 @@ method's iteration generator in :data:`SOLVERS` and hands it to
 Every solver takes and returns native factors, and both the start and the
 result are checked to be native.  Everything downstream of (bundle, config,
 init kind) is deterministic.
+
+``tune_adam``, the random-search hyper-parameter tuner, scores each point
+with seeded random-start ``run`` calls.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ from .model import (
 )
 
 INIT_KINDS = ("deterministic", "random")
+
+TUNE_ALPHA_RANGE = (1e-4, 1e-1)
+TUNE_BETA1_RANGE = (0.2, 0.999)
+TUNE_BETA2_RANGE = (0.1, 0.999)
+TUNE_RUNS_PER_PROBLEM = 3
 
 # Each method's iteration generator, iterate(bundle, config, start, rng).
 SOLVERS = {"fpm": fpm.iterate, "bcd": bcd.iterate, "gmels": gmels.iterate, "adam": adam.iterate}
@@ -89,3 +97,63 @@ def run(bundle: DataBundle, config: SolverConfig, init: str = "deterministic",
     except ValidationError as exc:
         raise SolverDivergedError(str(exc), records=trace.records) from None
     return fact, trace
+
+
+def _score_point(problems, alpha, beta1, beta2, run_seeds, max_iterations):
+    """Max over problems of the mean final MSE of seeded random-start runs;
+    a diverged run counts as MSE inf."""
+    per_problem = []
+    for (bundle, k), seeds in zip(problems, run_seeds):
+        finals = []
+        for seed in seeds:
+            config = SolverConfig(
+                method="adam", k=k, seed=int(seed),
+                adam_alpha=alpha, adam_beta1=beta1, adam_beta2=beta2,
+                max_iterations=max_iterations,
+            )
+            try:
+                finals.append(run(bundle, config, init="random")[1].final.mse)
+            except SolverDivergedError:  # a diverging triple ranks last
+                finals.append(np.inf)
+        per_problem.append(float(np.mean(finals)))
+    return float(max(per_problem)), per_problem
+
+
+def tune_adam(problems, trials: int, seed: int, *, points=None,
+              runs_per_problem: int = TUNE_RUNS_PER_PROBLEM,
+              max_iterations: int | None = None):
+    """Random-search tuning of (alpha, beta1, beta2) over a problem suite.
+
+    ``problems`` is a sequence of (bundle, k) pairs, normally with k equal to
+    the planted inner dimension.  Each trial triple is scored by the maximum
+    over problems of the mean final MSE of ``runs_per_problem`` adam runs
+    from seeded random starting points.  alpha is sampled log-uniformly on
+    [1e-4, 1e-1] (three decades; uniform sampling would oversample the top
+    decade), beta1 uniformly on [0.2, 0.999], beta2 on [0.1, 0.999].
+
+    Each run is a ``run(bundle, config, init="random")`` with the run's
+    seed in ``config.seed``.  ``points`` replaces the random sampling
+    with explicit (alpha, beta1, beta2) triples.  Returns trial dicts sorted
+    by score (ties by trial index); deterministic for a fixed seed.
+    """
+    problems = [(b, int(k)) for b, k in problems]
+    rng = np.random.default_rng(seed)
+    if points is not None:
+        triples = [tuple(float(x) for x in p) for p in points]
+    else:
+        triples = []
+        for _ in range(trials):
+            log_alpha = rng.uniform(*np.log10(TUNE_ALPHA_RANGE))
+            beta1 = rng.uniform(*TUNE_BETA1_RANGE)
+            beta2 = rng.uniform(*TUNE_BETA2_RANGE)
+            triples.append((10.0**log_alpha, beta1, beta2))
+    run_seeds = rng.integers(2**63, size=(len(triples), len(problems), runs_per_problem))
+
+    rows = []
+    for idx, (alpha, beta1, beta2) in enumerate(triples):
+        score, per_problem = _score_point(
+            problems, alpha, beta1, beta2, run_seeds[idx], max_iterations
+        )
+        rows.append({"trial": idx, "alpha": alpha, "beta1": beta1, "beta2": beta2,
+                     "per_problem_mse": per_problem, "score": score})
+    return sorted(rows, key=lambda row: (row["score"], row["trial"]))

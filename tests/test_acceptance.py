@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from snmtf import bcd, cli, data
-from snmtf.adam import tune_adam
 from snmtf.gradients import grad_transformed
 from snmtf.model import (
     Factorization,
@@ -27,7 +26,7 @@ from snmtf.model import (
     residuals,
     se,
 )
-from snmtf.runner import run
+from snmtf.runner import run, tune_adam
 
 from conftest import (
     exact_fit_pair,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snmtf.adam import AdamState, adam_eta, adam_step, tune_adam
+from snmtf.adam import _eta, _moment_update
 from snmtf.data import generate_synthetic
 from snmtf.model import (
     DataBundle,
@@ -17,19 +17,19 @@ from snmtf.model import (
     SolverDivergedError,
     ValidationError,
 )
-from snmtf.runner import build_start, run
+from snmtf.runner import build_start, run, tune_adam
 
-from conftest import assert_block_stack, random_bundle
+from conftest import random_bundle
 
 
 class TestEta:
     def test_first_step_value(self):
         # alpha sqrt(1 - 0.005^1) / (1 - 0.05^1)
         expected = 0.002 * math.sqrt(1.0 - 0.005) / (1.0 - 0.05)
-        assert adam_eta(0.002, 0.95, 0.995, 1) == pytest.approx(expected, rel=1e-15)
+        assert _eta(0.002, 0.95, 0.995, 1) == pytest.approx(expected, rel=1e-15)
 
     def test_tends_to_alpha(self):
-        assert adam_eta(0.002, 0.95, 0.995, 10_000) == pytest.approx(0.002, rel=1e-12)
+        assert _eta(0.002, 0.95, 0.995, 10_000) == pytest.approx(0.002, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -38,7 +38,7 @@ class TestEta:
     )
     def test_equal_betas_never_below_alpha(self, beta, i):
         # beta1 = beta2 = beta collapses the schedule to alpha / sqrt(1-(1-beta)^i)
-        eta = adam_eta(0.01, beta, beta, i)
+        eta = _eta(0.01, beta, beta, i)
         assert eta >= 0.01 * (1 - 1e-12)
         assert eta == pytest.approx(0.01 / math.sqrt(1.0 - (1.0 - beta) ** i), rel=1e-12)
 
@@ -51,12 +51,6 @@ class TestStep:
         s = (s + s.T) / 2.0
         return g, s[None].copy()
 
-    def test_moments_are_stacks(self, rng):
-        g, s = rng.random((4, 2)), rng.random((3, 2, 2))
-        state = AdamState.zeros_like(g, s)
-        assert_block_stack(state.m_s, 3, 2)
-        assert_block_stack(state.v_s, 3, 2)
-
     def test_stacked_step_matches_per_block_steps(self, rng):
         g, s = rng.random((4, 2)), rng.random((3, 2, 2))
         grads = (rng.standard_normal((4, 2)), rng.standard_normal((3, 2, 2)))
@@ -64,35 +58,30 @@ class TestStep:
         for x, d in zip(s, grads[1]):
             m, v = (1.0 - 0.9) * d, (1.0 - 0.99) * d * d
             expected.append(x - 0.05 * m / (np.sqrt(v) + 1e-8))
-        adam_step(AdamState.zeros_like(g, s), g, s, grads, 0.05, 0.9, 0.99, 1e-8)
+        _moment_update(np.zeros_like(s), np.zeros_like(s), grads[1], 0.05, 0.9, 0.99, s)
         np.testing.assert_array_equal(s, expected)
 
     def test_zero_gradient_zero_state_moves_nothing(self, rng):
-        g, s = self._point(rng)
+        g, _ = self._point(rng)
         g0 = g.copy()
-        state = AdamState.zeros_like(g, s)
-        zero = (np.zeros_like(g), [np.zeros_like(x) for x in s])
-        adam_step(state, g, s, zero, eta=0.1, beta1=0.9, beta2=0.99, eps=1e-8)
+        m_g, v_g = np.zeros_like(g), np.zeros_like(g)
+        _moment_update(m_g, v_g, np.zeros_like(g), eta=0.1, beta1=0.9, beta2=0.99, x=g)
         np.testing.assert_array_equal(g, g0)
-        assert np.all(state.m_g == 0.0) and np.all(state.v_g == 0.0)
+        assert np.all(m_g == 0.0) and np.all(v_g == 0.0)
 
     def test_zero_gradient_decays_existing_moments(self, rng):
-        g, s = self._point(rng)
-        state = AdamState.zeros_like(g, s)
-        state.m_g += 0.25
-        state.v_g += 0.5
-        zero = (np.zeros_like(g), [np.zeros_like(x) for x in s])
-        adam_step(state, g, s, zero, eta=0.1, beta1=0.9, beta2=0.99, eps=1e-8)
-        np.testing.assert_allclose(state.m_g, 0.25 * 0.9, rtol=1e-15)
-        np.testing.assert_allclose(state.v_g, 0.5 * 0.99, rtol=1e-15)
+        g, _ = self._point(rng)
+        m_g, v_g = np.full_like(g, 0.25), np.full_like(g, 0.5)
+        _moment_update(m_g, v_g, np.zeros_like(g), eta=0.1, beta1=0.9, beta2=0.99, x=g)
+        np.testing.assert_allclose(m_g, 0.25 * 0.9, rtol=1e-15)
+        np.testing.assert_allclose(v_g, 0.5 * 0.99, rtol=1e-15)
 
     def test_first_step_direction(self, rng):
-        g, s = self._point(rng)
+        g, _ = self._point(rng)
         g0 = g.copy()
         grad = rng.standard_normal(g.shape)
-        state = AdamState.zeros_like(g, s)
         beta1, beta2, eps, eta = 0.95, 0.995, 1e-8, 0.002
-        adam_step(state, g, s, (grad, [np.zeros((2, 2))]), eta, beta1, beta2, eps)
+        _moment_update(np.zeros_like(g), np.zeros_like(g), grad, eta, beta1, beta2, g)
         expected = g0 - eta * (1 - beta1) * grad / (np.sqrt((1 - beta2) * grad**2) + eps)
         np.testing.assert_allclose(g, expected, rtol=1e-12)
         # per entry that is sign(-grad) scaled nearly uniformly
@@ -101,7 +90,7 @@ class TestStep:
 
     def test_three_scripted_steps_match_hand_recursion(self, rng):
         g, s = self._point(rng)
-        state = AdamState.zeros_like(g, s)
+        m_g, v_g, m_s, v_s = (np.zeros_like(x) for x in (g, g, s, s))
         beta1, beta2, eps = 0.9, 0.99, 1e-8
         grads = [rng.standard_normal((2, 2)) for _ in range(3)]
         s_grads = [rng.standard_normal((2, 2)) for _ in range(3)]
@@ -123,20 +112,22 @@ class TestStep:
             vs = beta2 * vs + (1 - beta2) * s_grads[step] ** 2
             xs = xs - eta * ms / (np.sqrt(vs) + eps)
 
+        # adam's step: the kernel on G', then on the S' stack
         for step in range(3):
             eta = 0.01 * (step + 1)
-            adam_step(state, g, s, (grads[step], [s_grads[step]]), eta, beta1, beta2, eps)
+            _moment_update(m_g, v_g, grads[step], eta, beta1, beta2, g)
+            _moment_update(m_s, v_s, s_grads[step][None], eta, beta1, beta2, s)
 
         np.testing.assert_allclose(g, xg, atol=1e-12)
         np.testing.assert_allclose(s[0], xs, atol=1e-12)
 
     def test_second_moment_nonnegative(self, rng):
-        g, s = self._point(rng)
-        state = AdamState.zeros_like(g, s)
+        g, _ = self._point(rng)
+        m_g, v_g = np.zeros_like(g), np.zeros_like(g)
         for _ in range(50):
             grad = rng.standard_normal(g.shape)
-            adam_step(state, g, s, (grad, [np.zeros((2, 2))]), 0.01, 0.9, 0.99, 1e-8)
-            assert float(state.v_g.min()) >= 0.0
+            _moment_update(m_g, v_g, grad, 0.01, 0.9, 0.99, g)
+            assert float(v_g.min()) >= 0.0
 
 
 class TestSolve:

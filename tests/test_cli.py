@@ -671,27 +671,39 @@ class TestBenchmark:
         assert not (tmp_path / "res" / "results.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["generate", "solve", "benchmark", "compare", "tune"])
-def test_unwritable_out_exits_3(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["generate", "solve", "benchmark", "compare", "tune",
+                                     "tune-into-dir"])
+def test_unwritable_out_exits_3(tmp_path, capsys, monkeypatch, command):
+    # An --out that exists as the wrong kind, or lies under a file, is
+    # refused before any bundle loads.
     bundle_dir = make_bundle_dir(tmp_path, "b", n=12, K=2)
     results = tmp_path / "results.csv"
     results.write_text("bundle,method,n,K,k,final_mse\nb,fpm,12,2,2,0.5\n")
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    tune = ("--suite", bundle_dir, "--trials", 1, "--runs", 1, "--max-iters", 5, "--out")
     argv = {
         "generate": ("--n", 12, "--K", 2, "--out", afile),
         "solve": ("--bundle", bundle_dir, "--method", "fpm", "--k", 2, "--out", afile),
         "benchmark": ("--suite", bundle_dir, "--methods", "fpm", "--ratios", 100, "--out", afile),
         "compare": ("--results", results, "--out", afile / "winners.csv"),
-        "tune": ("--suite", bundle_dir, "--trials", 1, "--runs", 1, "--max-iters", 5,
-                 "--out", afile / "tune.csv"),
+        "tune": (*tune, afile / "tune.csv"),
+        "tune-into-dir": (*tune, adir),
     }[command]
+    real_load = data.load_bundle
+    loaded = []
+    monkeypatch.setattr(data, "load_bundle",
+                        lambda *args, **kwargs: loaded.append(args) or real_load(*args, **kwargs))
     capsys.readouterr()
-    rc = run_cli(command, *argv)
+    rc = run_cli(command.split("-")[0], *argv)
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {afile}: ") and err.count("\n") == 1
-    assert afile.read_text() == "not a directory\n"
+    assert err.startswith(f"error: {adir if command == 'tune-into-dir' else afile}: ")
+    assert err.count("\n") == 1
+    assert loaded == []
+    assert afile.read_text() == "not a directory\n" and list(adir.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["solve", "benchmark", "tune"])

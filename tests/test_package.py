@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import snmtf
-from snmtf import bcd, fpm, gmels
+from snmtf import adam, bcd, fpm, gmels
 
 
 def test_every_public_name_is_exported():
@@ -20,18 +20,19 @@ def test_every_public_name_is_exported():
 
 
 def test_public_surface_is_the_solver_contract():
-    # run and its types, data I/O, the start, the shared root finder, adam's
-    # step and tuner, and the n x n references the oracles compare against.
+    # run and its types, the tuner beside it, data I/O, the start, the shared
+    # root finder, and the n x n references the oracles compare against.
     assert sorted(snmtf.__all__) == [
-        "AdamState", "ConvergenceTrace", "DataBundle", "DimensionError", "Factorization",
-        "SolverConfig", "SolverDivergedError", "Transform", "ValidationError", "adam_eta",
-        "adam_step", "build_start", "deterministic_g", "generate_synthetic",
+        "ConvergenceTrace", "DataBundle", "DimensionError", "Factorization",
+        "SolverConfig", "SolverDivergedError", "Transform", "ValidationError",
+        "build_start", "deterministic_g", "generate_synthetic",
         "grad_transformed", "load_bundle", "mse", "poly_minimize", "residuals", "run",
         "save_bundle", "save_factorization", "se", "tune_adam",
     ]
+    assert snmtf.tune_adam is snmtf.runner.tune_adam
 
 
-@pytest.mark.parametrize("module", [fpm, bcd, gmels], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [fpm, bcd, gmels, adam], ids=lambda m: m.__name__)
 def test_solver_module_defines_no_public_function_but_iterate(module):
     defined = {name for name, value in vars(module).items()
                if inspect.isfunction(value) and value.__module__ == module.__name__
@@ -41,7 +42,7 @@ def test_solver_module_defines_no_public_function_but_iterate(module):
 
 @pytest.mark.parametrize("name", [
     "fpm_step_g", "fpm_step_s", "linesearch_g", "linesearch_s", "quartic_coeffs",
-    "line_poly_coeffs", "grad_native",
+    "line_poly_coeffs", "grad_native", "AdamState", "adam_eta", "adam_step",
 ])
 def test_removed_step_helper_is_nowhere(name):
     modules = [snmtf] + [importlib.import_module(f"snmtf.{info.name}")
